@@ -2,14 +2,14 @@
 // swept to saturation under all four inversion-avoidance protocols
 // (DESIGN.md §15).
 //
-// Unlike macro_bank (a closed-loop population whose threads cannot arrive
-// while their previous request is still queued — coordinated omission),
-// this driver injects a precomputed arrival schedule on the virtual clock
-// and never waits: latency is charged from the *scheduled* arrival tick, so
-// queueing delay shows up in the tails where it belongs.  Each tier maps to
-// a scheduler priority and an entry deadline enforced with abortable
-// acquisition (§14) — a missed SLO is a counted give-up, never a hang, so
-// the sweep can cross the saturation knee safely.
+// Unlike a closed-loop population (the figure benches, whose threads cannot
+// arrive while their previous request is still queued — coordinated
+// omission), this driver injects a precomputed arrival schedule on the
+// virtual clock and never waits: latency is charged from the *scheduled*
+// arrival tick, so queueing delay shows up in the tails where it belongs.
+// Each tier maps to a scheduler priority and an entry deadline enforced
+// with abortable acquisition (§14) — a missed SLO is a counted give-up,
+// never a hang, so the sweep can cross the saturation knee safely.
 //
 // Sweep: offered load rho ∈ {50, 80, 95}% of the calibrated service
 // capacity, Poisson arrivals, for each protocol; plus one bursty (MMPP-2)

@@ -358,42 +358,36 @@ std::uint64_t Engine::push_frame(RevocableMonitor& m, rt::VThread* t,
   return f.id;
 }
 
-std::uint64_t Engine::enter_frame(RevocableMonitor& m, rt::VThread* t,
-                                  int budget_used) {
+std::uint64_t Engine::enter_frame(
+    RevocableMonitor& m, rt::VThread* t, int budget_used,
+    const std::optional<std::uint64_t>& deadline) {
   if (t->lazy_frame) [[unlikely]] materialize_lazy(t);  // nested entry
   t->interrupted = false;
   // Biased lazy fast path (DESIGN.md §11): eligible only when nothing can
   // observe a deferred frame — no lifecycle hook (exploration), no analyzer,
   // no recorder, no pending revocation — and the monitor grants its bias.
+  // An abortable entry additionally requires no pending cancellation: a
+  // cancelled thread must never slip into a section through the bias when
+  // try_enter would have refused it (DESIGN.md §14).
   // Green-thread atomicity keeps the frame invisible until the first yield
   // point, logged write, nested entry, or blocking call materialises it, at
   // which point the section is exactly as revocable as a slow-path one.
   if (bias_enabled_ && !lifecycle_hook_ &&
       analysis::detail::g_frame_hook == nullptr && !obs::recording() &&
-      !t->revoke_requested && m.bias_fast_acquire(t)) {
+      !t->revoke_requested && !(deadline && t->cancel_requested) &&
+      m.bias_fast_acquire(t)) {
     return lazy_enter(m, t, budget_used);
   }
-  m.acquire();  // may throw RollbackException targeting an enclosing frame
-  return push_frame(m, t, budget_used);
-}
-
-std::uint64_t Engine::try_enter_frame(RevocableMonitor& m, rt::VThread* t,
-                                      int budget_used, std::uint64_t ticks) {
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);  // nested entry
-  t->interrupted = false;
-  // The lazy fast path additionally requires no pending cancellation: a
-  // cancelled thread must never slip into a section through the bias when
-  // try_enter would have refused it (DESIGN.md §14).
-  if (bias_enabled_ && !lifecycle_hook_ &&
-      analysis::detail::g_frame_hook == nullptr && !obs::recording() &&
-      !t->revoke_requested && !t->cancel_requested && m.bias_fast_acquire(t)) {
-    return lazy_enter(m, t, budget_used);
-  }
-  // May throw RollbackException targeting an enclosing frame (revocation
-  // outranks the deadline — see RevocableMonitor::try_enter).
-  if (!m.try_enter(ticks)) {
-    ++stats_.entry_aborts;
-    return 0;
+  // Either may throw RollbackException targeting an enclosing frame
+  // (revocation outranks the deadline — see MonitorBase::enter).
+  if (!deadline) {
+    m.acquire();
+  } else {
+    const std::uint64_t now = sched_.now();
+    if (!m.try_enter(*deadline > now ? *deadline - now : 0)) {
+      ++stats_.entry_aborts;
+      return 0;
+    }
   }
   return push_frame(m, t, budget_used);
 }
@@ -569,19 +563,6 @@ void Engine::after_rollback_backoff(rt::VThread* t, int retries,
 // ---------------------------------------------------------------------------
 // Low-level section protocol (interpreter-style clients)
 
-std::uint64_t Engine::section_enter(RevocableMonitor& m, int retries) {
-  rt::VThread* t = sched_.current_thread();
-  RVK_CHECK_MSG(t != nullptr, "section_enter outside a green thread");
-  return enter_frame(m, t, retries);
-}
-
-std::uint64_t Engine::try_section_enter(RevocableMonitor& m,
-                                        std::uint64_t ticks, int retries) {
-  rt::VThread* t = sched_.current_thread();
-  RVK_CHECK_MSG(t != nullptr, "try_section_enter outside a green thread");
-  return try_enter_frame(m, t, retries, ticks);
-}
-
 void Engine::section_commit() {
   rt::VThread* t = sched_.current_thread();
   RVK_CHECK_MSG(t != nullptr, "section_commit outside a green thread");
@@ -727,7 +708,6 @@ bool Engine::request_revocation(rt::VThread* owner, RevocableMonitor& m,
 }
 
 void Engine::on_contended_acquire(rt::VThread* t, RevocableMonitor& m) {
-  if (!cfg_.revocation_enabled) return;
   rt::VThread* owner = m.owner();
   if (owner == nullptr) return;
 
@@ -761,44 +741,14 @@ void Engine::on_wait_pin(rt::VThread* t) {
   // notification.  Pin every active frame (§2.2; see DESIGN.md for the
   // nested/non-nested discussion).
   if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
-  ThreadSync& ts = sync_of(t);
-  bool pinned = false;
-  for (Frame& f : ts.frames) {
-    if (!f.nonrevocable) {
-      f.nonrevocable = true;
-      f.pin_reason = PinReason::kWait;
-      ++stats_.frames_pinned;
-      pinned = true;
-      if (cfg_.trace) jmm::Trace::record_pin(f.id);
-    }
-  }
-  if (pinned) {
-    analysis::frame_event({analysis::FrameEvent::Kind::kPin, t,
-                           t->current_frame_id, nullptr, &ts.frames});
-    emit(LifecycleEvent::Kind::kFramePinned, t, t->current_frame_id, nullptr);
-  }
+  pin_frames_up_to(t, t->current_frame_id, PinReason::kWait);
 }
 
 void Engine::pin_current_frames(PinReason reason) {
   rt::VThread* t = sched_.current_thread();
   if (t == nullptr) return;
   if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
-  ThreadSync& ts = sync_of(t);
-  bool pinned = false;
-  for (Frame& f : ts.frames) {
-    if (!f.nonrevocable) {
-      f.nonrevocable = true;
-      f.pin_reason = reason;
-      ++stats_.frames_pinned;
-      pinned = true;
-      if (cfg_.trace) jmm::Trace::record_pin(f.id);
-    }
-  }
-  if (pinned) {
-    analysis::frame_event({analysis::FrameEvent::Kind::kPin, t,
-                           t->current_frame_id, nullptr, &ts.frames});
-    emit(LifecycleEvent::Kind::kFramePinned, t, t->current_frame_id, nullptr);
-  }
+  pin_frames_up_to(t, t->current_frame_id, reason);
 }
 
 // ---------------------------------------------------------------------------
@@ -869,7 +819,6 @@ bool Engine::detect_and_break_deadlock(rt::VThread* t, RevocableMonitor& m) {
 // Scheduler-context hooks
 
 void Engine::background_sweep() {
-  if (!cfg_.revocation_enabled) return;
   for (RevocableMonitor* m : monitors_) {
     rt::VThread* owner = m->owner();
     if (owner == nullptr) continue;
@@ -883,7 +832,7 @@ void Engine::background_sweep() {
 }
 
 bool Engine::on_stall() {
-  if (!cfg_.revocation_enabled || !cfg_.deadlock_detection) return false;
+  if (!cfg_.deadlock_detection) return false;
   // Nothing is runnable; look for a breakable cycle among blocked threads.
   // Walk threads in spawn order (not unordered_map order, which varies
   // across processes) so victim selection — and therefore every schedule
@@ -899,12 +848,12 @@ bool Engine::on_stall() {
 // ---------------------------------------------------------------------------
 // JMM guard (§2.2)
 
-void Engine::pin_frames_up_to(rt::VThread* writer, std::uint64_t frame_id,
+void Engine::pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
                               PinReason reason) {
-  ThreadSync& ts = sync_of(writer);
+  ThreadSync& ts = sync_of(t);
   bool pinned = false;
   for (Frame& f : ts.frames) {
-    if (f.id > frame_id) break;  // entered after the write: unaffected
+    if (f.id > frame_id) break;  // entered after frame_id: unaffected
     if (!f.nonrevocable) {
       f.nonrevocable = true;
       f.pin_reason = reason;
@@ -914,9 +863,9 @@ void Engine::pin_frames_up_to(rt::VThread* writer, std::uint64_t frame_id,
     }
   }
   if (pinned) {
-    analysis::frame_event({analysis::FrameEvent::Kind::kPin, writer, frame_id,
-                           nullptr, &ts.frames});
-    emit(LifecycleEvent::Kind::kFramePinned, writer, frame_id, nullptr);
+    analysis::frame_event(
+        {analysis::FrameEvent::Kind::kPin, t, frame_id, nullptr, &ts.frames});
+    emit(LifecycleEvent::Kind::kFramePinned, t, frame_id, nullptr);
   }
 }
 

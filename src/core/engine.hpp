@@ -38,6 +38,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -77,11 +78,10 @@ enum class VolatilePolicy : std::uint8_t {
   kConservative,
 };
 
+// Turning revocation off entirely while keeping frames and logging (to
+// isolate barrier overhead) is detection = kNone plus deadlock_detection =
+// false.
 struct EngineConfig {
-  // Master switch: false turns every detection/revocation path off while
-  // keeping frames and logging (isolates barrier overhead in ablations).
-  bool revocation_enabled = true;
-
   DetectionMode detection = DetectionMode::kAtAcquire;
 
   // Dispatches between background sweeps (kBackground/kBoth only).
@@ -253,35 +253,6 @@ class Engine {
   // opportunistically — callers run this from idle/maintenance context.
   std::size_t scavenge_monitors();
 
-  // synchronized(obj) { body; } — Java's object-monitor form.  Mirrors the
-  // RevocableMonitor& overload below, but re-resolves monitor_of(obj) on
-  // EVERY retry: a scavenge between a rollback and its retry may deflate
-  // and re-inflate the object's monitor into a different slot, so a
-  // captured reference would dangle.
-  template <typename F>
-  void synchronized(const heap::HeapObject* obj, F&& body) {
-    rt::VThread* t = sched_.current_thread();
-    RVK_CHECK_MSG(t != nullptr, "synchronized outside a green thread");
-    int budget_used = 0;
-    for (;;) {
-      RevocableMonitor& m = *monitor_of(obj);
-      const std::uint64_t frame_id = enter_frame(m, t, budget_used);
-      try {
-        body();
-        commit_frame(t);
-        return;
-      } catch (RollbackException& e) {
-        abort_frame(t, frame_id);
-        if (e.target_frame() != frame_id) throw;  // unwind to outer section
-        ++budget_used;
-        finish_rollback(e, budget_used);
-      } catch (...) {
-        commit_frame(t);
-        throw;
-      }
-    }
-  }
-
   // Runs `body` as a speculative synchronized section guarded by `m`
   // (Java's `synchronized (m) { body(); }`).  `body` re-executes from the
   // start if the section is revoked; captures are re-read, so by-reference
@@ -290,28 +261,17 @@ class Engine {
   // `body` must be idempotent or guarded by Cleanup/native scopes.
   template <typename F>
   void synchronized(RevocableMonitor& m, F&& body) {
-    rt::VThread* t = sched_.current_thread();
-    RVK_CHECK_MSG(t != nullptr, "synchronized outside a green thread");
-    int budget_used = 0;
-    for (;;) {
-      const std::uint64_t frame_id = enter_frame(m, t, budget_used);
-      try {
-        body();
-        commit_frame(t);
-        return;
-      } catch (RollbackException& e) {
-        abort_frame(t, frame_id);
-        if (e.target_frame() != frame_id) throw;  // unwind to outer section
-        // This frame is the rollback target: retry from the top.
-        ++budget_used;
-        finish_rollback(e, budget_used);
-      } catch (...) {
-        // An ordinary (user) exception: Java semantics release the monitor
-        // on abrupt completion but do NOT undo the section's updates.
-        commit_frame(t);
-        throw;
-      }
-    }
+    run_section([&m]() -> RevocableMonitor& { return m; }, std::nullopt,
+                body);
+  }
+
+  // synchronized(obj) { body; } — Java's object-monitor form.  Re-resolves
+  // monitor_of(obj) on EVERY retry: a scavenge between a rollback and its
+  // retry may deflate and re-inflate the object's monitor into a different
+  // slot, so a captured reference would dangle.
+  template <typename F>
+  void synchronized(const heap::HeapObject* obj, F&& body) {
+    run_section(object_monitor(obj), std::nullopt, body);
   }
 
   // Abortable synchronized (DESIGN.md §14): as synchronized(m, body), but
@@ -325,62 +285,16 @@ class Engine {
   // completion (commit or rollback) exactly like synchronized().
   template <typename F>
   bool try_synchronized(RevocableMonitor& m, std::uint64_t ticks, F&& body) {
-    rt::VThread* t = sched_.current_thread();
-    RVK_CHECK_MSG(t != nullptr, "synchronized outside a green thread");
-    const std::uint64_t deadline = sched_.now() + ticks;
-    int budget_used = 0;
-    for (;;) {
-      const std::uint64_t now = sched_.now();
-      const std::uint64_t frame_id = try_enter_frame(
-          m, t, budget_used, deadline > now ? deadline - now : 0);
-      if (frame_id == 0) return false;
-      try {
-        body();
-        commit_frame(t);
-        return true;
-      } catch (RollbackException& e) {
-        abort_frame(t, frame_id);
-        if (e.target_frame() != frame_id) throw;  // unwind to outer section
-        ++budget_used;
-        finish_rollback(e, budget_used);
-      } catch (...) {
-        commit_frame(t);
-        throw;
-      }
-    }
+    return run_section([&m]() -> RevocableMonitor& { return m; },
+                       sched_.now() + ticks, body);
   }
 
-  // try_synchronized for Java's object-monitor form.  Like
-  // synchronized(obj), the monitor is re-resolved on EVERY retry — a
-  // scavenge between a rollback and its retry may have re-inflated the
-  // object's monitor into a different slot.
+  // try_synchronized for Java's object-monitor form, re-resolving the
+  // monitor on every retry like synchronized(obj).
   template <typename F>
   bool try_synchronized(const heap::HeapObject* obj, std::uint64_t ticks,
                         F&& body) {
-    rt::VThread* t = sched_.current_thread();
-    RVK_CHECK_MSG(t != nullptr, "synchronized outside a green thread");
-    const std::uint64_t deadline = sched_.now() + ticks;
-    int budget_used = 0;
-    for (;;) {
-      RevocableMonitor& m = *monitor_of(obj);
-      const std::uint64_t now = sched_.now();
-      const std::uint64_t frame_id = try_enter_frame(
-          m, t, budget_used, deadline > now ? deadline - now : 0);
-      if (frame_id == 0) return false;
-      try {
-        body();
-        commit_frame(t);
-        return true;
-      } catch (RollbackException& e) {
-        abort_frame(t, frame_id);
-        if (e.target_frame() != frame_id) throw;
-        ++budget_used;
-        finish_rollback(e, budget_used);
-      } catch (...) {
-        commit_frame(t);
-        throw;
-      }
-    }
+    return run_section(object_monitor(obj), sched_.now() + ticks, body);
   }
 
   // ---- Low-level section protocol ----
@@ -399,7 +313,9 @@ class Engine {
   // Enters a section on `m` (blocks; may throw RollbackException targeting
   // an ENCLOSING frame).  `retries` seeds the frame's revocation budget.
   // Returns the new frame's id.
-  std::uint64_t section_enter(RevocableMonitor& m, int retries = 0);
+  std::uint64_t section_enter(RevocableMonitor& m, int retries = 0) {
+    return enter_frame(m, current_thread_checked(), retries, std::nullopt);
+  }
 
   // Abortable monitorenter: as section_enter, but bounded by `ticks` and
   // responsive to cancellation.  Returns the new frame id, or 0 if entry was
@@ -407,7 +323,10 @@ class Engine {
   // lazy fast path: an uncancelled biased grant is taken without arming a
   // timer.
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC std::uint64_t try_section_enter(
-      RevocableMonitor& m, std::uint64_t ticks, int retries = 0);
+      RevocableMonitor& m, std::uint64_t ticks, int retries = 0) {
+    return enter_frame(m, current_thread_checked(), retries,
+                       sched_.now() + ticks);
+  }
 
   // Commits the innermost frame (Java monitorexit / abrupt completion:
   // updates stand, monitor released).
@@ -484,16 +403,61 @@ class Engine {
   }
 
  private:
+  // The one retry loop behind synchronized/try_synchronized: enters a frame
+  // on `resolve()` (called afresh on every retry), runs `body`, commits; a
+  // rollback targeting this frame retries, one targeting an enclosing frame
+  // unwinds on.  `deadline` (absolute virtual tick) spans all retries;
+  // without one entry blocks.  Returns false iff entry was abandoned.
+  template <typename Resolve, typename F>
+  bool run_section(Resolve&& resolve,
+                   const std::optional<std::uint64_t>& deadline,
+                   F&& body) {
+    rt::VThread* t = current_thread_checked();
+    int budget_used = 0;
+    for (;;) {
+      const std::uint64_t frame_id =
+          enter_frame(resolve(), t, budget_used, deadline);
+      if (frame_id == 0) return false;
+      try {
+        body();
+        commit_frame(t);
+        return true;
+      } catch (RollbackException& e) {
+        abort_frame(t, frame_id);
+        if (e.target_frame() != frame_id) throw;  // unwind to outer section
+        // This frame is the rollback target: retry from the top.
+        ++budget_used;
+        finish_rollback(e, budget_used);
+      } catch (...) {
+        // An ordinary (user) exception: Java semantics release the monitor
+        // on abrupt completion but do NOT undo the section's updates.
+        commit_frame(t);
+        throw;
+      }
+    }
+  }
+
+  // run_section resolver for the object-monitor form.
+  auto object_monitor(const heap::HeapObject* obj) {
+    return [this, obj]() -> RevocableMonitor& { return *monitor_of(obj); };
+  }
+
+  rt::VThread* current_thread_checked() const {
+    rt::VThread* t = sched_.current_thread();
+    RVK_CHECK_MSG(t != nullptr, "section entered outside a green thread");
+    return t;
+  }
+
+  // Acquires `m` for `t` and pushes the section's frame, returning its id.
+  // Without a `deadline` entry blocks (MonitorBase::acquire); with one it is
+  // abortable (MonitorBase::try_enter with the ticks remaining) and returns
+  // 0 when abandoned.  Either may throw RollbackException targeting an
+  // enclosing frame.
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC std::uint64_t enter_frame(
-      RevocableMonitor& m, rt::VThread* t, int budget_used);
-  // Abortable twin of enter_frame: try_enter(ticks) instead of acquire(),
-  // returning 0 when entry was abandoned.  The biased lazy fast path is
-  // shared, additionally gated on !cancel_requested.
-  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC std::uint64_t try_enter_frame(
       RevocableMonitor& m, rt::VThread* t, int budget_used,
-      std::uint64_t ticks);
-  // Shared tails of the two entry paths: the lazy-register grant (DESIGN.md
-  // §11) and the real-frame push after the monitor was acquired.
+      const std::optional<std::uint64_t>& deadline);
+  // Tails of enter_frame: the lazy-register grant (DESIGN.md §11) and the
+  // real-frame push after the monitor was acquired.
   RVK_MAY_ALLOC std::uint64_t lazy_enter(RevocableMonitor& m, rt::VThread* t,
                                          int budget_used);
   RVK_MAY_ALLOC std::uint64_t push_frame(RevocableMonitor& m, rt::VThread* t,
@@ -536,7 +500,9 @@ class Engine {
   // JMM guard plumbing (static trampolines resolve via Engine::active()).
   void on_tracked_read(heap::ObjectMeta& meta);
   void on_volatile_write();
-  void pin_frames_up_to(rt::VThread* writer, std::uint64_t frame_id,
+  // Pins every unpinned frame of `t` with id <= frame_id (§2.2 upward
+  // closure), counting and publishing the pin.
+  void pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
                         PinReason reason);
   static void tracked_read_trampoline(heap::ObjectMeta& meta,
                                       const void* base);

@@ -18,158 +18,45 @@ RevocableMonitor::~RevocableMonitor() {
   v.erase(std::remove(v.begin(), v.end(), this), v.end());
 }
 
-void RevocableMonitor::acquire() {
-  rt::Scheduler* sched = rt::current_scheduler();
-  RVK_CHECK_MSG(sched != nullptr, "monitor used outside a running scheduler");
-  rt::VThread* t = sched->current_thread();
-  ++stats_.acquires;
-  if (owner_ == t) {
-    ++recursion_;
-    return;
-  }
+void RevocableMonitor::on_enter(rt::VThread* t, bool abortable) {
   // Biased entry (DESIGN.md §11).  A second thread arriving revokes the
   // bias; the biased thread finding the monitor free re-earns its grant.
-  // The grant predicate is the exact slow-path condition under which the
-  // loop below takes the monitor on its first try_take — and matches
-  // bias_fast_acquire — so bias counters are identical whether the engine's
-  // lazy fast path is active or disabled (analyzer/explorer/recorder runs).
-  if (bias_ != nullptr) [[likely]] {
-    if (bias_ != t) {
-      bias_ = nullptr;
-      ++stats_.bias_revocations;
-    } else if (owner_ == nullptr && reserved_ == nullptr &&
-               !t->revoke_requested) {
-      ++stats_.bias_grants;
-    }
+  // The grant predicate is the exact condition under which enter() takes
+  // the monitor on its first try_take — and matches the engine's gate on
+  // bias_fast_acquire, where a pending cancellation also refuses an
+  // abortable entry — so bias counters are identical whether the engine's
+  // lazy fast path is active or disabled (analyzer/explorer/recorder runs),
+  // and across blocking and abortable entry.
+  if (bias_ == nullptr) [[unlikely]] return;
+  if (bias_ != t) {
+    bias_ = nullptr;
+    ++stats_.bias_revocations;
+  } else if (owner_ == nullptr && reserved_ == nullptr &&
+             !t->revoke_requested && !(abortable && t->cancel_requested)) {
+    ++stats_.bias_grants;
   }
-  bool contended = false;
-  // In transit until ownership is taken (or RollbackException unwinds the
-  // guard): the deflation quiescence predicate must see contenders that are
-  // momentarily in no queue (DESIGN.md §13).
-  TransitGuard transit(*this);
-  for (;;) {
-    if (t->revoke_requested) [[unlikely]] {
-      // We may hold this monitor's rollback reservation; surrender it before
-      // unwinding or the monitor would stay reserved for a thread that will
-      // not come back for it.  Pass the reservation on to the next waiter.
-      if (reserved_ == t) {
-        // Surrendering the reservation is a release-path step: it must
-        // reach check_revocation() without an intervening switch point.
-        rt::ForbiddenRegionGuard region(t);
-        set_reserved(nullptr);
-        handoff(/*reserve=*/true);
-      }
-      sched->check_revocation();  // throws unless the request became invalid
-    }
-    if (try_take(t)) break;
-    if (!contended) {
-      contended = true;
-      ++stats_.contended;
-      // blocking_priority() walks reservation state; only pay for it when a
-      // recorder is live (zero-cost-when-off contract, DESIGN.md §10).
-      if (obs::recording()) [[unlikely]] {
-        obs::on_monitor_contend(t, this, name_, blocking_priority(t));
-      }
-    }
-    // §4: the contending side — inversion/deadlock detection; may post a
-    // revocation against the owner, or against *us* (deadlock victim).
-    engine_.on_contended_acquire(t, *this);
-    if (t->revoke_requested) [[unlikely]] {
-      sched->check_revocation();
-    }
-    on_block(t);
-    sched->block_current_on(entry_queue_);
-    on_wake(t);
-  }
-  obs::on_monitor_acquired(t, this, name_, contended);
-  on_acquired(t);
 }
 
-bool RevocableMonitor::try_enter(std::uint64_t ticks) {
-  rt::Scheduler* sched = rt::current_scheduler();
-  RVK_CHECK_MSG(sched != nullptr, "monitor used outside a running scheduler");
-  rt::VThread* t = sched->current_thread();
-  ++stats_.acquires;
-  if (owner_ == t) {
-    ++recursion_;  // recursive re-entry is unconditional (DESIGN.md §14)
-    return true;
+void RevocableMonitor::on_revocation_pending(rt::VThread* t) {
+  // We may hold this monitor's rollback reservation; surrender it before
+  // unwinding or the monitor would stay reserved for a thread that will not
+  // come back for it.  Pass the reservation on to the next waiter.
+  if (reserved_ == t) {
+    // Surrendering the reservation is a release-path step: it must reach
+    // check_revocation() without an intervening switch point.
+    rt::ForbiddenRegionGuard region(t);
+    set_reserved(nullptr);
+    handoff(/*reserve=*/true);
   }
-  const std::uint64_t start = sched->now();
-  const std::uint64_t deadline = start + ticks;
-  // Bias bookkeeping identical to acquire(), with the cancel flag joining
-  // the grant predicate: a pre-cancelled try_enter never takes the monitor,
-  // so it must not count a grant (and the engine's lazy fast path is gated
-  // the same way — bias counters stay identical across entry paths).
-  if (bias_ != nullptr) [[likely]] {
-    if (bias_ != t) {
-      bias_ = nullptr;
-      ++stats_.bias_revocations;
-    } else if (owner_ == nullptr && reserved_ == nullptr &&
-               !t->revoke_requested && !t->cancel_requested) {
-      ++stats_.bias_grants;
-    }
-  }
-  AbortableScope abortable(t);
-  bool contended = false;
-  TransitGuard transit(*this);  // see acquire()
-  for (;;) {
-    // Revocation outranks cancellation: rollback of enclosing frames is a
-    // correctness obligation, so serve it first; the persistent cancel flag
-    // then fails the post-rollback retry instead.
-    if (t->revoke_requested) [[unlikely]] {
-      if (reserved_ == t) {
-        rt::ForbiddenRegionGuard region(t);
-        set_reserved(nullptr);
-        handoff(/*reserve=*/true);
-      }
-      sched->check_revocation();  // throws unless the request became invalid
-    }
-    if (t->cancel_requested) {
-      abandon_acquire(t, /*cancelled=*/true, sched->now() - start);
-      return false;
-    }
-    if (try_take(t)) break;
-    if (sched->now() >= deadline) {
-      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
-      return false;
-    }
-    if (!contended) {
-      contended = true;
-      ++stats_.contended;
-      if (obs::recording()) [[unlikely]] {
-        obs::on_monitor_contend(t, this, name_, blocking_priority(t));
-      }
-    }
-    // §4: contending-side detection, exactly as in acquire() — an abortable
-    // waiter still reports inversions and may post revocations.
-    engine_.on_contended_acquire(t, *this);
-    if (t->revoke_requested) [[unlikely]] {
-      sched->check_revocation();
-    }
-    on_block(t);
-    // No yield point between the cancel check above and this park — see
-    // MonitorBase::try_enter for why the invariant depends on that.
-    const bool woken =
-        sched->block_current_on_for(entry_queue_, deadline - sched->now());
-    on_wake(t);
-    if (!woken) {
-      // Timer expiry cannot race a reservation (MonitorBase::try_enter).
-      RVK_DCHECK(reserved_ != t);
-      // Victim contract: every wakeup — the timeout exit included — serves a
-      // pending revocation before anything else.
-      if (t->revoke_requested) [[unlikely]] {
-        sched->check_revocation();
-      }
-      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
-      return false;
-    }
-  }
-  obs::on_monitor_acquired(t, this, name_, contended);
-  on_acquired(t);
-  return true;
+  rt::current_scheduler()->check_revocation();  // throws unless invalidated
 }
 
 void RevocableMonitor::on_block(rt::VThread* t) {
+  // §4: the contending side — inversion/deadlock detection; may post a
+  // revocation against the owner, or against *us* (deadlock victim).  An
+  // abortable waiter drives it exactly like a blocking one.
+  engine_.on_contended_acquire(t, *this);
+  if (t->revoke_requested) [[unlikely]] on_revocation_pending(t);
   engine_.on_blocked(t, *this);
 }
 

@@ -7,12 +7,17 @@
 // synchronized section. If it is, the scheduler initiates a context-switch
 // and triggers rollback of the low priority thread at the next yield point."
 //
-// acquire() implements the contending side of that protocol by delegating
-// the decision to the engine (priority-inversion detection, deadlock
-// detection, revocation posting) and implements the victim side's delivery
-// obligations: every wakeup from the entry queue re-checks for a pending
-// revocation targeting one of the *caller's* enclosing frames, repairing the
-// monitor's handoff reservation before unwinding.
+// The acquisition loop is MonitorBase::enter(), shared by acquire() and the
+// abortable try_enter().  This class fills in its hooks: on_block implements
+// the contending side of the protocol by delegating the decision to the
+// engine (priority-inversion detection, deadlock detection, revocation
+// posting), and on_revocation_pending the victim side's delivery
+// obligations — every retry, including a timed-out park's exit, re-checks
+// for a pending revocation targeting one of the *caller's* enclosing frames,
+// repairing the monitor's handoff reservation before unwinding.
+// Cancellation loses to revocation when both are pending: rollback of
+// enclosing frames is a correctness obligation, and the persistent cancel
+// flag fails the retry instead.
 #pragma once
 
 #include <string>
@@ -33,17 +38,6 @@ class RevocableMonitor : public monitor::MonitorBase {
   RevocableMonitor(std::string name, Engine& engine);
   ~RevocableMonitor() override;
 
-  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC void acquire() override;
-
-  // Abortable acquisition (DESIGN.md §14) with the full revocation-victim
-  // contract of acquire(): every wakeup re-checks pending revocations
-  // (surrendering a held reservation first), and the contending side still
-  // drives inversion/deadlock detection.  Cancellation loses to revocation
-  // when both are pending — rollback of enclosing frames is a correctness
-  // obligation; the persistent cancel flag fails the retry instead.
-  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC bool try_enter(
-      std::uint64_t ticks) override;
-
   Engine& engine() const { return engine_; }
 
   // Thread the monitor is biased towards (DESIGN.md §11): the last owner,
@@ -54,11 +48,11 @@ class RevocableMonitor : public monitor::MonitorBase {
   rt::VThread* biased_to() const { return bias_; }
 
   // ---- Engine-only biased fast path (DESIGN.md §11) ----
-  // Non-virtual acquire twin used by Engine::enter_frame's lazy fast path.
-  // Succeeds only in the exact situation where acquire()'s loop would take
-  // the monitor on its first try_take with no bookkeeping: biased to t,
-  // free, unreserved.  Deposits t's priority per §4 so background inversion
-  // sweeps see the same header an ordinary acquire would leave.
+  // Engine::enter_frame's lazy fast path: succeeds only in the exact
+  // situation where enter()'s loop would take the monitor on its first
+  // try_take with no bookkeeping — biased to t, free, unreserved.  Deposits
+  // t's priority per §4 so background inversion sweeps see the same header
+  // an ordinary acquire would leave.
   RVK_NO_YIELD bool bias_fast_acquire(rt::VThread* t) {
     if (bias_ != t || owner_ != nullptr || reserved_ != nullptr) return false;
     ++stats_.acquires;
@@ -69,10 +63,10 @@ class RevocableMonitor : public monitor::MonitorBase {
     return true;
   }
 
-  // Release twin for a frame that never reached a yield point: green-thread
-  // atomicity guarantees no waiter arrived (the entry queue is untouched
-  // since the grant), so there is nothing to hand off.  The bias keeps
-  // pointing at t — that is the point.
+  // Engine::commit_frame's lazy release, for a frame that never reached a
+  // yield point: green-thread atomicity guarantees no waiter arrived (the
+  // entry queue is untouched since the grant), so there is nothing to hand
+  // off.  The bias keeps pointing at t — that is the point.
   RVK_NO_YIELD void bias_fast_release([[maybe_unused]] rt::VThread* t) {
     RVK_DCHECK(owner_ == t && recursion_ == 1);
     RVK_DCHECK(entry_queue_.empty());
@@ -82,7 +76,11 @@ class RevocableMonitor : public monitor::MonitorBase {
   }
 
  protected:
-  void on_block(rt::VThread* t) override;      // waits-for edge for deadlock
+  void on_enter(rt::VThread* t, bool abortable) override;  // bias bookkeeping
+  // Serves the revocation (may throw RollbackException).
+  RVK_MAY_YIELD void on_revocation_pending(rt::VThread* t) override;
+  // Inversion/deadlock detection, then the waits-for edge.
+  void on_block(rt::VThread* t) override;
   void on_wake(rt::VThread* t) override;
   void on_acquired(rt::VThread* t) override;
   void on_released(rt::VThread* t) override;

@@ -4,21 +4,55 @@
 
 namespace rvk::monitor {
 
-void MonitorBase::acquire() {
+void MonitorBase::acquire() { (void)enter(std::nullopt); }
+
+bool MonitorBase::try_enter(std::uint64_t ticks) { return enter(ticks); }
+
+bool MonitorBase::enter(const std::optional<std::uint64_t>& ticks) {
   rt::Scheduler* sched = rt::current_scheduler();
   RVK_CHECK_MSG(sched != nullptr, "monitor used outside a running scheduler");
   rt::VThread* t = sched->current_thread();
   ++stats_.acquires;
   if (owner_ == t) {
+    // Recursive re-entry by the owner is unconditional (DESIGN.md §14): no
+    // deadline, no cancellation check — the thread already holds the
+    // monitor, so failing here could never make it available to anyone.
     ++recursion_;
-    return;
+    return true;
   }
+  const std::uint64_t start = sched->now();
+  const std::uint64_t deadline = start + ticks.value_or(0);
+  on_enter(t, ticks.has_value());
+  // Only a deadline makes the wait abortable: a blocking entry arms no
+  // timer and never observes cancel_requested (Java fidelity, see cancel()).
+  std::optional<AbortableScope> abortable;
+  if (ticks) abortable.emplace(t);
+  // In transit for the whole loop (and through abandon): between a failed
+  // try_take and the post-wakeup retry the thread may sit in no queue while
+  // holding `this`, and a contender that gives up must stay visible until
+  // its bookkeeping is unwound — the guard keeps the deflation quiescence
+  // predicate honest (DESIGN.md §13).  RAII, so a RollbackException
+  // unwinding out of on_revocation_pending/on_block drops it too.
+  TransitGuard transit(*this);
   bool contended = false;
-  while (!try_take(t)) {
-    // In transit: between the failed try_take and the post-wakeup retry the
-    // thread may sit in no queue while holding `this` — the guard keeps the
-    // deflation quiescence predicate honest (DESIGN.md §13).
-    TransitGuard transit(*this);
+  for (;;) {
+    // Revocation outranks cancellation: rollback of enclosing frames is a
+    // correctness obligation, so it is served first and the persistent
+    // cancel flag fails the post-rollback retry instead.
+    if (t->revoke_requested) [[unlikely]] on_revocation_pending(t);
+    // Cancellation outranks acquisition: a pre-cancelled abortable entry
+    // fails before its first attempt (the engine's bias fast path is gated
+    // the same way), making cancel() a barrier against future abortable
+    // acquisitions until cleared.
+    if (ticks && t->cancel_requested) {
+      abandon_acquire(t, /*cancelled=*/true, sched->now() - start);
+      return false;
+    }
+    if (try_take(t)) break;
+    if (ticks && sched->now() >= deadline) {
+      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
+      return false;
+    }
     if (!contended) {
       contended = true;
       ++stats_.contended;
@@ -29,11 +63,34 @@ void MonitorBase::acquire() {
       }
     }
     on_block(t);
-    sched->block_current_on(entry_queue_);
+    if (!ticks) {
+      sched->block_current_on(entry_queue_);
+      on_wake(t);
+      continue;
+    }
+    // No yield point between the cancel check at the loop top and this park
+    // (green-thread atomicity): a cancel request cannot arrive unobserved in
+    // between, which is what makes "an abortable waiter is never parked or
+    // reserved with cancel_requested set" hold at every step boundary — the
+    // property the exploration invariant checks.
+    const bool woken =
+        sched->block_current_on_for(entry_queue_, deadline - sched->now());
     on_wake(t);
+    if (!woken) {
+      // A timeout can never race a reservation: a reserving handoff's
+      // make_runnable disarmed our timer, and a fired timer removed us from
+      // the entry queue so no later handoff can pick us (DESIGN.md §14).
+      RVK_DCHECK(reserved_ != t);
+      // Every wakeup — the timeout exit included — serves a pending
+      // revocation before anything else.
+      if (t->revoke_requested) [[unlikely]] on_revocation_pending(t);
+      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
+      return false;
+    }
   }
   obs::on_monitor_acquired(t, this, name_, contended);
   on_acquired(t);
+  return true;
 }
 
 int MonitorBase::blocking_priority(const rt::VThread* t) const {
@@ -114,70 +171,6 @@ void MonitorBase::handoff(bool reserve) {
     sched->make_runnable(w);
     ++stats_.handoffs;
   }
-}
-
-bool MonitorBase::try_enter(std::uint64_t ticks) {
-  rt::Scheduler* sched = rt::current_scheduler();
-  RVK_CHECK_MSG(sched != nullptr, "monitor used outside a running scheduler");
-  rt::VThread* t = sched->current_thread();
-  ++stats_.acquires;
-  if (owner_ == t) {
-    // Recursive re-entry by the owner is unconditional (DESIGN.md §14): no
-    // deadline, no cancellation check — the thread already holds the
-    // monitor, so failing here could never make it available to anyone.
-    ++recursion_;
-    return true;
-  }
-  const std::uint64_t start = sched->now();
-  const std::uint64_t deadline = start + ticks;
-  AbortableScope abortable(t);
-  // In transit for the whole loop (and through abandon): a contender that
-  // gives up must still be visible to the deflation quiescence predicate
-  // until its bookkeeping is fully unwound (DESIGN.md §13).
-  TransitGuard transit(*this);
-  bool contended = false;
-  for (;;) {
-    // Cancellation outranks acquisition: a pre-cancelled try_enter fails
-    // before its first attempt (the engine's bias fast path is gated the
-    // same way), making cancel() a barrier against future abortable
-    // acquisitions until cleared.
-    if (t->cancel_requested) {
-      abandon_acquire(t, /*cancelled=*/true, sched->now() - start);
-      return false;
-    }
-    if (try_take(t)) break;
-    if (sched->now() >= deadline) {
-      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
-      return false;
-    }
-    if (!contended) {
-      contended = true;
-      ++stats_.contended;
-      if (obs::recording()) [[unlikely]] {
-        obs::on_monitor_contend(t, this, name_, blocking_priority(t));
-      }
-    }
-    on_block(t);
-    // No yield point between the cancel check at the loop top and this park
-    // (green-thread atomicity): a cancel request cannot arrive unobserved in
-    // between, which is what makes "an abortable waiter is never parked or
-    // reserved with cancel_requested set" hold at every step boundary — the
-    // property the exploration invariant checks.
-    const bool woken =
-        sched->block_current_on_for(entry_queue_, deadline - sched->now());
-    on_wake(t);
-    if (!woken) {
-      // A timeout can never race a reservation: a reserving handoff's
-      // make_runnable disarmed our timer, and a fired timer removed us from
-      // the entry queue so no later handoff can pick us (DESIGN.md §14).
-      RVK_DCHECK(reserved_ != t);
-      abandon_acquire(t, /*cancelled=*/false, sched->now() - start);
-      return false;
-    }
-  }
-  obs::on_monitor_acquired(t, this, name_, contended);
-  on_acquired(t);
-  return true;
 }
 
 void MonitorBase::abandon_acquire(rt::VThread* t, bool cancelled,
@@ -276,6 +269,8 @@ void MonitorBase::notify_all() {
   sched->wake_all(wait_set_);
 }
 
+void MonitorBase::on_enter(rt::VThread*, bool) {}
+void MonitorBase::on_revocation_pending(rt::VThread*) {}
 void MonitorBase::on_block(rt::VThread*) {}
 void MonitorBase::on_wake(rt::VThread*) {}
 void MonitorBase::on_acquired(rt::VThread*) {}

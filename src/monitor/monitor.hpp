@@ -33,6 +33,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "common/check.hpp"
@@ -67,7 +68,7 @@ class MonitorBase {
   MonitorBase& operator=(const MonitorBase&) = delete;
 
   // Acquires the monitor, blocking as needed.  Recursive acquisition by the
-  // owner succeeds immediately.
+  // owner succeeds immediately.  enter() with no deadline.
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC virtual void acquire();
 
   // Abortable acquisition (DESIGN.md §14; CQS-style tryLock(timeout)).
@@ -81,7 +82,7 @@ class MonitorBase {
   // thread holds nothing: a reservation granted to it was already returned
   // (handed off to the next-best waiter) and any wakeup it may have
   // consumed is re-forwarded, so no waiter is lost and no reservation
-  // leaks.
+  // leaks.  enter() with a deadline.
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC virtual bool try_enter(
       std::uint64_t ticks);
 
@@ -151,7 +152,7 @@ class MonitorBase {
   const MonitorStats& stats() const { return stats_; }
   const rt::WaitQueue& entry_queue() const { return entry_queue_; }
   const rt::WaitQueue& wait_set() const { return wait_set_; }
-  // Threads currently inside acquire()'s contended loop or a wait() window.
+  // Threads currently inside enter()'s contended loop or a wait() window.
   // A woken waiter that has not yet been rescheduled sits in NO queue while
   // still holding a reference to this monitor — this counter is what lets
   // the deflation quiescence predicate (MonitorTable::quiescent, DESIGN.md
@@ -159,10 +160,18 @@ class MonitorBase {
   int in_transit() const { return transit_; }
 
  protected:
+  // The one acquisition protocol behind acquire() and try_enter() (§4;
+  // DESIGN.md §14).  With `ticks`, the entry is abortable: it gives up once
+  // `ticks` virtual ticks have passed or cancellation is requested, parking
+  // with a timer.  Without, it blocks until acquired: no timer, no
+  // AbortableScope, no cancellation check.  Returns true iff acquired.
+  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC bool enter(
+      const std::optional<std::uint64_t>& ticks);
+
   // Marks the enclosing scope as in-transit through this monitor (bumps
-  // transit_, RAII-decrements on every exit path — RollbackException unwinds
-  // out of RevocableMonitor::acquire through it).  Scopes: the contended
-  // acquire loop and the whole of wait()/wait_for().
+  // transit_, RAII-decrements on every exit path — a RollbackException
+  // thrown by a subclass hook unwinds through it).  Scopes: enter()'s loop
+  // and the whole of wait()/wait_for().
   class TransitGuard {
    public:
     explicit TransitGuard(MonitorBase& m) : m_(m) { ++m_.transit_; }
@@ -195,10 +204,10 @@ class MonitorBase {
   RVK_NO_YIELD void abandon_acquire(rt::VThread* t, bool cancelled,
                                     std::uint64_t waited_ticks);
 
-  // Scopes VThread::abortable_wait over try_enter's contended loop (RAII so
-  // a RollbackException unwinding out of RevocableMonitor::try_enter clears
-  // it).  The flag is what narrows the "never cancelled AND reserved"
-  // invariant to abortable waiters.
+  // Scopes VThread::abortable_wait over an abortable enter() (RAII so a
+  // RollbackException unwinding out of a subclass hook clears it).  The flag
+  // is what narrows the "never cancelled AND reserved" invariant to
+  // abortable waiters.
   class AbortableScope {
    public:
     explicit AbortableScope(rt::VThread* t) : t_(t) {
@@ -225,6 +234,10 @@ class MonitorBase {
   int blocking_priority(const rt::VThread* t) const;
 
   // Subclass hooks (priority protocols, revocation engine).
+  virtual void on_enter(rt::VThread* t, bool abortable);  // before 1st attempt
+  // t->revoke_requested seen at the loop top or after a timed-out park; the
+  // revocation engine serves it here (may throw RollbackException).
+  virtual void on_revocation_pending(rt::VThread* t);
   virtual void on_block(rt::VThread* t);      // about to park on entry queue
   virtual void on_wake(rt::VThread* t);       // returned from parking
   virtual void on_acquired(rt::VThread* t);   // took ownership (non-recursive)

@@ -5,113 +5,66 @@
 
 namespace rvk::monitor {
 
-void ThinLock::acquire() {
+void ThinLock::acquire() { (void)enter(std::nullopt); }
+
+bool ThinLock::try_acquire(std::uint64_t ticks) { return enter(ticks); }
+
+bool ThinLock::enter(const std::optional<std::uint64_t>& ticks) {
   rt::VThread* t = rt::current_vthread();
   RVK_CHECK_MSG(t != nullptr, "thin lock used outside a running scheduler");
   const std::uint32_t tid = t->id();
+  // Every heavy path contends on the fat monitor with the caller's deadline
+  // (none: MonitorBase::acquire).
+  auto contend = [this, &ticks](MonitorBase& m) {
+    ++stats_.heavy_acquires;
+    if (!ticks) {
+      m.acquire();
+      return true;
+    }
+    return m.try_enter(*ticks);
+  };
   if (!LockWord::fits_owner(tid)) [[unlikely]] {
     // Past the 22-bit id budget this thread can never appear in a
     // thin/biased word: it goes straight to the fat monitor (bucketed with
     // recursion overflow — both are encoding-capacity overflows).
     MonitorBase* existing = MonitorTable::global().monitor_at(word_);
-    MonitorBase& m =
-        existing != nullptr ? *existing : inflate(InflationCause::kOverflow);
-    ++stats_.heavy_acquires;
-    m.acquire();
-    return;
+    return contend(existing != nullptr ? *existing
+                                       : inflate(InflationCause::kOverflow));
   }
   // The folded fast path (DESIGN.md §13): one load + one compare covers the
-  // hot "same thread re-acquires its released lock" case.
-  if (word_ == LockWord::biased(tid)) [[likely]] {
+  // hot "same thread re-acquires its released lock" case.  A free word, or
+  // one biased to another thread but free (taking it just revokes the bias),
+  // is taken the same way, with no inflation.  None of the word-only paths
+  // can block, so they succeed whatever the deadline.
+  if (word_ == LockWord::biased(tid) || word_.is_free() ||
+      word_.is_biased()) [[likely]] {
     word_ = LockWord::thin(tid, 1);
     ++stats_.thin_acquires;
-    return;
-  }
-  if (word_.is_free()) {
-    word_ = LockWord::thin(tid, 1);
-    ++stats_.thin_acquires;
-    return;
-  }
-  if (word_.is_biased()) {
-    // Biased to another thread but FREE: taking it just revokes the bias —
-    // no inflation, exactly like an unbiased free word.
-    word_ = LockWord::thin(tid, 1);
-    ++stats_.thin_acquires;
-    return;
+    return true;
   }
   if (word_.is_inflated()) {
     MonitorBase* m = MonitorTable::global().monitor_at(word_);
     RVK_CHECK_MSG(m != nullptr, "thin lock holds a stale inflated word");
-    ++stats_.heavy_acquires;
-    m->acquire();
-    return;
+    return contend(*m);
   }
   // Thin.
   if (word_.owner_id() == tid) {
     const std::uint32_t count = word_.count();
     if (count == kMaxCount) {
-      // Recursion counter exhausted: inflate, carrying the count over.
-      MonitorBase& m = inflate(InflationCause::kOverflow);
-      ++stats_.heavy_acquires;
-      m.acquire();  // recursion kMaxCount + 1
-      return;
+      // Recursion counter exhausted: inflate, carrying the count over; the
+      // fat monitor takes recursion kMaxCount + 1 instantly.
+      return contend(inflate(InflationCause::kOverflow));
     }
     word_ = LockWord::thin(tid, count + 1);  // recursive fast path
     ++stats_.thin_acquires;
-    return;
+    return true;
   }
   // Contention: inflate on behalf of the current thin owner (ownership
   // transfers inside the table), then contend on the heavy monitor like
-  // everyone else.
-  MonitorBase& m = inflate(InflationCause::kContention);
-  ++stats_.heavy_acquires;
-  m.acquire();
-}
-
-bool ThinLock::try_acquire(std::uint64_t ticks) {
-  rt::VThread* t = rt::current_vthread();
-  RVK_CHECK_MSG(t != nullptr, "thin lock used outside a running scheduler");
-  const std::uint32_t tid = t->id();
-  if (!LockWord::fits_owner(tid)) [[unlikely]] {
-    MonitorBase* existing = MonitorTable::global().monitor_at(word_);
-    MonitorBase& m =
-        existing != nullptr ? *existing : inflate(InflationCause::kOverflow);
-    ++stats_.heavy_acquires;
-    return m.try_enter(ticks);
-  }
-  // Word-only paths are exactly acquire()'s: none of them can block, so the
-  // deadline is irrelevant and they always succeed.
-  if (word_ == LockWord::biased(tid) || word_.is_free() ||
-      word_.is_biased()) {
-    word_ = LockWord::thin(tid, 1);
-    ++stats_.thin_acquires;
-    return true;
-  }
-  if (word_.is_inflated()) {
-    MonitorBase* m = MonitorTable::global().monitor_at(word_);
-    RVK_CHECK_MSG(m != nullptr, "thin lock holds a stale inflated word");
-    ++stats_.heavy_acquires;
-    return m->try_enter(ticks);
-  }
-  // Thin.
-  if (word_.owner_id() == tid) {
-    const std::uint32_t count = word_.count();
-    if (count == kMaxCount) {
-      MonitorBase& m = inflate(InflationCause::kOverflow);
-      ++stats_.heavy_acquires;
-      return m.try_enter(ticks);  // recursive on the fat monitor: instant
-    }
-    word_ = LockWord::thin(tid, count + 1);
-    ++stats_.thin_acquires;
-    return true;
-  }
-  // Contended thin word.  A zero-tick probe fails without inflating; a
-  // bounded wait inflates (the timer needs a fat entry queue to park on)
-  // and contends like acquire() does.
-  if (ticks == 0) return false;
-  MonitorBase& m = inflate(InflationCause::kContention);
-  ++stats_.heavy_acquires;
-  return m.try_enter(ticks);
+  // everyone else.  A zero-tick probe fails without inflating instead — a
+  // probe that does not intend to wait should not force the lock fat.
+  if (ticks && *ticks == 0) return false;
+  return contend(inflate(InflationCause::kContention));
 }
 
 void ThinLock::release() {

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "monitor/lock_word.hpp"
@@ -57,14 +58,15 @@ class ThinLock {
   ThinLock(const ThinLock&) = delete;
   ThinLock& operator=(const ThinLock&) = delete;
 
+  // enter() with no deadline.
   void acquire();
 
-  // Abortable acquire (DESIGN.md §14): every path of acquire() that cannot
-  // block — biased, free, thin-recursive — succeeds instantly regardless of
-  // `ticks`; the heavy paths delegate to MonitorBase::try_enter(ticks).  A
-  // pure tryLock (`ticks == 0`) against another thread's thin word fails
-  // WITHOUT inflating — a probe that does not intend to wait should not
-  // force the lock fat.  Returns true iff the lock was taken.
+  // Abortable acquire (DESIGN.md §14): enter() with a deadline.  Every path
+  // that cannot block — biased, free, thin-recursive — succeeds instantly
+  // regardless of `ticks`; the heavy paths delegate to
+  // MonitorBase::try_enter(ticks).  A pure tryLock (`ticks == 0`) against
+  // another thread's thin word fails WITHOUT inflating.  Returns true iff
+  // the lock was taken.
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC bool try_acquire(
       std::uint64_t ticks);
 
@@ -89,6 +91,11 @@ class ThinLock {
   const LockWord& word() const { return word_; }
 
  private:
+  // The one word-path implementation behind acquire()/try_acquire().
+  // Without `ticks` the heavy paths block in MonitorBase::acquire.
+  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC bool enter(
+      const std::optional<std::uint64_t>& ticks);
+
   // Inflates (recording `cause`) and returns the fat monitor; thin
   // ownership transfers inside MonitorTable::inflate.
   MonitorBase& inflate(InflationCause cause);

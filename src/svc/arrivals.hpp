@@ -1,11 +1,11 @@
 // Open-loop arrival generation on the virtual clock (DESIGN.md §15).
 //
 // An open-loop load generator injects requests on a precomputed schedule and
-// never waits for completions — the defining difference from the closed-loop
-// macro_bank population, whose threads cannot arrive while their previous
-// operation is still queued (coordinated omission).  The schedule is
-// generated ahead of the run from one seed, so a load point is replayable
-// and byte-identical across platforms:
+// never waits for completions — the defining difference from a closed-loop
+// population like the figure benches', whose threads cannot arrive while
+// their previous operation is still queued (coordinated omission).  The
+// schedule is generated ahead of the run from one seed, so a load point is
+// replayable and byte-identical across platforms:
 //
 //  * Poisson traffic is discretized as a Bernoulli process: each virtual
 //    tick is an arrival with probability rate/kProbOne, giving geometric

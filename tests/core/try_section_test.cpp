@@ -55,7 +55,8 @@ TEST(TrySectionTest, BiasedLazyFastPathServesUncancelledRepeatEntry) {
 
 TEST(TrySectionTest, PendingCancelRefusesEvenTheBiasedGrant) {
   // A cancelled thread must not slip into a section through the bias: the
-  // lazy gate re-checks cancel_requested where plain enter_frame does not.
+  // lazy gate re-checks cancel_requested when entry has a deadline (a
+  // blocking entry ignores it).
   Fixture fx;
   RevocableMonitor* m = fx.engine.make_monitor("m");
   bool ok = true;
@@ -174,7 +175,8 @@ TEST(TrySectionTest, CancelAbortsParkedEngineEntry) {
   // exhaustively in tests/explore/cancel_explore_test.cpp and at the
   // monitor layer in tests/monitor/try_enter_test.cpp).
   EngineConfig cfg;
-  cfg.revocation_enabled = false;
+  cfg.detection = DetectionMode::kNone;
+  cfg.deadlock_detection = false;
   Fixture fx(cfg);
   RevocableMonitor* m = fx.engine.make_monitor("m");
   bool w_got = true;

@@ -297,7 +297,8 @@ TEST(CancelExploreTest, CancelVsBargeSpaceIsClean) {
   o.name = "cancel_vs_barge";
   // No revocations: every release is an ordinary §5.6 barging release, so
   // the cancel races pure barging with no reservations to hide behind.
-  o.engine.revocation_enabled = false;
+  o.engine.detection = core::DetectionMode::kNone;
+  o.engine.deadlock_detection = false;
   const ExploreResult r = explore(cancel_vs_barge, o);
   EXPECT_FALSE(r.failed) << diag(r);
   EXPECT_GE(r.schedules, 50u) << diag(r);
@@ -434,7 +435,8 @@ ExploreOptions broken_dequeue_opts(const char* name) {
   o.name = name;
   // W below L in priority and no revocations: nothing in the schedule can
   // legitimately empty the queue early and let the fault hide.
-  o.engine.revocation_enabled = false;
+  o.engine.detection = core::DetectionMode::kNone;
+  o.engine.deadlock_detection = false;
   return o;
 }
 

@@ -657,7 +657,8 @@ ExploreOptions broken_barging_opts() {
   o.name = "broken_barging";
   // No revocations -> no rollback releases: ANY reservation grant is a
   // violation, so the injected fault cannot hide behind a legitimate one.
-  o.engine.revocation_enabled = false;
+  o.engine.detection = core::DetectionMode::kNone;
+  o.engine.deadlock_detection = false;
   return o;
 }
 

@@ -2,12 +2,17 @@
 // virtual clock: tick-exact expiry, FIFO among equal deadlines, recursive
 // entry, pure tryLock, cancellation of parked and not-yet-parked waiters,
 // reservation surrender, and exact in-transit accounting across cancel
-// windows.  All assertions are deterministic virtual-clock assertions —
-// no wall-clock anywhere (CLAUDE.md).
+// windows — plus the converse: blocking entry, on every layer, ignores
+// cancellation.  All assertions are deterministic virtual-clock assertions
+// — no wall-clock anywhere (CLAUDE.md).
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "heap/heap.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/thin_lock.hpp"
 #include "rt/scheduler.hpp"
@@ -340,6 +345,132 @@ TEST(ThinTryAcquireTest, BoundedWaitSucceedsWhenHolderReleasesInTime) {
   });
   s.run();
   EXPECT_TRUE(got);
+}
+
+// ---------------------------------------------------------------------------
+// Blocking entry is abortable entry with no deadline, and so never observes
+// cancellation (Java fidelity, MonitorBase::cancel): a cancel posted before
+// entry or while parked is at most a spurious wakeup, on every layer.
+
+struct EntryWorld {
+  rt::Scheduler sched;
+  core::Engine engine{sched};
+  heap::Heap heap;
+  heap::HeapObject* obj = heap.alloc("obj", 1);
+  BlockingMonitor blocking{"blocking"};
+  core::RevocableMonitor* revocable = engine.make_monitor("revocable");
+  ThinLock thin{"thin"};
+};
+
+// Runs while the lock is held, given the fat monitor behind it (nullptr
+// while a thin lock is still thin).
+using Inside = std::function<void(MonitorBase*)>;
+
+struct BlockingPath {
+  const char* name;
+  void (*section)(EntryWorld& w, const Inside& inside);
+};
+
+const BlockingPath kBlockingPaths[] = {
+    {"BlockingMonitor::acquire",
+     [](EntryWorld& w, const Inside& inside) {
+       w.blocking.acquire();
+       inside(&w.blocking);
+       w.blocking.release();
+     }},
+    {"RevocableMonitor::acquire",
+     [](EntryWorld& w, const Inside& inside) {
+       w.revocable->acquire();
+       inside(w.revocable);
+       w.revocable->release();
+     }},
+    {"ThinLock::acquire",
+     [](EntryWorld& w, const Inside& inside) {
+       w.thin.acquire();
+       inside(MonitorTable::global().monitor_at(w.thin.word()));
+       w.thin.release();
+     }},
+    {"Engine::synchronized(m)",
+     [](EntryWorld& w, const Inside& inside) {
+       w.engine.synchronized(*w.revocable, [&] { inside(w.revocable); });
+     }},
+    {"Engine::synchronized(obj)",
+     [](EntryWorld& w, const Inside& inside) {
+       w.engine.synchronized(w.obj,
+                             [&] { inside(w.engine.monitor_of(w.obj)); });
+     }},
+};
+
+TEST(BlockingEntryTest, IgnoresCancellationOnEveryPath) {
+  for (const BlockingPath& path : kBlockingPaths) {
+    for (const bool mid_park : {false, true}) {
+      SCOPED_TRACE(std::string(path.name) +
+                   (mid_park ? ", cancelled mid-park" : ", pre-cancelled"));
+      EntryWorld w;
+      rt::Scheduler& s = w.sched;
+      bool got = false;
+      MonitorStats seen;
+      int transit = -1;
+      s.spawn("holder", rt::kNormPriority,
+              [&] { path.section(w, [&](MonitorBase*) { s.sleep_for(50); }); });
+      rt::VThread* waiter = s.spawn("waiter", rt::kNormPriority, [&] {
+        s.sleep_for(5);  // the holder is inside: this entry contends
+        if (!mid_park) MonitorBase::cancel(s.current_thread());
+        path.section(w, [&](MonitorBase* m) {
+          got = true;
+          ASSERT_NE(m, nullptr);
+          seen = m->stats();
+          transit = m->in_transit();
+        });
+      });
+      if (mid_park) {
+        s.spawn("canceller", rt::kNormPriority, [&s, waiter] {
+          s.sleep_for(20);  // the waiter is parked in the entry queue
+          MonitorBase::cancel(waiter);
+        });
+      }
+      s.run();
+      EXPECT_TRUE(got);
+      EXPECT_TRUE(waiter->cancel_requested);  // posted, never observed
+      EXPECT_GE(seen.contended, 1u);          // the entry really parked
+      EXPECT_EQ(seen.cancels, 0u);
+      EXPECT_EQ(seen.aborts, 0u);
+      EXPECT_EQ(transit, 0);
+      EXPECT_EQ(w.engine.stats().entry_aborts, 0u);
+    }
+  }
+
+  // The same uncontended script through synchronized and try_synchronized
+  // leaves equal bias counters, both on the engine's lazy fast path and on
+  // the monitor's own grant predicate (a lifecycle hook disables the lazy
+  // path).
+  for (const bool hooked : {false, true}) {
+    SCOPED_TRACE(hooked ? "slow-path bias predicate" : "lazy fast path");
+    MonitorStats by_entry[2];
+    for (const bool abortable : {false, true}) {
+      EntryWorld w;
+      if (hooked) {
+        w.engine.set_lifecycle_hook([](const core::LifecycleEvent&) {});
+      }
+      auto section = [&] {
+        if (abortable) {
+          EXPECT_TRUE(w.engine.try_synchronized(*w.revocable, 100, [] {}));
+        } else {
+          w.engine.synchronized(*w.revocable, [] {});
+        }
+      };
+      w.sched.spawn("a", rt::kNormPriority, [&] {
+        for (int i = 0; i < 3; ++i) section();
+      });
+      w.sched.spawn("b", rt::kNormPriority, section);
+      w.sched.run();
+      by_entry[abortable] = w.revocable->stats();
+    }
+    EXPECT_EQ(by_entry[0].bias_grants, 2u);  // a's second and third entry
+    EXPECT_EQ(by_entry[0].bias_revocations, 1u);  // b's arrival
+    EXPECT_EQ(by_entry[0].bias_grants, by_entry[1].bias_grants);
+    EXPECT_EQ(by_entry[0].bias_revocations, by_entry[1].bias_revocations);
+  }
 }
 
 }  // namespace
