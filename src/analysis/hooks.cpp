@@ -15,10 +15,6 @@
 
 namespace rvk::analysis {
 
-namespace detail {
-void (*g_frame_hook)(const FrameEvent&) = nullptr;
-}  // namespace detail
-
 namespace {
 
 std::unique_ptr<Analyzer> g_analyzer;
@@ -36,10 +32,6 @@ std::mutex g_dispatch_mu;
 void access_trampoline(const heap::TraceAccess& a) {
   std::lock_guard<std::mutex> lk(g_dispatch_mu);
   g_analyzer->on_access(a);
-}
-void frame_trampoline(const FrameEvent& e) {
-  std::lock_guard<std::mutex> lk(g_dispatch_mu);
-  g_analyzer->on_frame(e);
 }
 void switch_trampoline(rt::VThread* t, const char* where) {
   std::lock_guard<std::mutex> lk(g_dispatch_mu);
@@ -85,7 +77,6 @@ Analyzer* Analyzer::install() {
                   "revocation-safety analyzer already installed");
     g_analyzer.reset(new Analyzer());
     heap::set_analysis_hook(&access_trampoline);
-    detail::g_frame_hook = &frame_trampoline;
     rt::set_switch_probe(&switch_trampoline);
     // The obs recorder self-reports through the same probe: an obs hook
     // that could allocate (ring/profile registration) firing inside
@@ -102,7 +93,6 @@ void Analyzer::uninstall() {
   if (g_analyzer == nullptr) return;
   if (--g_install_count > 0) return;  // peers still observing
   heap::set_analysis_hook(nullptr);
-  detail::g_frame_hook = nullptr;
   rt::set_switch_probe(nullptr);
   obs::set_breach_hook(nullptr);
   rt::set_region_marking(false);
@@ -231,31 +221,31 @@ void Analyzer::collect_held(rt::VThread* t) {
   }
 }
 
-void Analyzer::on_frame(const FrameEvent& e) {
+void Analyzer::on_engine_event(const core::EngineEvent& e) {
+  using K = obs::EventKind;
+  // Frame events: enter/commit/abort, pins (a budget refusal pins too), and
+  // deliveries.  Everything else on the stream is ignored.
+  const bool pin =
+      e.kind == K::kPin || (e.kind == K::kRevokeDenied && e.aux == 1);
+  const bool deliver = e.kind == K::kRevokeDeliver;
+  if (!pin && !deliver && e.kind != K::kSectionEnter &&
+      e.kind != K::kSectionCommit && e.kind != K::kSectionAbort) {
+    return;
+  }
+  std::lock_guard<std::mutex> lk(g_dispatch_mu);
   ++report_.frame_events;
   // Cache a pointer to the thread's *live* frame stack: held-monitor sets
   // for the lockset always reflect the current stack, not the event's
   // snapshot in time.
   if (e.thread != nullptr) frames_of_[e.thread->id()] = e.frames;
-  switch (e.kind) {
-    case FrameEvent::Kind::kEnter:
-    case FrameEvent::Kind::kCommit:
-    case FrameEvent::Kind::kAbort:
-      break;
-    case FrameEvent::Kind::kPin:
-      audit_pin_closure(e);
-      break;
-    case FrameEvent::Kind::kDeliver:
-      audit_pin_closure(e);
-      audit_delivery(e);
-      break;
-  }
+  if (pin || deliver) audit_pin_closure(e);
+  if (deliver) audit_delivery(e);
 }
 
 // §2.2: non-revocability is upward-closed — "all sections enclosing a
 // non-revocable section are also non-revocable".  Frame ids increase with
 // nesting depth, so the pinned frames must form a prefix of the stack.
-void Analyzer::audit_pin_closure(const FrameEvent& e) {
+void Analyzer::audit_pin_closure(const core::EngineEvent& e) {
   if (e.frames == nullptr) return;
   bool seen_revocable = false;
   for (const core::Frame& f : *e.frames) {
@@ -286,16 +276,16 @@ void Analyzer::audit_pin_closure(const FrameEvent& e) {
 // Delivery unwinds and aborts every active frame with id >= the target's;
 // any pinned frame in that range would be rolled back despite its pin —
 // exactly the unsoundness non-revocability exists to prevent.
-void Analyzer::audit_delivery(const FrameEvent& e) {
+void Analyzer::audit_delivery(const core::EngineEvent& e) {
   if (e.frames == nullptr) return;
   for (const core::Frame& f : *e.frames) {
-    if (f.id < e.frame_id || !f.nonrevocable) continue;
+    if (f.id < e.frame || !f.nonrevocable) continue;
     Violation v;
     v.kind = Violation::Kind::kPinClosure;
     v.tid = e.thread != nullptr ? e.thread->id() : 0;
     v.frame = f.id;
     std::ostringstream os;
-    os << "revocation targeting frame " << e.frame_id
+    os << "revocation targeting frame " << e.frame
        << " would roll back pinned frame " << f.id << " (monitor '"
        << monitor_name(f.monitor) << "', pin reason "
        << pin_reason_name(f.pin_reason) << ")";

@@ -1,15 +1,16 @@
 // The revocation-safety analyzer: install points and the Analyzer itself.
 //
 // An always-available dynamic checker for the invariants the preemption
-// scheme rests on.  It observes the system through three pre-existing seams,
-// each a null-checked function pointer so the analyzer-off fast path costs
-// one predicted-not-taken test:
+// scheme rests on.  It observes the system through two null-checked
+// function-pointer seams, so the analyzer-off fast path costs one
+// predicted-not-taken test, plus the engine's event stream:
 //
-//  * heap::set_analysis_hook       — every managed read/write/volatile/
-//                                    unlogged access (barrier trace dispatch)
-//  * rt::set_switch_probe          — yield points & blocking calls reached
-//                                    inside a ForbiddenRegionGuard
-//  * analysis::detail::g_frame_hook — core::Engine frame lifecycle (below)
+//  * heap::set_analysis_hook — every managed read/write/volatile/unlogged
+//                              access (barrier trace dispatch)
+//  * rt::set_switch_probe    — yield points & blocking calls reached inside
+//                              a ForbiddenRegionGuard
+//  * core::EngineObserver    — the engine's frame transitions; each engine
+//                              that installs the analyzer subscribes it
 //
 // It detects, online and deterministically (see report.hpp for the classes):
 // lockset races, barrier bypasses, forbidden-region switch points, and
@@ -21,8 +22,9 @@
 //
 // Layering: analysis/ depends on heap/, rt/ and *headers* of core/
 // (frame.hpp and revocable_monitor.hpp are usable without core's objects);
-// core/ links analysis/ and emits FrameEvents through the inline dispatcher
-// below.  This keeps the library dependency graph acyclic.
+// core/ links analysis/ and calls the Analyzer through the header-only
+// EngineObserver interface.  This keeps the library dependency graph
+// acyclic.
 #pragma once
 
 #include <cstdint>
@@ -39,39 +41,6 @@
 
 namespace rvk::analysis {
 
-// One engine frame-lifecycle notification.  `frames` points at the owning
-// thread's live frame stack (post-push for kEnter, pre-pop for kCommit /
-// kAbort) and is valid only for the duration of the callback.
-struct FrameEvent {
-  enum class Kind : std::uint8_t {
-    kEnter,    // frame pushed (section entered or re-entered)
-    kCommit,   // innermost frame about to commit
-    kAbort,    // innermost frame about to be rolled back
-    kPin,      // one or more frames were marked non-revocable
-    kDeliver,  // revocation about to be delivered (rollback exception throw)
-  };
-  Kind kind;
-  rt::VThread* thread;
-  // Frame the event is about: the entered/committed/aborted frame, the
-  // innermost frame just pinned, or the delivery's target frame.
-  std::uint64_t frame_id;
-  const core::RevocableMonitor* monitor;  // kEnter/kCommit/kAbort, else null
-  const core::FrameStack* frames;
-};
-
-namespace detail {
-extern void (*g_frame_hook)(const FrameEvent&);
-}  // namespace detail
-
-// Engine-side dispatch; mirrors heap::trace_access's null fast path.
-RVK_TRUSTED(
-    "g_frame_hook is an analyzer seam rvkcheck cannot resolve; the installed "
-    "handler is the dynamic checker itself, which is allowed to allocate "
-    "because it is a diagnostic layer, never enabled in measured runs")
-inline void frame_event(const FrameEvent& e) {
-  if (detail::g_frame_hook != nullptr) [[unlikely]] detail::g_frame_hook(e);
-}
-
 // True when RVK_ANALYZE is set to a non-empty value other than "0".
 bool env_enabled();
 
@@ -81,11 +50,12 @@ bool env_enabled();
 // the first install creates the analyzer, the last uninstall tears it down.
 // Event dispatch is serialized internally, so multi-shard (kOsThreads) runs
 // feed one coherent lockset/frame table.
-class Analyzer {
+class Analyzer final : public core::EngineObserver {
  public:
-  // Installs the analyzer into all three seams and enables forbidden-region
+  // Installs the analyzer into both hook seams and enables forbidden-region
   // marking, creating it on the first install and bumping a refcount on
-  // later ones.  Returns the shared instance.
+  // later ones.  Returns the shared instance; the installing engine
+  // subscribes it to its event stream.
   static Analyzer* install();
 
   // Drops one install reference; the last one tears the hooks back out.  If
@@ -102,10 +72,11 @@ class Analyzer {
   void print(std::ostream& os) const;
 
   // Hook bodies (public so the trampolines and tests can drive them
-  // directly; synthetic FrameEvents are how pin-closure breaches are
-  // unit-tested without corrupting a live engine).
+  // directly; synthetic EngineEvents are how pin-closure breaches are
+  // unit-tested without corrupting a live engine).  on_engine_event takes
+  // the dispatch lock itself: every shard's engine publishes into it.
   void on_access(const heap::TraceAccess& a);
-  void on_frame(const FrameEvent& e);
+  void on_engine_event(const core::EngineEvent& e) override;
   void on_forbidden_switch(rt::VThread* t, const char* where);
 
  private:
@@ -114,12 +85,12 @@ class Analyzer {
   void record(Violation v);
   void check_logged_store(rt::VThread* t, const heap::TraceAccess& a);
   void collect_held(rt::VThread* t);
-  void audit_pin_closure(const FrameEvent& e);
-  void audit_delivery(const FrameEvent& e);
+  void audit_pin_closure(const core::EngineEvent& e);
+  void audit_delivery(const core::EngineEvent& e);
 
   AnalysisReport report_;
   LocksetTable lockset_;
-  // Latest-known frame stack per thread id, refreshed by every FrameEvent.
+  // Latest-known frame stack per thread id, refreshed by every frame event.
   // Held-monitor sets for the lockset are derived from it; threads with no
   // engine activity yet hold nothing.
   std::unordered_map<std::uint32_t, const core::FrameStack*> frames_of_;

@@ -1,8 +1,8 @@
 // Violation records produced by the revocation-safety analyzer.
 //
 // The analyzer (hooks.hpp) watches the running system through the barrier
-// trace dispatch, the scheduler's switch probe and the engine's frame
-// lifecycle events, and files one Violation per observed breach of the
+// trace dispatch, the scheduler's switch probe and the engine's event
+// stream, and files one Violation per observed breach of the
 // invariants the paper's scheme rests on (§1.1, §2.2).  Violations are
 // deterministic: the green-thread substrate executes one total order per
 // seed, so a flagged run flags the same accesses every time.
@@ -50,7 +50,7 @@ struct AnalysisReport {
   std::vector<Violation> violations;
 
   std::uint64_t accesses_checked = 0;   // trace events examined
-  std::uint64_t frame_events = 0;       // engine lifecycle events examined
+  std::uint64_t frame_events = 0;       // engine frame events examined
   std::uint64_t bypass_checks = 0;      // in-section stores audited
   std::uint64_t locations_tracked = 0;  // distinct lockset locations
 

@@ -44,6 +44,10 @@ Engine* Engine::active() {
   return t_active_engine;
 }
 
+inline bool Engine::observed() const {
+  return !observers_.empty() || obs::recording();
+}
+
 // ---------------------------------------------------------------------------
 // Construction / teardown
 
@@ -69,6 +73,15 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
   const char* bias_env = std::getenv("RVK_BIAS");
   if (bias_env != nullptr && bias_env[0] == '0') cfg_.bias = false;
   bias_enabled_ = cfg_.bias && !cfg_.trace;
+
+  // Multi-shard: the shared MonitorTable pool needs its mutex from here on,
+  // starting with this engine's own veto registration below (peer shards
+  // construct their engines concurrently).  Flipped before this shard runs a
+  // single vthread, and idempotent across shards.
+  if (domain_ != nullptr && domain_->set() != nullptr &&
+      domain_->set()->size() > 1) {
+    monitor::MonitorTable::global().set_concurrent(true);
+  }
 
   // Object monitors live behind compact lock words in the process-wide
   // MonitorTable (DESIGN.md §13).  The factory builds this engine's
@@ -140,21 +153,15 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
                     "config (jmm_guard / dedup_logging / volatile_policy)");
     }
     ++g_hooks.count;
-    // Multi-shard: the shared MonitorTable pool needs its mutex from here
-    // on.  Flipped before this shard runs a single vthread, and idempotent
-    // across shards.
-    if (domain_ != nullptr && domain_->set() != nullptr &&
-        domain_->set()->size() > 1) {
-      monitor::MonitorTable::global().set_concurrent(true);
-    }
   }
 
   // Revocation-safety analyzer: per-config or process-wide via RVK_ANALYZE.
   // The engine owns the install/uninstall pairing, mirroring its other
-  // process-global hooks (shared install under sharding, like the barriers).
+  // process-global hooks (shared install under sharding, like the barriers),
+  // and subscribes the shared instance to its own event stream.
   if (cfg_.analyze || analysis::env_enabled()) {
-    analysis::Analyzer::install();
-    analyzing_ = true;
+    analyzer_ = analysis::Analyzer::install();
+    subscribe(analyzer_);
   }
 
   // Observability recorder: per-config or process-wide via RVK_OBS.  Unlike
@@ -189,7 +196,10 @@ Engine::~Engine() {
   monitor::MonitorTable::global().release_slots_owned_by(this);
   monitor::MonitorTable::global().set_deflate_veto(this, {});
   if (observing_) obs::Recorder::uninstall();
-  if (analyzing_) analysis::Analyzer::uninstall();
+  if (analyzer_ != nullptr) {
+    unsubscribe(analyzer_);
+    analysis::Analyzer::uninstall();
+  }
   // Unstamp the per-thread caches: a later engine must re-register every
   // thread, and no stale ThreadSync pointer may survive this engine.
   for (auto& [t, ts] : sync_states_) {
@@ -316,8 +326,8 @@ void Engine::materialize_lazy(rt::VThread* t) {
   f.log_mark = ts.lazy_log_mark;
   f.revocations = ts.lazy_budget_used;
   // `recursive` stays false: a biased grant never re-enters a held monitor.
-  // No analyzer/obs/trace notifications: all are gated off while the fast
-  // path is eligible (see enter_frame), so none missed the enter.
+  // No events or trace records: both are gated off while the fast path is
+  // eligible (see enter_frame), so nobody missed the enter.
 }
 
 std::uint64_t Engine::lazy_enter(RevocableMonitor& m, rt::VThread* t,
@@ -350,10 +360,8 @@ std::uint64_t Engine::push_frame(RevocableMonitor& m, rt::VThread* t,
   t->current_frame_id = f.id;
   ++stats_.sections_entered;
   if (cfg_.trace) jmm::Trace::record_acquire(&m);
-  analysis::frame_event(
-      {analysis::FrameEvent::Kind::kEnter, t, f.id, &m, &ts.frames});
-  if (lifecycle_hook_ || obs::recording()) [[unlikely]] {
-    emit(LifecycleEvent::Kind::kSectionEnter, t, f.id, &m);
+  if (observed()) [[unlikely]] {
+    publish(obs::EventKind::kSectionEnter, t, f.id, &m);
   }
   return f.id;
 }
@@ -364,18 +372,16 @@ std::uint64_t Engine::enter_frame(
   if (t->lazy_frame) [[unlikely]] materialize_lazy(t);  // nested entry
   t->interrupted = false;
   // Biased lazy fast path (DESIGN.md §11): eligible only when nothing can
-  // observe a deferred frame — no lifecycle hook (exploration), no analyzer,
-  // no recorder, no pending revocation — and the monitor grants its bias.
+  // observe a deferred frame — no subscriber (exploration, analyzer), no
+  // recorder, no pending revocation — and the monitor grants its bias.
   // An abortable entry additionally requires no pending cancellation: a
   // cancelled thread must never slip into a section through the bias when
   // try_enter would have refused it (DESIGN.md §14).
   // Green-thread atomicity keeps the frame invisible until the first yield
   // point, logged write, nested entry, or blocking call materialises it, at
   // which point the section is exactly as revocable as a slow-path one.
-  if (bias_enabled_ && !lifecycle_hook_ &&
-      analysis::detail::g_frame_hook == nullptr && !obs::recording() &&
-      !t->revoke_requested && !(deadline && t->cancel_requested) &&
-      m.bias_fast_acquire(t)) {
+  if (bias_enabled_ && !observed() && !t->revoke_requested &&
+      !(deadline && t->cancel_requested) && m.bias_fast_acquire(t)) {
     return lazy_enter(m, t, budget_used);
   }
   // Either may throw RollbackException targeting an enclosing frame
@@ -418,15 +424,12 @@ void Engine::commit_frame(rt::VThread* t) {
   // probe prove it.  No-op unless the analyzer enabled region marking.
   rt::ForbiddenRegionGuard region(t);
   RVK_CHECK_MSG(!ts.frames.empty(), "commit with no active frame");
-  analysis::frame_event({analysis::FrameEvent::Kind::kCommit, t,
-                         ts.frames.back().id, ts.frames.back().monitor,
-                         &ts.frames});
   Frame& f = ts.frames.back();
   ts.frames.pop();  // f stays valid: pooled storage is never destroyed
   if (f.nonrevocable) {
-    // Pinned frame leaving the stack; forbidden-safe obs path (§2.2 pins
-    // are upward-closed, so unpins happen strictly at frame exit).
-    obs::on_engine(obs::EventKind::kUnpin, t, f.id, f.monitor);
+    // Pinned frame leaving the stack (§2.2 pins are upward-closed, so
+    // unpins happen strictly at frame exit).
+    publish(obs::EventKind::kUnpin, t, f.id, f.monitor);
   }
 
   // Allocations stay speculative until the outermost commit: migrate them
@@ -455,7 +458,7 @@ void Engine::commit_frame(rt::VThread* t) {
     t->revoke_is_deadlock = false;
     ++stats_.revocations_lost_to_commit;
     end_boost(t);
-    emit(LifecycleEvent::Kind::kRevocationLostToCommit, t, f.id, f.monitor);
+    publish(obs::EventKind::kRevokeDropped, t, f.id, f.monitor);
   }
 
   if (ts.frames.empty()) {
@@ -473,8 +476,8 @@ void Engine::commit_frame(rt::VThread* t) {
   ++stats_.sections_committed;
   // rvkcheck:allow(alloc): trace diagnostic, tests/debug only.
   if (cfg_.trace) jmm::Trace::record_release(f.monitor);
-  if (lifecycle_hook_ || obs::recording()) [[unlikely]] {
-    emit(LifecycleEvent::Kind::kSectionCommit, t, f.id, f.monitor);
+  if (observed()) [[unlikely]] {
+    publish(obs::EventKind::kSectionCommit, t, f.id, f.monitor);
   }
 }
 
@@ -491,14 +494,11 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
   rt::ForbiddenRegionGuard region(t);
   ThreadSync& ts = sync_of_registered(t);
   RVK_CHECK_MSG(!ts.frames.empty(), "abort with no active frame");
-  analysis::frame_event({analysis::FrameEvent::Kind::kAbort, t,
-                         ts.frames.back().id, ts.frames.back().monitor,
-                         &ts.frames});
   Frame& f = ts.frames.back();
   RVK_CHECK_MSG(f.id == expected_frame, "frame stack out of sync with unwind");
   ts.frames.pop();  // f stays valid: pooled storage is never destroyed
   if (f.nonrevocable) {
-    obs::on_engine(obs::EventKind::kUnpin, t, f.id, f.monitor);
+    publish(obs::EventKind::kUnpin, t, f.id, f.monitor);
   }
 
   // Undo this frame's log segment (reverse replay), then release the
@@ -543,8 +543,8 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
     // rvkcheck:allow(alloc): trace diagnostics, tests/debug only.
     jmm::Trace::record_release(f.monitor);
   }
-  if (lifecycle_hook_ || obs::recording()) [[unlikely]] {
-    emit(LifecycleEvent::Kind::kSectionAbort, t, f.id, f.monitor);
+  if (observed()) [[unlikely]] {
+    publish(obs::EventKind::kSectionAbort, t, f.id, f.monitor);
   }
 }
 
@@ -589,8 +589,8 @@ void Engine::finish_rollback(const RollbackException& e, int retries) {
   // Rollback complete, body about to re-execute: closes the obs
   // rollback-latency window opened at kRevokeRequest.  Before the backoff
   // sleep, so the histogram measures the mechanism, not the config knob.
-  obs::on_engine(obs::EventKind::kSectionRetry, t, e.target_frame(), nullptr,
-                 static_cast<std::uint64_t>(retries));
+  publish(obs::EventKind::kSectionRetry, t, e.target_frame(), nullptr,
+          static_cast<std::uint64_t>(retries));
   after_rollback_backoff(t, retries, e.deadlock_victim());
 }
 
@@ -618,7 +618,7 @@ void Engine::deliver(rt::VThread* t) {
     // The section ended (or was already rolled back) before delivery.
     ++stats_.revocations_dropped_stale;
     end_boost(t);
-    emit(LifecycleEvent::Kind::kRevocationDroppedStale, t, target, nullptr);
+    publish(obs::EventKind::kRevokeDropped, t, target, nullptr);
     return;
   }
   if (f->nonrevocable) {
@@ -626,15 +626,13 @@ void Engine::deliver(rt::VThread* t) {
     // JMM (§2.2) — the request is refused and the requester waits normally.
     ++stats_.revocations_denied_pinned;
     end_boost(t);
-    emit(LifecycleEvent::Kind::kRevocationDeniedPinned, t, target, f->monitor);
+    publish(obs::EventKind::kRevokeDenied, t, target, f->monitor);
     return;
   }
   t->in_rollback = true;
-  // The analyzer audits the delivery: the unwind aborts every frame with
-  // id >= target, none of which may be pinned (upward closure, §2.2).
-  analysis::frame_event(
-      {analysis::FrameEvent::Kind::kDeliver, t, target, nullptr, &ts.frames});
-  emit(LifecycleEvent::Kind::kRevocationDelivered, t, target, f->monitor);
+  // The unwind aborts every frame with id >= target, none of which may be
+  // pinned (upward closure, §2.2) — the analyzer audits that on this event.
+  publish(obs::EventKind::kRevokeDeliver, t, target, f->monitor);
   throw RollbackException(target, deadlock);
 }
 
@@ -663,7 +661,7 @@ bool Engine::request_revocation(rt::VThread* owner, RevocableMonitor& m,
   if (f == nullptr) return false;  // monitor taken outside synchronized()
   if (f->nonrevocable) {
     ++stats_.revocations_denied_pinned;
-    emit(LifecycleEvent::Kind::kRevocationDeniedPinned, owner, f->id, &m);
+    publish(obs::EventKind::kRevokeDenied, owner, f->id, &m);
     return false;
   }
   if (f->revocations >= cfg_.revocation_budget) {
@@ -678,14 +676,13 @@ bool Engine::request_revocation(rt::VThread* owner, RevocableMonitor& m,
         g.pin_reason = PinReason::kBudget;
       }
     }
-    analysis::frame_event(
-        {analysis::FrameEvent::Kind::kPin, owner, f->id, nullptr, &ts.frames});
     ++stats_.revocations_denied_budget;
-    emit(LifecycleEvent::Kind::kRevocationDeniedBudget, owner, f->id, &m);
+    // aux 1: a budget refusal, which pinned (audited like kPin).
+    publish(obs::EventKind::kRevokeDenied, owner, f->id, &m, 1);
     return false;
   }
   ++stats_.revocations_requested;
-  emit(LifecycleEvent::Kind::kRevocationRequested, owner, f->id, &m);
+  publish(obs::EventKind::kRevokeRequest, owner, f->id, &m);
   if (owner->revoke_requested) {
     // Merge with the pending request; the outermost target wins so the
     // unwind satisfies both, and "deadlock" is sticky.
@@ -780,8 +777,9 @@ bool Engine::detect_and_break_deadlock(rt::VThread* t, RevocableMonitor& m) {
     cur = cur_mon->owner();
   }
   if (cur != t) return false;
+  // Detection without resolution is registry-visible (EngineStats) but not
+  // an event; kDeadlockBreak marks the victim.
   ++stats_.deadlocks_detected;
-  emit(LifecycleEvent::Kind::kDeadlockDetected, t, 0, &m);
 
   // Victim selection: the lowest-priority cycle member whose section for its
   // cycle monitor is still revocable.
@@ -808,8 +806,8 @@ bool Engine::detect_and_break_deadlock(rt::VThread* t, RevocableMonitor& m) {
   if (request_revocation(victim->holder, *victim->monitor,
                          /*deadlock=*/true, boost_to)) {
     ++stats_.deadlocks_broken;
-    emit(LifecycleEvent::Kind::kDeadlockBroken, victim->holder, 0,
-         victim->monitor);
+    publish(obs::EventKind::kDeadlockBreak, victim->holder, 0,
+            victim->monitor);
     return true;
   }
   return false;
@@ -863,9 +861,7 @@ void Engine::pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
     }
   }
   if (pinned) {
-    analysis::frame_event(
-        {analysis::FrameEvent::Kind::kPin, t, frame_id, nullptr, &ts.frames});
-    emit(LifecycleEvent::Kind::kFramePinned, t, frame_id, nullptr);
+    publish(obs::EventKind::kPin, t, frame_id, nullptr);
   }
 }
 
@@ -925,54 +921,13 @@ void Engine::on_alloc(heap::Heap* heap, heap::HeapObject* obj) {
 // ---------------------------------------------------------------------------
 // Observability
 
-void Engine::emit(LifecycleEvent::Kind kind, rt::VThread* t,
-                  std::uint64_t frame, RevocableMonitor* m) {
-  if (lifecycle_hook_) [[unlikely]] {
-    lifecycle_hook_(LifecycleEvent{kind, t, frame, m});
-  }
-  if (!obs::recording()) [[likely]] return;
-  // Lifecycle kinds are the protocol state machine; obs event kinds are the
-  // trace vocabulary.  The mapping folds the four refusal/drop variants into
-  // kRevokeDenied/kRevokeDropped with the reason in the payload.
-  using K = LifecycleEvent::Kind;
-  using E = obs::EventKind;
-  switch (kind) {
-    case K::kSectionEnter:
-      obs::on_engine(E::kSectionEnter, t, frame, m);
-      break;
-    case K::kSectionCommit:
-      obs::on_engine(E::kSectionCommit, t, frame, m);
-      break;
-    case K::kSectionAbort:
-      obs::on_engine(E::kSectionAbort, t, frame, m);
-      break;
-    case K::kRevocationRequested:
-      obs::on_engine(E::kRevokeRequest, t, frame, m);
-      break;
-    case K::kRevocationDelivered:
-      obs::on_engine(E::kRevokeDeliver, t, frame, m);
-      break;
-    case K::kRevocationDeniedPinned:
-      obs::on_engine(E::kRevokeDenied, t, frame, m, /*aux=*/0);
-      break;
-    case K::kRevocationDeniedBudget:
-      obs::on_engine(E::kRevokeDenied, t, frame, m, /*aux=*/1);
-      break;
-    case K::kRevocationDroppedStale:
-    case K::kRevocationLostToCommit:
-      obs::on_engine(E::kRevokeDropped, t, frame, m);
-      break;
-    case K::kFramePinned:
-      obs::on_engine(E::kPin, t, frame, m);
-      break;
-    case K::kDeadlockDetected:
-      // Detection without resolution is registry-visible (EngineStats) but
-      // not a trace moment; kDeadlockBreak marks the victim.
-      break;
-    case K::kDeadlockBroken:
-      obs::on_engine(E::kDeadlockBreak, t, frame, m);
-      break;
-  }
+void Engine::publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
+                     const RevocableMonitor* m, std::uint64_t aux) {
+  obs::on_engine(kind, t, frame, m, aux);
+  const auto* ts = static_cast<const ThreadSync*>(t->engine_state);
+  const EngineEvent e{kind, t, frame, m, aux,
+                      ts != nullptr ? &ts->frames : nullptr};
+  for (EngineObserver* o : observers_) o->on_engine_event(e);
 }
 
 void Engine::publish_metrics(obs::Registry& reg) {

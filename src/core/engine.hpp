@@ -34,8 +34,8 @@
 // identical across co-active engines — the constructor enforces it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -53,6 +53,10 @@
 #include "rt/domain.hpp"
 #include "rt/scheduler.hpp"
 #include "support/annotations.hpp"
+
+namespace rvk::analysis {
+class Analyzer;
+}
 
 namespace rvk::obs {
 class Registry;
@@ -160,33 +164,6 @@ struct EngineConfig {
   // RVK_BIAS=0 environment knob (resolved in the constructor) clears this,
   // reproducing pre-PR-5 behaviour bit-for-bit.
   bool bias = true;
-};
-
-// Engine-level transition, published through the lifecycle hook so external
-// observers (the schedule-exploration harness, DESIGN.md §9) can follow the
-// protocol state machine without polling.  Events fire at the point the
-// transition becomes visible to other threads; `frame` is the affected frame
-// id (0 when not frame-specific) and `monitor` the monitor involved
-// (nullptr when none / not applicable).
-struct LifecycleEvent {
-  enum class Kind : std::uint8_t {
-    kSectionEnter,
-    kSectionCommit,
-    kSectionAbort,
-    kRevocationRequested,
-    kRevocationDelivered,      // RollbackException about to be thrown
-    kRevocationDeniedPinned,
-    kRevocationDeniedBudget,
-    kRevocationDroppedStale,   // section already gone at delivery
-    kRevocationLostToCommit,   // section committed before delivery
-    kFramePinned,
-    kDeadlockDetected,
-    kDeadlockBroken,
-  };
-  Kind kind;
-  rt::VThread* thread;
-  std::uint64_t frame;
-  RevocableMonitor* monitor;
 };
 
 struct EngineStats {
@@ -395,11 +372,14 @@ class Engine {
   // section.
   const ThreadSync* find_sync(const rt::VThread* t) const;
 
-  // Observer for engine transitions (see LifecycleEvent).  The hook runs
-  // inside the transition — often inside a forbidden region — so it must
-  // not block, yield, or enter a monitor.  One observer at a time.
-  void set_lifecycle_hook(std::function<void(const LifecycleEvent&)> f) {
-    lifecycle_hook_ = std::move(f);
+  // Adds / removes an observer of this engine's event stream (EngineEvent).
+  // Call outside forbidden regions — from host code or between sections —
+  // never from an observer callback.  Any subscriber keeps the biased lazy
+  // path off (DESIGN.md §11), so every frame is seen as it happens.
+  void subscribe(EngineObserver* o) { observers_.push_back(o); }
+  void unsubscribe(EngineObserver* o) {
+    observers_.erase(std::remove(observers_.begin(), observers_.end(), o),
+                     observers_.end());
   }
 
  private:
@@ -512,16 +492,22 @@ class Engine {
 
   rt::VThread* thread_by_id(std::uint32_t tid);
 
-  // Publishes the transition to the lifecycle hook AND the obs recorder
-  // (out-of-line: the event-kind mapping lives in engine.cpp).  Runs inside
-  // transitions — often inside forbidden regions — so both sinks must obey
-  // the no-alloc/no-yield contract.
+  // True when any transition has an audience: a subscriber or the obs
+  // recorder.  Hot paths test it before publishing; it is also the lazy-path
+  // gate in enter_frame.  Inline in engine.cpp, its only user.
+  bool observed() const;
+
+  // The engine's one observation point: hands the transition to the obs
+  // recorder, then to every subscriber.  Runs inside transitions — often
+  // inside forbidden regions — so both sinks obey the no-alloc/no-yield
+  // contract (the recorder's handler is verified separately).
   RVK_TRUSTED(
-      "lifecycle_hook_ is a test-installed std::function rvkcheck cannot "
-      "resolve; the set_lifecycle_hook contract requires hooks to be "
-      "forbidden-safe, and the obs sink is verified separately")
-  void emit(LifecycleEvent::Kind kind, rt::VThread* t, std::uint64_t frame,
-            RevocableMonitor* m);
+      "observers_ holds virtual EngineObserver callbacks rvkcheck cannot "
+      "resolve; subscribers must be forbidden-safe, save the diagnostic ones "
+      "(analyzer, exploration invariants), which may allocate and never run "
+      "in measured runs")
+  void publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
+               const RevocableMonitor* m, std::uint64_t aux = 0);
 
   rt::Scheduler& sched_;
   rt::Domain* domain_ = nullptr;  // bound shard; nullptr when unsharded
@@ -538,12 +524,12 @@ class Engine {
   std::vector<RevocableMonitor*> monitors_;       // registered, for sweeps
   std::vector<std::unique_ptr<RevocableMonitor>> owned_monitors_;
   std::uint64_t next_frame_id_ = 1;
-  bool analyzing_ = false;  // this engine installed the analyzer
+  analysis::Analyzer* analyzer_ = nullptr;  // installed by this engine
   bool observing_ = false;  // this engine installed the obs recorder
   // cfg_.bias && !cfg_.trace, latched once: the enter_frame fast-path gate
   // (trace mode records per-acquire events the lazy path would skip).
   bool bias_enabled_ = false;
-  std::function<void(const LifecycleEvent&)> lifecycle_hook_;
+  std::vector<EngineObserver*> observers_;  // publish's subscribers
 
   friend class RevocableMonitor;
 };

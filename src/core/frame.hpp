@@ -16,10 +16,16 @@
 #include <utility>
 #include <vector>
 
+#include "obs/event.hpp"
+
 namespace rvk::heap {
 class Heap;
 class HeapObject;
 }  // namespace rvk::heap
+
+namespace rvk::rt {
+class VThread;
+}  // namespace rvk::rt
 
 namespace rvk::core {
 
@@ -124,6 +130,34 @@ struct ThreadSync {
     }
     return false;
   }
+};
+
+// One engine protocol transition (§3.1.2 enter/commit/abort/retry, §4
+// revocation request/delivery/refusal/drop, §2.2 pin/unpin, §1.1 deadlock
+// break), named by the obs trace vocabulary's engine kinds.  `frame` is the
+// frame the transition is about (0 for kDeadlockBreak); `monitor` is null
+// when none applies; `aux` is 1 on a kRevokeDenied that refused for budget
+// (and pinned, §2.2) and the retry count on kSectionRetry; `frames` is the
+// thread's live frame stack, valid only during the callback.
+struct EngineEvent {
+  obs::EventKind kind;
+  rt::VThread* thread;
+  std::uint64_t frame;
+  const RevocableMonitor* monitor;
+  std::uint64_t aux;
+  const FrameStack* frames;
+};
+
+// Subscriber to an engine's event stream (Engine::subscribe).  Callbacks run
+// inside the transition — often inside the commit/abort forbidden region —
+// so they must not block, yield or enter a monitor.  Each observer ignores
+// the kinds it does not use.
+class EngineObserver {
+ public:
+  virtual void on_engine_event(const EngineEvent& e) = 0;
+
+ protected:
+  ~EngineObserver() = default;
 };
 
 }  // namespace rvk::core

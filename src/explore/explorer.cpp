@@ -76,10 +76,7 @@ RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
           return chosen;
         });
   }
-  if (opts.check_invariants) {
-    engine.set_lifecycle_hook(
-        [&registry](const core::LifecycleEvent& e) { registry.note_event(e); });
-  }
+  if (opts.check_invariants) engine.subscribe(&registry);
   sched.set_step_hook([&](rt::VThread* t) {
     if (overrun) [[unlikely]] throw InvariantViolation{out.failure};
     if (opts.check_invariants) registry.check_step(t);
@@ -106,6 +103,7 @@ RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
     out.failed = true;
     out.failure = "non-standard exception escaped the scenario";
   }
+  if (opts.check_invariants) engine.unsubscribe(&registry);
   if (!out.failed && overrun) out.failed = true;  // drained clean, still fail
   out.checks = registry.checks_run();
   return out;

@@ -8,9 +8,8 @@
 
 namespace rvk::explore {
 
-void InvariantRegistry::note_event(const core::LifecycleEvent& e) {
-  if (e.kind == core::LifecycleEvent::Kind::kSectionAbort &&
-      e.monitor != nullptr) {
+void InvariantRegistry::on_engine_event(const core::EngineEvent& e) {
+  if (e.kind == obs::EventKind::kSectionAbort && e.monitor != nullptr) {
     ++aborts_[e.monitor];
   }
 }

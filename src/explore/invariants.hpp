@@ -41,14 +41,14 @@ struct InvariantViolation {
   std::string message;
 };
 
-class InvariantRegistry {
+class InvariantRegistry final : public core::EngineObserver {
  public:
   InvariantRegistry(rt::Scheduler& sched, core::Engine& engine)
       : sched_(sched), engine_(engine) {}
 
-  // Engine lifecycle observer: counts per-monitor rollback releases for the
-  // barging/reservation invariant.
-  void note_event(const core::LifecycleEvent& e);
+  // Engine event subscriber: counts per-monitor rollback releases
+  // (kSectionAbort) for the barging/reservation invariant.
+  void on_engine_event(const core::EngineEvent& e) override;
 
   // Runs every check; throws InvariantViolation on the first failure.
   // Called from the scheduler's step hook (green-thread context) after

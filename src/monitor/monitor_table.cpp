@@ -15,8 +15,7 @@ MonitorTable& MonitorTable::global() {
 }
 
 void MonitorTable::set_deflate_veto(void* tag, DeflateVeto allow) {
-  RVK_CHECK_MSG(tag != nullptr, "tagged veto needs a tag; use the untagged "
-                                "overload for the global fallback");
+  RVK_CHECK_MSG(tag != nullptr, "a deflation veto needs an owner tag");
   auto lk = lock();
   if (allow) {
     tag_vetoes_[tag] = std::move(allow);
@@ -28,7 +27,6 @@ void MonitorTable::set_deflate_veto(void* tag, DeflateVeto allow) {
 bool MonitorTable::deflatable_locked(const MonitorBase& m,
                                      const void* owner_tag) const {
   if (!quiescent(m)) return false;
-  if (deflate_veto_ && !deflate_veto_(m)) return false;
   if (owner_tag != nullptr) {
     auto it = tag_vetoes_.find(owner_tag);
     if (it != tag_vetoes_.end() && !it->second(m)) return false;

@@ -111,23 +111,18 @@ class MonitorTable {
   // references m" keyed by its owner tag (the same tag its slots carry), so
   // under sharding (DESIGN.md §16) each shard's engine vetoes exactly its
   // own slots and never has its private frame state walked from another
-  // shard.  The untagged overload is the global fallback consulted for
-  // every slot (tests, baselines); cleared with an empty function.
+  // shard.  Cleared with an empty function.
   using DeflateVeto = std::function<bool(const MonitorBase&)>;
-  void set_deflate_veto(DeflateVeto allow) {
-    auto lk = lock();
-    deflate_veto_ = std::move(allow);
-  }
   void set_deflate_veto(void* tag, DeflateVeto allow);
 
   // Deflation permission for a monitor created under `owner_tag`: the base
-  // quiescence predicate, the global veto, and the tag's veto.
+  // quiescence predicate and the tag's veto.
   bool deflatable(const MonitorBase& m, const void* owner_tag = nullptr) const;
 
-  // Multi-shard switch (flipped by the first engine that binds to a multi-
-  // shard DomainSet, before any shard thread runs): guards the slot pool
-  // with a mutex.  Single-shard runs never take it — the lookup fast path
-  // stays one branch.
+  // Multi-shard switch (flipped by every engine that binds to a multi-shard
+  // DomainSet, before its first table access — shard threads construct
+  // their engines concurrently): guards the slot pool with a mutex.
+  // Single-shard runs never take it — the lookup fast path stays one branch.
   // Relaxed is enough: a shard only touches the table after its own
   // engine's constructor flipped this in the same thread's program order.
   void set_concurrent(bool on) {
@@ -202,7 +197,6 @@ class MonitorTable {
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;
-  DeflateVeto deflate_veto_;
   std::unordered_map<const void*, DeflateVeto> tag_vetoes_;
   MonitorTableStats stats_;
   std::atomic<bool> concurrent_{false};

@@ -107,12 +107,12 @@ TEST(PinClosureTest, BrokenUpwardClosureIsFlagged) {
   inner.id = 2;  // inner, pinned: closure broken
   inner.nonrevocable = true;
   inner.pin_reason = core::PinReason::kManual;
-  Analyzer::active()->on_frame(
-      {FrameEvent::Kind::kPin, nullptr, 2, nullptr, &frames});
+  Analyzer::active()->on_engine_event(
+      {obs::EventKind::kPin, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().count(Violation::Kind::kPinClosure), 1u);
   // The same persisting breach is not re-reported on later events.
-  Analyzer::active()->on_frame(
-      {FrameEvent::Kind::kPin, nullptr, 2, nullptr, &frames});
+  Analyzer::active()->on_engine_event(
+      {obs::EventKind::kPin, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().count(Violation::Kind::kPinClosure), 1u);
 }
 
@@ -126,8 +126,8 @@ TEST(PinClosureTest, DeliveryIntoPinnedFramesIsFlagged) {
   inner.id = 2;
   inner.nonrevocable = true;
   inner.pin_reason = core::PinReason::kWait;
-  Analyzer::active()->on_frame(
-      {FrameEvent::Kind::kDeliver, nullptr, 1, nullptr, &frames});
+  Analyzer::active()->on_engine_event(
+      {obs::EventKind::kRevokeDeliver, nullptr, 1, nullptr, 0, &frames});
   // Both audits fire: the stack breaks upward closure AND the delivery
   // would abort the pinned frame.
   EXPECT_EQ(fx.report().count(Violation::Kind::kPinClosure), 2u);
@@ -141,11 +141,11 @@ TEST(PinClosureTest, WellFormedPinAndDeliveryAreClean) {
   outer.nonrevocable = true;
   outer.pin_reason = core::PinReason::kDependency;
   frames.push().id = 2;
-  Analyzer::active()->on_frame(
-      {FrameEvent::Kind::kPin, nullptr, 1, nullptr, &frames});
+  Analyzer::active()->on_engine_event(
+      {obs::EventKind::kPin, nullptr, 1, nullptr, 0, &frames});
   // Delivery targeting only the revocable inner frame is sound.
-  Analyzer::active()->on_frame(
-      {FrameEvent::Kind::kDeliver, nullptr, 2, nullptr, &frames});
+  Analyzer::active()->on_engine_event(
+      {obs::EventKind::kRevokeDeliver, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().violations.size(), 0u);
 }
 

@@ -46,7 +46,6 @@ TEST(AnalyzerOffTest, NoHooksInstalledAndRegionsUnmarked) {
   core::Engine engine(sched);  // default config: analyze=false
   EXPECT_EQ(Analyzer::active(), nullptr);
   EXPECT_EQ(heap::detail::g_analysis_access, nullptr);
-  EXPECT_EQ(detail::g_frame_hook, nullptr);
   EXPECT_EQ(rt::detail::g_switch_probe, nullptr);
   EXPECT_FALSE(rt::region_marking());
 }

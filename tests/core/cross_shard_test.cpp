@@ -395,5 +395,44 @@ TEST(CrossShardDeflationTest, InboundWorkVetoesDeflation) {
   });
 }
 
+TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {
+  // Both shard threads build their engines at once, with nothing
+  // serialising them: each constructor registers its deflation veto in the
+  // shared MonitorTable, which must already be in its locked multi-shard
+  // mode by then (ThreadSanitizer flags the race otherwise).  Each shard
+  // then inflates, uses and scavenges an object monitor of its own.
+  rt::DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = rt::DomainSet::Mode::kOsThreads;
+  rt::DomainSet set(cfg);
+  std::unique_ptr<core::Engine> eng[2];
+  std::unique_ptr<heap::Heap> heaps[2];
+  int sections[2] = {0, 0};  // home-shard-only mutation
+  std::size_t deflated[2] = {0, 0};
+  set.start(
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        eng[me] = std::make_unique<core::Engine>(d.sched());
+        heaps[me] = std::make_unique<heap::Heap>();
+        heap::HeapObject* obj = heaps[me]->alloc("obj", 1);
+        d.sched().spawn("worker", 5, [&, me, obj] {
+          for (int i = 0; i < 10; ++i) {
+            eng[me]->synchronized(obj, [&] { ++sections[me]; });
+          }
+        });
+      },
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        deflated[me] = eng[me]->scavenge_monitors();
+        eng[me].reset();
+      });
+  set.join();  // join() gives the happens-before for reading the results
+  EXPECT_EQ(sections[0], 10);
+  EXPECT_EQ(sections[1], 10);
+  EXPECT_EQ(deflated[0], 1u);
+  EXPECT_EQ(deflated[1], 1u);
+  EXPECT_FALSE(set.deadlocked());
+}
+
 }  // namespace
 }  // namespace rvk

@@ -249,13 +249,18 @@ TEST(MonitorTableTest, GenerationCeilingRetiresTheSlot) {
 }
 
 TEST(MonitorTableTest, VetoBlocksDeflation) {
+  // A veto is keyed by the owner tag its slots carry (an engine registers
+  // one for the monitors it inflates); this tag stands in for it.
   MonitorTable& table = MonitorTable::global();
+  int owner = 0;
   LockWord word;
-  table.inflate(word, "t", InflationCause::kWait);
-  table.set_deflate_veto([](const MonitorBase&) { return false; });
+  table.inflate(word, "t", InflationCause::kWait, {}, &owner);
+  table.set_deflate_veto(&owner, [](const MonitorBase&) { return false; });
   EXPECT_FALSE(table.try_deflate(word));  // quiescent, but vetoed
-  EXPECT_EQ(table.scavenge(), 0u);
-  table.set_deflate_veto({});
+  EXPECT_EQ(table.scavenge(&owner), 0u);
+  table.scavenge();  // the whole-table sweep consults the tag's veto too
+  EXPECT_NE(table.monitor_at(word), nullptr);
+  table.set_deflate_veto(&owner, {});
   EXPECT_TRUE(table.try_deflate(word));
 }
 

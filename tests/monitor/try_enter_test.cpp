@@ -442,16 +442,18 @@ TEST(BlockingEntryTest, IgnoresCancellationOnEveryPath) {
 
   // The same uncontended script through synchronized and try_synchronized
   // leaves equal bias counters, both on the engine's lazy fast path and on
-  // the monitor's own grant predicate (a lifecycle hook disables the lazy
-  // path).
+  // the monitor's own grant predicate (any event subscriber disables the
+  // lazy path).
+  struct IgnoreEvents : core::EngineObserver {
+    void on_engine_event(const core::EngineEvent&) override {}
+  };
   for (const bool hooked : {false, true}) {
     SCOPED_TRACE(hooked ? "slow-path bias predicate" : "lazy fast path");
     MonitorStats by_entry[2];
     for (const bool abortable : {false, true}) {
+      IgnoreEvents ignore;  // outlives the engine it subscribes to
       EntryWorld w;
-      if (hooked) {
-        w.engine.set_lifecycle_hook([](const core::LifecycleEvent&) {});
-      }
+      if (hooked) w.engine.subscribe(&ignore);
       auto section = [&] {
         if (abortable) {
           EXPECT_TRUE(w.engine.try_synchronized(*w.revocable, 100, [] {}));
