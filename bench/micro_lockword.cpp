@@ -1,16 +1,13 @@
 // Monitor storage at object scale (DESIGN.md §13): what a compact lock
-// word costs in time along the free→thin→biased→inflated→deflated cycle,
-// and what it saves in space when most objects never see contention.
+// word costs in time along its free→inflated→free cycle, and what it saves
+// in space when most objects are never synchronized on.
 //
-//  * LockWordBiasedReacquire — the folded fast path: a released word is
-//                              biased to its last owner, so re-acquire is
-//                              one load+compare (the ThinLock floor)
-//  * LockWordInflateDeflate  — the full cycle every iteration: thin hold,
-//                              inflate on demand (Object.wait-style heavy()
-//                              access, adopting the thin owner), release,
-//                              opportunistic deflation back to biased.
-//                              Prices the fat-monitor materialise/destroy
-//                              pair that the fast path amortises away
+//  * LockWordInflateRelease  — the full cycle every iteration: inflate a
+//                              free word into a RevocableMonitor slot, then
+//                              release the slot as a dying object's
+//                              ~ObjectMeta does.  Prices the fat-monitor
+//                              materialise/destroy pair that monitor_of and
+//                              object teardown pay once per object lifetime
 //  * ObjectSyncBiased        — engine section on a HeapObject: monitor_of
 //                              resolves the object's lock word, then the
 //                              biased grant + lazy frame take over.  The
@@ -34,7 +31,6 @@
 #include "heap/heap.hpp"
 #include "monitor/lock_word.hpp"
 #include "monitor/monitor_table.hpp"
-#include "monitor/thin_lock.hpp"
 #include "rt/scheduler.hpp"
 
 namespace {
@@ -46,38 +42,29 @@ using namespace rvk;
 // run single-digit inflated monitors against thousands of objects).
 constexpr std::uint32_t kContendedStride = 1024;
 
-void BM_LockWordBiasedReacquire(benchmark::State& state) {
-  rt::Scheduler sched;
-  monitor::ThinLock lock("lw-biased");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    lock.acquire();
-    lock.release();  // leaves the word biased to this thread
-    for (auto _ : state) {
-      lock.acquire();
-      lock.release();
-      benchmark::ClobberMemory();
-    }
-  });
-  sched.run();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+// Builds the engine's RevocableMonitors, as Engine::monitor_of does.
+monitor::MonitorTable::Factory revocable_factory(core::Engine& eng) {
+  return [&eng](std::string name) -> std::unique_ptr<monitor::MonitorBase> {
+    return std::make_unique<core::RevocableMonitor>(std::move(name), eng);
+  };
 }
-BENCHMARK(BM_LockWordBiasedReacquire);
 
-void BM_LockWordInflateDeflate(benchmark::State& state) {
+void BM_LockWordInflateRelease(benchmark::State& state) {
   rt::Scheduler sched;
-  monitor::ThinLock lock("lw-cycle");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    for (auto _ : state) {
-      lock.acquire();          // biased/free -> thin
-      lock.heavy();            // thin -> inflated (adopts the thin owner)
-      lock.release();          // fat release, then deflate -> biased
-      benchmark::ClobberMemory();
-    }
-  });
-  sched.run();
+  core::Engine eng(sched);  // the veto release_slot consults
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  const monitor::MonitorTable::Factory factory = revocable_factory(eng);
+  monitor::LockWord word;
+  for (auto _ : state) {
+    monitor::MonitorBase* m =
+        &table.inflate(word, "lw-cycle", factory, /*owner_tag=*/&eng);
+    benchmark::DoNotOptimize(m);
+    table.release_slot(word);  // quiescent -> destroyed immediately
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_LockWordInflateDeflate);
+BENCHMARK(BM_LockWordInflateRelease);
 
 void BM_ObjectSyncBiased(benchmark::State& state) {
   rt::Scheduler sched;
@@ -101,10 +88,7 @@ void BM_LockWordBytesPerObject(benchmark::State& state) {
   rt::Scheduler sched;
   core::Engine eng(sched);  // the veto + RevocableMonitor factory world
   monitor::MonitorTable& table = monitor::MonitorTable::global();
-  const monitor::MonitorTable::Factory factory =
-      [&eng](std::string name) -> std::unique_ptr<monitor::MonitorBase> {
-    return std::make_unique<core::RevocableMonitor>(std::move(name), eng);
-  };
+  const monitor::MonitorTable::Factory factory = revocable_factory(eng);
 
   double bytes_per_object = 0.0;
   std::size_t inflated = 0;
@@ -116,8 +100,7 @@ void BM_LockWordBytesPerObject(benchmark::State& state) {
     const std::size_t slot_bytes_before = table.slot_bytes();
     inflated = 0;
     for (std::size_t i = 0; i < n; i += kContendedStride) {
-      table.inflate(words[i], "lw-bytes", monitor::InflationCause::kObjectSync,
-                    factory);
+      table.inflate(words[i], "lw-bytes", factory);
       ++inflated;
     }
     const std::size_t monitor_bytes =
@@ -156,16 +139,17 @@ int main(int argc, char** argv) {
   ::benchmark::Shutdown();
 
   std::printf(
-      "\nExpected shape: LockWordBiasedReacquire is the ThinLock floor (a\n"
-      "few ns: one load+compare, two stores).  LockWordInflateDeflate pays\n"
-      "a fat-monitor allocation + destruction every iteration and sits two\n"
-      "orders of magnitude above it — the cost the fast path amortises\n"
-      "away.  ObjectSyncBiased adds the table lookup + biased engine grant\n"
-      "on top of the floor.  LockWordBytesPerObject's real_time encodes\n"
-      "bytes of monitor state per object (1 ns == 1 byte): with 1 in %u\n"
-      "objects contended it settles near sizeof(LockWord) == %zu bytes, so\n"
-      "memory_ratio vs one fat monitor per object (%zu bytes) clears 100x\n"
-      "at every N in the sweep, including 1M objects.\n",
+      "\nExpected shape: ObjectSyncBiased is the steady-state price of\n"
+      "synchronized(obj) (tens of ns: one table lookup resolves the\n"
+      "inflated word, then the biased engine grant).  LockWordInflateRelease\n"
+      "pays a RevocableMonitor allocation + destruction every iteration and\n"
+      "sits several times above it — the pair monitor_of and a dying\n"
+      "object pay once per object lifetime, not per section.\n"
+      "LockWordBytesPerObject's real_time encodes bytes of monitor state\n"
+      "per object (1 ns == 1 byte): with 1 in %u objects inflated it\n"
+      "settles near sizeof(LockWord) == %zu bytes, so memory_ratio vs one\n"
+      "fat monitor per object (%zu bytes) clears 100x at every N in the\n"
+      "sweep, including 1M objects.\n",
       kContendedStride, sizeof(monitor::LockWord),
       sizeof(core::RevocableMonitor));
   return 0;

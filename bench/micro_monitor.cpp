@@ -6,7 +6,6 @@
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "monitor/monitor.hpp"
-#include "monitor/thin_lock.hpp"
 #include "rt/scheduler.hpp"
 
 namespace {
@@ -26,21 +25,6 @@ void BM_BlockingMonitorUncontended(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BlockingMonitorUncontended);
-
-void BM_ThinLockUncontended(benchmark::State& state) {
-  rt::Scheduler sched;
-  monitor::ThinLock lock("l");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    for (auto _ : state) {
-      lock.acquire();
-      lock.release();
-    }
-  });
-  sched.run();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel("Jikes-style lock word fast path");
-}
-BENCHMARK(BM_ThinLockUncontended);
 
 void BM_RevocableSectionEmpty(benchmark::State& state) {
   rt::Scheduler sched;

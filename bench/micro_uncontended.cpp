@@ -1,8 +1,6 @@
 // Uncontended-path micro-costs (DESIGN.md §11): what one thread pays to
 // enter and exit a synchronized section nobody else wants.
 //
-//  * ThinLock            — the Jikes-style baseline: header-word CAS-free
-//                          acquire/release, no frames, no revocability
 //  * SectionHeavy        — RevocableMonitor section with bias OFF: the
 //                          pre-§11 path (monitor queue bookkeeping + frame
 //                          push + outermost-commit log discard every time)
@@ -27,7 +25,6 @@
 
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
-#include "monitor/thin_lock.hpp"
 #include "obs/recorder.hpp"
 #include "rt/scheduler.hpp"
 
@@ -40,21 +37,6 @@ core::EngineConfig bias_off_config() {
   cfg.bias = false;
   return cfg;
 }
-
-void BM_ThinLockAcquireRelease(benchmark::State& state) {
-  rt::Scheduler sched;
-  monitor::ThinLock lock("thin");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    for (auto _ : state) {
-      lock.acquire();
-      lock.release();
-      benchmark::ClobberMemory();
-    }
-  });
-  sched.run();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ThinLockAcquireRelease);
 
 void BM_SectionHeavy(benchmark::State& state) {
   rt::Scheduler sched;
@@ -207,15 +189,15 @@ int main(int argc, char** argv) {
       "bias_speedup: %.2fx\n",
       heavy_ns, biased_ns, heavy_ns / biased_ns);
   std::printf(
-      "\nExpected shape: ThinLock is the floor.  SectionBiased sits within a\n"
-      "small factor of it (biased grant + lazy frame: no queue bookkeeping,\n"
-      "no log discard) and beats SectionHeavy by >= 2x — bias_speedup above\n"
-      "is the acceptance ratio.  ObjectSectionBiased rides the same biased\n"
-      "grant behind the object's lock word, paying one extra table lookup\n"
-      "to resolve the word.  SectionBiasedWrite adds the one-time frame\n"
-      "materialisation plus a log append.  The *Obs twins are deliberately\n"
-      "slower: a live recorder routes sections down the recorded slow path;\n"
-      "with no recorder installed the obs seams cost one predicted branch,\n"
-      "which is already included in the obs-off numbers.\n");
+      "\nExpected shape: SectionBiased is the floor (biased grant + lazy\n"
+      "frame: no queue bookkeeping, no log discard) and beats SectionHeavy\n"
+      "by >= 2x — bias_speedup above is the acceptance ratio.\n"
+      "ObjectSectionBiased rides the same biased grant behind the object's\n"
+      "lock word, paying one extra table lookup to resolve the word.\n"
+      "SectionBiasedWrite adds the one-time frame materialisation plus a\n"
+      "log append.  The *Obs twins are deliberately slower: a live recorder\n"
+      "routes sections down the recorded slow path; with no recorder\n"
+      "installed the obs seams cost one predicted branch, which is already\n"
+      "included in the obs-off numbers.\n");
   return 0;
 }

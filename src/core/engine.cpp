@@ -247,8 +247,7 @@ RevocableMonitor* Engine::monitor_of(const heap::HeapObject* obj) {
     return static_cast<RevocableMonitor*>(m);
   }
   monitor::MonitorBase& m =
-      table.inflate(word, "monitor:" + obj->name(),
-                    monitor::InflationCause::kObjectSync, monitor_factory_,
+      table.inflate(word, "monitor:" + obj->name(), monitor_factory_,
                     /*owner_tag=*/this);
   return static_cast<RevocableMonitor*>(&m);
 }
@@ -257,7 +256,7 @@ std::size_t Engine::scavenge_monitors() {
   // Under kOsThreads each shard sweeps only its own slots: a whole-table
   // sweep would run a peer engine's deflation veto against frame state that
   // peer is concurrently mutating (§16).  Cooperative/unsharded runs keep
-  // the classic whole-table sweep (detached baseline slots included).
+  // the classic whole-table sweep (untagged slots included).
   const void* tag = nullptr;
   if (domain_ != nullptr && domain_->set() != nullptr &&
       domain_->set()->mode() == rt::DomainSet::Mode::kOsThreads) {

@@ -519,7 +519,7 @@ class Engine {
   std::unordered_map<rt::VThread*, RevocableMonitor*> waits_for_;
   // Builds the RevocableMonitors monitor_of inflates into the MonitorTable;
   // the engine is the slots' owner tag, so teardown can release exactly its
-  // own slots (ThinLock/baseline slots are untagged and untouched).
+  // own slots (untagged or other engines' slots are untouched).
   monitor::MonitorTable::Factory monitor_factory_;
   std::vector<RevocableMonitor*> monitors_;       // registered, for sweeps
   std::vector<std::unique_ptr<RevocableMonitor>> owned_monitors_;

@@ -65,8 +65,8 @@ void RevocableMonitor::on_wake(rt::VThread* t) {
 }
 
 void RevocableMonitor::on_acquired(rt::VThread* t) {
-  // Every non-recursive acquisition (including adopt_owner and post-
-  // contention wakeups) re-establishes the bias towards the new owner.
+  // Every non-recursive acquisition (including post-contention wakeups)
+  // re-establishes the bias towards the new owner.
   if (bias_enabled_) bias_ = t;
 }
 

@@ -30,8 +30,9 @@ using Word = log::Word;
 
 // Per-object header: the speculative-writer mark plus the compact lock word
 // (DESIGN.md §13) that makes every HeapObject/HeapArray directly lockable
-// with no pre-allocated monitor — fat monitor state lives in the
-// MonitorTable only while the word is inflated.
+// with no pre-allocated monitor — the word is free until the object's first
+// synchronized inflates it into a MonitorTable slot, and free again once a
+// scavenge deflates that slot.
 //
 // Writer-mark granularity is per object (not per slot): the paper does not
 // specify it, and per-object is the classic Jikes-style header-word choice.
@@ -42,7 +43,7 @@ struct ObjectMeta {
   std::uint32_t writer_tid = 0;    // 0 = no speculative writer recorded
   std::uint32_t writer_epoch = 0;  // writer's section_epoch at store time
   std::uint64_t writer_frame = 0;  // writer's innermost frame at store time
-  monitor::LockWord lock;          // this object's monitor, when compact
+  monitor::LockWord lock;          // free, or this object's monitor slot
 
   // Clears the writer mark ONLY — the lock word is monitor state, not
   // speculation metadata, and survives mark validation.

@@ -1,32 +1,27 @@
 // Compact per-object lock words (DESIGN.md §13).
 //
-// One 32-bit word encodes the entire monitor state of an uncontended
-// object, Jikes-RVM-style, so a heap of a million lockable objects carries
-// monitor storage O(contended monitors), not O(objects):
+// One 32-bit word in every heap object's header is the object's whole
+// monitor association, so a heap of a million lockable objects carries
+// monitor storage O(inflated monitors), not O(objects).  A word is in one
+// of two states:
 //
-//   free      all zero — never locked, or deflated back to nothing
-//   thin      [owner id : 22][count : 8][tag 00] — held, shallow recursion
-//   biased    [owner id : 22][zero  : 8][tag 01] — free, but the last owner
-//             is expected back: its re-acquire is ONE load+compare against
-//             LockWord::biased(id) (the fold of the PR-5 bias word into the
-//             lock word)
+//   free      all zero — never synchronized on, or deflated back to nothing
 //   inflated  [generation : 12][slot : 18][tag 10] — a fat monitor lives in
 //             the MonitorTable at `slot`; `generation` must match the
 //             slot's, otherwise the slot was deflated/recycled and the word
 //             is stale (== logically free)
 //
-// Field budgets: 22 owner bits bound thread ids at ~4.2M spawns per process
-// (ids are never recycled; fits_owner() lets callers fall back to the
-// inflated encoding past the bound), 18 slot bits bound SIMULTANEOUSLY
-// inflated monitors at 256K (contended monitors, not objects), and 12
-// generation bits are made sound by retirement: a slot whose generation
-// would wrap is never recycled (MonitorTable::destroy_slot), so a stale
-// word can never falsely match a re-tenanted slot.
+// The paper's protocol only acts on fat monitors — the waiter "deposits its
+// priority in the header of the monitor object" (§4), and revocation,
+// reservation and the entry queue all live there — so the engine inflates a
+// word on the object's first synchronized (Engine::monitor_of) and there is
+// no word-only locked state.
 //
-// On the green-thread substrate every transition is a plain store: context
-// switches happen only at yield points and none occur inside the
-// transition code, so no atomics are needed — exactly the "lightweight
-// thread environment" assumption the thin-lock literature keys on.
+// Field budgets: 18 slot bits bound SIMULTANEOUSLY inflated monitors at
+// 256K (live synchronized objects, not all objects), and 12 generation bits
+// are made sound by retirement: a slot whose generation would wrap is never
+// recycled (MonitorTable::destroy_slot), so a stale word can never falsely
+// match a re-tenanted slot.
 //
 // This header is intentionally <cstdint>-only: heap::ObjectMeta embeds a
 // LockWord, and rvk_heap must not drag the monitor layer's headers into
@@ -39,12 +34,6 @@ namespace rvk::monitor {
 
 class LockWord {
  public:
-  // Thin recursion width; acquiring past kMaxCount inflates (overflow).
-  static constexpr std::uint32_t kCountBits = 8;
-  static constexpr std::uint32_t kMaxCount = (1u << kCountBits) - 1;
-  // Thin/biased owner-id width; ids past kMaxOwner use fat monitors only.
-  static constexpr std::uint32_t kOwnerBits = 22;
-  static constexpr std::uint32_t kMaxOwner = (1u << kOwnerBits) - 1;
   // Inflated-slot index width: 256K simultaneously inflated monitors.
   static constexpr std::uint32_t kIndexBits = 18;
   static constexpr std::uint32_t kMaxIndex = (1u << kIndexBits) - 1;
@@ -54,78 +43,43 @@ class LockWord {
 
   constexpr LockWord() = default;
 
-  // Whether `owner_id` is encodable in the thin/biased states.
-  static constexpr bool fits_owner(std::uint32_t owner_id) {
-    return owner_id <= kMaxOwner;
-  }
-
-  // ---- Constructors for each encoding ----
-  static constexpr LockWord thin(std::uint32_t owner_id,
-                                 std::uint32_t count) {
-    return LockWord((owner_id << kOwnerShift) | (count << kTagBits) |
-                    kTagThin);
-  }
-  static constexpr LockWord biased(std::uint32_t owner_id) {
-    return LockWord((owner_id << kOwnerShift) | kTagBiased);
-  }
   static constexpr LockWord inflated(std::uint32_t index,
                                      std::uint32_t generation) {
     return LockWord((generation << kGenShift) | (index << kTagBits) |
                     kTagInflated);
   }
 
-  // ---- State predicates ----
   constexpr bool is_free() const { return bits_ == 0; }
-  constexpr bool is_thin() const {
-    return bits_ != 0 && (bits_ & kTagMask) == kTagThin;
-  }
-  constexpr bool is_biased() const { return (bits_ & kTagMask) == kTagBiased; }
   constexpr bool is_inflated() const {
     return (bits_ & kTagMask) == kTagInflated;
   }
 
-  // ---- Field accessors (meaningful only in the matching state) ----
-  constexpr std::uint32_t owner_id() const {  // thin / biased
-    return bits_ >> kOwnerShift;
-  }
-  constexpr std::uint32_t count() const {  // thin (0 when biased)
-    return (bits_ >> kTagBits) & kMaxCount;
-  }
-  constexpr std::uint32_t index() const {  // inflated
+  // ---- Field accessors (meaningful only when inflated) ----
+  constexpr std::uint32_t index() const {
     return (bits_ >> kTagBits) & kMaxIndex;
   }
-  constexpr std::uint32_t generation() const {  // inflated
-    return bits_ >> kGenShift;
-  }
+  constexpr std::uint32_t generation() const { return bits_ >> kGenShift; }
 
-  // Raw bits: the biased/thin/heavy fast-path predicate is
-  // `w.raw() == LockWord::biased(my_id).raw()` — one load, one compare.
   constexpr std::uint32_t raw() const { return bits_; }
-  friend constexpr bool operator==(LockWord a, LockWord b) {
-    return a.bits_ == b.bits_;
-  }
 
  private:
   static constexpr std::uint32_t kTagBits = 2;
   static constexpr std::uint32_t kTagMask = 0x3;
-  static constexpr std::uint32_t kTagThin = 0x0;
-  static constexpr std::uint32_t kTagBiased = 0x1;
   static constexpr std::uint32_t kTagInflated = 0x2;
-  static constexpr std::uint32_t kOwnerShift = kTagBits + kCountBits;  // 10
-  static constexpr std::uint32_t kGenShift = kTagBits + kIndexBits;    // 20
+  static constexpr std::uint32_t kGenShift = kTagBits + kIndexBits;  // 20
 
   constexpr explicit LockWord(std::uint32_t bits) : bits_(bits) {}
 
   std::uint32_t bits_ = 0;
 };
+static_assert(sizeof(LockWord) == 4, "the lock word is one header word");
 
 // Returns `word`'s MonitorTable slot to the global table when the word's
-// holder dies (ObjectMeta / ThinLock destructors).  Quiescent slots are
-// destroyed immediately; a slot whose monitor still has protocol state
-// (queued waiters draining after the owner object was reclaimed) is
-// *detached* — the back-link is severed and the monitor survives until a
-// later scavenge() finds it quiescent.  No-op for stale or non-inflated
-// words.  Defined in monitor_table.cpp.
+// holder (ObjectMeta) dies.  Quiescent slots are destroyed immediately; a
+// slot whose monitor still has protocol state (queued waiters draining
+// after the owner object was reclaimed) is *detached* — the back-link is
+// severed and the monitor survives until a later scavenge() finds it
+// quiescent.  No-op for stale or free words.  Defined in monitor_table.cpp.
 void release_inflated_slot(LockWord& word) noexcept;
 
 }  // namespace rvk::monitor

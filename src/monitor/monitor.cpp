@@ -154,16 +154,6 @@ void MonitorBase::do_release(bool reserve) {
   obs::on_monitor_release(t, this, name_, reserve && reserved_ != nullptr);
 }
 
-void MonitorBase::adopt_owner(rt::VThread* t, int recursion) {
-  RVK_CHECK_MSG(owner_ == nullptr && reserved_ == nullptr,
-                "adopt_owner on a monitor that is not free");
-  RVK_CHECK(t != nullptr && recursion >= 1);
-  owner_ = t;
-  recursion_ = recursion;
-  owner_priority_ = t->priority();
-  on_acquired(t);
-}
-
 void MonitorBase::handoff(bool reserve) {
   rt::Scheduler* sched = rt::current_scheduler();
   if (rt::VThread* w = entry_queue_.pop_best()) {

@@ -132,11 +132,6 @@ class MonitorBase {
   void notify_one();
   void notify_all();
 
-  // Runtime-internal: transfers ownership bookkeeping to this monitor
-  // during thin-lock inflation — the thread already logically owns the
-  // thin lock, so no acquisition protocol runs.  The monitor must be free.
-  void adopt_owner(rt::VThread* t, int recursion);
-
   // ---- Introspection ----
   const std::string& name() const { return name_; }
   rt::VThread* owner() const { return owner_; }

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "rt/scheduler.hpp"
 
 namespace rvk::monitor {
 
@@ -24,8 +23,8 @@ void MonitorTable::set_deflate_veto(void* tag, DeflateVeto allow) {
   }
 }
 
-bool MonitorTable::deflatable_locked(const MonitorBase& m,
-                                     const void* owner_tag) const {
+bool MonitorTable::may_deflate_locked(const MonitorBase& m,
+                                      const void* owner_tag) const {
   if (!quiescent(m)) return false;
   if (owner_tag != nullptr) {
     auto it = tag_vetoes_.find(owner_tag);
@@ -34,14 +33,7 @@ bool MonitorTable::deflatable_locked(const MonitorBase& m,
   return true;
 }
 
-bool MonitorTable::deflatable(const MonitorBase& m,
-                              const void* owner_tag) const {
-  auto lk = lock();
-  return deflatable_locked(m, owner_tag);
-}
-
 MonitorBase& MonitorTable::inflate(LockWord& word, std::string name,
-                                   InflationCause cause,
                                    const Factory& factory, void* owner_tag) {
   auto lk = lock();
   // A stale inflated word is logically free; a live one must not re-inflate.
@@ -69,23 +61,8 @@ MonitorBase& MonitorTable::inflate(LockWord& word, std::string name,
   ++stats_.inflations;
   if (slot.ever_used) ++stats_.re_inflations;
   slot.ever_used = true;
-  switch (cause) {
-    case InflationCause::kContention: ++stats_.inflation_by_contention; break;
-    case InflationCause::kOverflow: ++stats_.inflation_by_overflow; break;
-    case InflationCause::kWait: ++stats_.inflation_by_wait; break;
-    case InflationCause::kObjectSync: ++stats_.inflation_by_sync; break;
-  }
   ++live_;
   if (live_ > stats_.live_high_water) stats_.live_high_water = live_;
-
-  // A thin-held word transfers ownership; biased/free words inflate unowned
-  // (a bias is a prediction, not a hold).
-  if (word.is_thin()) {
-    rt::VThread* owner =
-        rt::current_scheduler()->thread_by_id(word.owner_id());
-    RVK_CHECK_MSG(owner != nullptr, "thin-lock owner thread not found");
-    slot.monitor->adopt_owner(owner, static_cast<int>(word.count()));
-  }
   word = LockWord::inflated(index, slot.generation);
   slot.word = &word;
   return *slot.monitor;
@@ -133,19 +110,6 @@ void MonitorTable::destroy_slot(std::uint32_t index) {
   --live_;
 }
 
-bool MonitorTable::try_deflate(LockWord& word, LockWord after) {
-  auto lk = lock();
-  Slot* slot = slot_of(word);
-  if (slot == nullptr || !deflatable_locked(*slot->monitor, slot->owner_tag)) {
-    return false;
-  }
-  const std::uint32_t index = word.index();
-  word = after;
-  destroy_slot(index);
-  ++stats_.deflations;
-  return true;
-}
-
 std::size_t MonitorTable::scavenge(const void* tag) {
   auto lk = lock();
   ++stats_.scavenge_passes;
@@ -154,7 +118,7 @@ std::size_t MonitorTable::scavenge(const void* tag) {
     Slot& slot = slots_[i];
     if (slot.monitor == nullptr) continue;
     if (tag != nullptr && slot.owner_tag != tag) continue;
-    if (!deflatable_locked(*slot.monitor, slot.owner_tag)) continue;
+    if (!may_deflate_locked(*slot.monitor, slot.owner_tag)) continue;
     if (slot.word != nullptr) *slot.word = LockWord();
     destroy_slot(i);
     ++stats_.deflations;
@@ -175,7 +139,7 @@ void MonitorTable::release_slot(LockWord& word) noexcept {
   }
   const std::uint32_t index = word.index();
   word = LockWord();
-  if (deflatable_locked(*slot->monitor, slot->owner_tag)) {
+  if (may_deflate_locked(*slot->monitor, slot->owner_tag)) {
     destroy_slot(index);
   } else {
     // The word dies but the monitor still has protocol state (e.g. waiters

@@ -1,29 +1,28 @@
 // MonitorTable: the process-wide side table behind inflated lock words
 // (DESIGN.md §13).
 //
-// A LockWord carries the whole monitor until something needs fat-monitor
-// machinery — contention (the entry queue), Object.wait (the wait set), or
-// thin-recursion overflow.  At that point the word *inflates*: the table
-// hands out an index-stable, pooled slot holding a real MonitorBase built
-// by the caller's factory (BlockingMonitor for baselines,
-// core::RevocableMonitor for the engine), and the word becomes
-// {slot, generation}.
+// A heap object's LockWord is free until the object's first synchronized.
+// Engine::monitor_of then *inflates* it: the table hands out an
+// index-stable, pooled slot holding a real MonitorBase built by the
+// caller's factory (core::RevocableMonitor for the engine; the default
+// BlockingMonitor serves table-level tests and micro-benchmarks), and the
+// word becomes {slot, generation}.
 //
 // Deflation is the reverse edge and the reason steady-state monitor memory
 // is O(contended monitors): a slot whose monitor is provably *quiescent* is
-// destroyed and its word returns to thin/biased/free.  The quiescence
-// predicate is deliberately shared with the engine (set_deflate_veto): the
-// base check — no owner, no reservation, empty entry/wait queues, nobody in
-// transit through acquire()/wait() — covers the monitor protocol, and the
-// engine's veto adds "no live or lazy frame references this monitor", so
-// revocation semantics (oldest-frame targeting, pin closure, §5.6 barging)
-// are never consulted against a monitor that could disappear under them.
+// destroyed and its word returns to free.  The quiescence predicate is
+// deliberately shared with the engine (set_deflate_veto): the base check —
+// no owner, no reservation, empty entry/wait queues, nobody in transit
+// through acquire()/wait() — covers the monitor protocol, and the engine's
+// veto adds "no live or lazy frame references this monitor", so revocation
+// semantics (oldest-frame targeting, pin closure, §5.6 barging) are never
+// consulted against a monitor that could disappear under them.
 //
-// Deflation NEVER runs inside the commit/abort/release forbidden regions:
-// the opportunistic pass sits in ThinLock::release strictly after the inner
-// MonitorBase::release() returns, and engine-owned slots (whose releases
-// all happen inside Engine::commit_frame/abort_frame) deflate only through
-// an explicit scavenge().  See DESIGN.md §13 for why.
+// Deflation happens at exactly two points, and NEVER inside the
+// commit/abort/release forbidden regions: an explicit scavenge() (the
+// engine's scavenge_monitors(), run from idle/maintenance context) and
+// word-holder teardown (release_slot, when an ObjectMeta dies).  See
+// DESIGN.md §13 for why.
 //
 // Generation tags make stale words safe without back-pointers from words to
 // owners: every slot release bumps the slot's generation, so a word that
@@ -46,22 +45,10 @@
 
 namespace rvk::monitor {
 
-// Why a word inflated; recorded per-table and (for ThinLock) per-lock.
-enum class InflationCause : std::uint8_t {
-  kContention,  // a second thread hit a thin-held word
-  kOverflow,    // thin recursion passed LockWord::kMaxCount
-  kWait,        // Object.wait needs the wait set even uncontended
-  kObjectSync,  // engine monitor_of(): object's first synchronized
-};
-
 struct MonitorTableStats {
   std::uint64_t inflations = 0;
   std::uint64_t deflations = 0;      // slots returned by quiescence checks
   std::uint64_t re_inflations = 0;   // inflations that reused a scavenged slot
-  std::uint64_t inflation_by_contention = 0;
-  std::uint64_t inflation_by_overflow = 0;
-  std::uint64_t inflation_by_wait = 0;
-  std::uint64_t inflation_by_sync = 0;
   std::uint64_t scavenge_passes = 0;
   std::uint64_t live_high_water = 0;  // max simultaneously inflated slots
 };
@@ -86,13 +73,11 @@ class MonitorTable {
 
   // Inflates `word`: allocates a slot (reusing a scavenged one when
   // available), builds the monitor via `factory` (default: a
-  // BlockingMonitor), and rewrites `word` to {slot, generation}.  A
-  // thin-held word transfers its ownership + recursion onto the fat monitor
-  // (adopt_owner); biased/free words inflate unowned.  `owner_tag`
-  // identifies the slot's creator for release_slots_owned_by (the engine
-  // passes itself; baselines pass nullptr).
+  // BlockingMonitor), and rewrites `word` to {slot, generation}.  The
+  // monitor starts unowned.  `owner_tag` identifies the slot's creator for
+  // scavenge(tag), the deflation veto and release_slots_owned_by (the
+  // engine passes itself).
   RVK_MAY_ALLOC MonitorBase& inflate(LockWord& word, std::string name,
-                                     InflationCause cause,
                                      const Factory& factory = {},
                                      void* owner_tag = nullptr);
 
@@ -106,18 +91,14 @@ class MonitorTable {
   // deflating under it would be a use-after-free).
   static bool quiescent(const MonitorBase& m);
 
-  // Engine veto: an extra predicate ANDed into deflatable().  Returns true
-  // to allow deflation.  An engine installs "no live or lazy frame
-  // references m" keyed by its owner tag (the same tag its slots carry), so
-  // under sharding (DESIGN.md §16) each shard's engine vetoes exactly its
-  // own slots and never has its private frame state walked from another
-  // shard.  Cleared with an empty function.
+  // Engine veto: an extra predicate ANDed with quiescent() before a slot
+  // deflates.  Returns true to allow deflation.  An engine installs "no live
+  // or lazy frame references m" keyed by its owner tag (the same tag its
+  // slots carry), so under sharding (DESIGN.md §16) each shard's engine
+  // vetoes exactly its own slots and never has its private frame state
+  // walked from another shard.  Cleared with an empty function.
   using DeflateVeto = std::function<bool(const MonitorBase&)>;
   void set_deflate_veto(void* tag, DeflateVeto allow);
-
-  // Deflation permission for a monitor created under `owner_tag`: the base
-  // quiescence predicate and the tag's veto.
-  bool deflatable(const MonitorBase& m, const void* owner_tag = nullptr) const;
 
   // Multi-shard switch (flipped by every engine that binds to a multi-shard
   // DomainSet, before its first table access — shard threads construct
@@ -131,15 +112,6 @@ class MonitorTable {
   bool concurrent() const {
     return concurrent_.load(std::memory_order_relaxed);
   }
-
-  // Release-time opportunistic deflation: if `word` is inflated, its slot
-  // live, and its monitor deflatable, destroys the monitor and rewrites
-  // `word` to `after` (callers that know the releasing thread pass
-  // LockWord::biased(id) so the next re-acquire is the one-compare fast
-  // path; scavenge uses free).  Returns true iff it deflated.
-  // Never call from a commit/abort/release forbidden region: destroying the
-  // monitor frees memory and the veto walks engine state.
-  bool try_deflate(LockWord& word, LockWord after = LockWord());
 
   // Sweeps live slots, deflating the quiescent ones (stale-detached slots
   // included).  Returns the number of slots deflated.  With the default
@@ -192,7 +164,9 @@ class MonitorTable {
     return concurrent() ? std::unique_lock<std::mutex>(mu_)
                         : std::unique_lock<std::mutex>();
   }
-  bool deflatable_locked(const MonitorBase& m, const void* owner_tag) const;
+  // Deflation permission for a monitor created under `owner_tag`: the base
+  // quiescence predicate and the tag's veto.
+  bool may_deflate_locked(const MonitorBase& m, const void* owner_tag) const;
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoFree;

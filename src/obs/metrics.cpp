@@ -7,7 +7,6 @@
 #include "log/undo_log.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/monitor_table.hpp"
-#include "monitor/thin_lock.hpp"
 
 namespace rvk::obs {
 
@@ -166,25 +165,8 @@ void publish(Registry& r, const monitor::MonitorTableStats& s,
   r.counter(p + "inflations") += s.inflations;
   r.counter(p + "deflations") += s.deflations;
   r.counter(p + "re_inflations") += s.re_inflations;
-  r.counter(p + "inflation_by_contention") += s.inflation_by_contention;
-  r.counter(p + "inflation_by_overflow") += s.inflation_by_overflow;
-  r.counter(p + "inflation_by_wait") += s.inflation_by_wait;
-  r.counter(p + "inflation_by_sync") += s.inflation_by_sync;
   r.counter(p + "scavenge_passes") += s.scavenge_passes;
   r.set_max(p + "live_high_water", s.live_high_water);
-}
-
-void publish(Registry& r, const monitor::ThinLockStats& s,
-             std::string_view prefix) {
-  const std::string p(prefix);
-  r.counter(p + "thin_acquires") += s.thin_acquires;
-  r.counter(p + "heavy_acquires") += s.heavy_acquires;
-  r.counter(p + "inflations") += s.inflations;
-  r.counter(p + "deflations") += s.deflations;
-  r.counter(p + "re_inflations") += s.re_inflations;
-  r.counter(p + "inflation_by_contention") += s.inflation_by_contention;
-  r.counter(p + "inflation_by_overflow") += s.inflation_by_overflow;
-  r.counter(p + "inflation_by_wait") += s.inflation_by_wait;
 }
 
 void publish(Registry& r, const log::LogStats& s, std::string_view prefix) {

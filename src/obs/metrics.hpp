@@ -33,7 +33,6 @@ struct EngineStats;
 namespace rvk::monitor {
 struct MonitorStats;
 struct MonitorTableStats;
-struct ThinLockStats;
 }
 namespace rvk::log {
 struct LogStats;
@@ -121,8 +120,6 @@ void publish(Registry& r, const monitor::MonitorStats& s,
              std::string_view prefix);
 void publish(Registry& r, const monitor::MonitorTableStats& s,
              std::string_view prefix = "montable.");
-void publish(Registry& r, const monitor::ThinLockStats& s,
-             std::string_view prefix);
 void publish(Registry& r, const log::LogStats& s,
              std::string_view prefix = "log.");
 

@@ -133,7 +133,7 @@ Scheduler::Scheduler(SchedulerConfig cfg)
       ready_(cfg.strict_priority ? WaitQueue::Order::kPriority
                                  : WaitQueue::Order::kFifo) {
   RVK_CHECK(cfg_.quantum > 0);
-  // Id 0 is the thin-lock "unowned" encoding; never hand it out.
+  // Id 0 means "no thread" (ObjectMeta::writer_tid); never hand it out.
   RVK_CHECK_MSG(cfg_.first_thread_id >= 1, "thread ids start at 1");
   next_id_ = cfg_.first_thread_id;
 }
@@ -513,13 +513,6 @@ bool Scheduler::timer_armed(const VThread* t, bool timed_block) const {
     }
   }
   return false;
-}
-
-VThread* Scheduler::thread_by_id(ThreadId id) const {
-  for (const auto& t : threads_) {
-    if (t->id() == id) return t.get();
-  }
-  return nullptr;
 }
 
 std::vector<VThread*> Scheduler::threads() const {

@@ -245,9 +245,6 @@ class Scheduler {
   const SchedulerConfig& config() const { return cfg_; }
   std::vector<VThread*> threads() const;
 
-  // Thread lookup by id (thin-lock inflation resolves header-word owner
-  // ids); nullptr if unknown.
-  VThread* thread_by_id(ThreadId id) const;
   std::size_t live_count() const { return live_count_; }
 
   // Fiber stacks released by finished threads (each thread's stack is

@@ -4,6 +4,9 @@
 // by any frame, and survive nothing they shouldn't.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "monitor/monitor_table.hpp"
@@ -28,7 +31,7 @@ TEST(DeflationTest, MonitorOfInflatesTheObjectWord) {
   EXPECT_TRUE(obj->meta().lock.is_inflated());
   EXPECT_EQ(m->name(), "monitor:obj");
   EXPECT_EQ(fx.engine.monitor_of(obj), m);  // resolves, does not re-inflate
-  EXPECT_GE(monitor::MonitorTable::global().stats().inflation_by_sync, 1u);
+  EXPECT_GE(monitor::MonitorTable::global().stats().inflations, 1u);
 }
 
 TEST(DeflationTest, ScavengeDeflatesIdleObjectMonitor) {
@@ -143,6 +146,43 @@ TEST(DeflationTest, RevocationAcrossDeflationRetriesOnFreshMonitor) {
   EXPECT_EQ(hi_saw, 0);   // revocation undid lo's speculative store
   EXPECT_EQ(lo_runs, 2);  // lo retried and committed
   EXPECT_EQ(obj->get<int>(0), 5);
+}
+
+TEST(DeflationTest, ObjectMonitorChurnKeepsSlotCountFlat) {
+  // 64 objects synchronized on by 4 interleaving threads all inflate, and
+  // one scavenge returns every slot: monitor memory tracks live
+  // synchronization, not the number of objects ever locked.
+  rt::SchedulerConfig cfg;
+  cfg.quantum = 5;
+  rt::Scheduler sched(cfg);
+  Engine engine(sched);
+  heap::Heap heap;
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  engine.scavenge_monitors();  // drain any leftovers from earlier tests
+  const std::size_t live_before = table.live_slots();
+  const std::uint64_t inflations_before = table.stats().inflations;
+  std::vector<heap::HeapObject*> objs;
+  for (int i = 0; i < 64; ++i) {
+    objs.push_back(heap.alloc("o" + std::to_string(i), 1));
+  }
+  for (int t = 0; t < 4; ++t) {
+    sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+      for (int round = 0; round < 3; ++round) {
+        for (heap::HeapObject* obj : objs) {
+          engine.synchronized(obj, [&] { sched.yield_point(); });
+        }
+      }
+    });
+  }
+  sched.run();
+  // Each object's first synchronized inflated its word, and nothing
+  // deflated mid-run...
+  EXPECT_EQ(table.stats().inflations, inflations_before + objs.size());
+  EXPECT_EQ(table.live_slots(), live_before + objs.size());
+  // ...but none of it persists past a scavenge.
+  EXPECT_EQ(engine.scavenge_monitors(), objs.size());
+  EXPECT_EQ(table.live_slots(), live_before);
+  for (heap::HeapObject* obj : objs) EXPECT_TRUE(obj->meta().lock.is_free());
 }
 
 TEST(DeflationTest, EngineTeardownReleasesItsSlots) {

@@ -226,7 +226,13 @@ TEST(UndoLogTest, ChunksReleasedToPoolAcrossCommit) {
 }
 
 TEST(UndoLogTest, DestructorReturnsChunksToPool) {
-  const std::size_t pooled_before = detail::pooled_chunk_count();
+  // The log may draw its chunks FROM the per-thread pool (earlier tests in
+  // this process leave it non-empty), so the count's net change across the
+  // whole scope proves nothing.  Measure the destructor's own contribution:
+  // the pooled count just before the log dies.  Growing took two chunks
+  // (pooled or fresh) and discard_all returned one, so the pool sits below
+  // its cap and the destructor's one chunk must land in it.
+  std::size_t pooled_before_death = 0;
   {
     UndoLog log(4);
     Word s = 0;
@@ -234,8 +240,10 @@ TEST(UndoLogTest, DestructorReturnsChunksToPool) {
       log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
     }
     log.discard_all();  // still holds the active chunk
+    ASSERT_EQ(log.capacity(), UndoLog::kChunkEntries);
+    pooled_before_death = detail::pooled_chunk_count();
   }
-  EXPECT_GE(detail::pooled_chunk_count(), pooled_before + 1);
+  EXPECT_EQ(detail::pooled_chunk_count(), pooled_before_death + 1);
 }
 
 TEST(UndoLogTest, RollbackReleasesRetiredChunks) {

@@ -14,7 +14,6 @@
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "monitor/monitor.hpp"
-#include "monitor/thin_lock.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::monitor {
@@ -270,84 +269,6 @@ TEST(TryEnterTest, CancelTokenRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// ThinLock::try_acquire — the lock-word adapter.
-
-TEST(ThinTryAcquireTest, UncontendedPathsNeverArmTimers) {
-  rt::Scheduler s;
-  ThinLock l("l");
-  s.spawn("t", rt::kNormPriority, [&] {
-    const std::uint64_t before = s.now();
-    EXPECT_TRUE(l.try_acquire(0));   // free word
-    EXPECT_TRUE(l.try_acquire(0));   // thin recursive
-    l.release();
-    l.release();                     // parks the word biased
-    EXPECT_TRUE(l.try_acquire(0));   // biased re-acquire
-    l.release();
-    EXPECT_EQ(s.now(), before);
-    EXPECT_FALSE(l.inflated());
-  });
-  s.run();
-  EXPECT_EQ(l.stats().thin_acquires, 3u);
-  EXPECT_EQ(l.stats().inflations, 0u);
-}
-
-TEST(ThinTryAcquireTest, ZeroTickProbeOnContendedWordDoesNotInflate) {
-  rt::Scheduler s;
-  ThinLock l("l");
-  bool probed = true;
-  s.spawn("holder", rt::kNormPriority, [&] {
-    l.acquire();
-    s.sleep_for(20);  // held (thin) while the prober runs
-    l.release();
-  });
-  s.spawn("prober", rt::kNormPriority, [&] {
-    probed = l.try_acquire(0);
-    EXPECT_FALSE(l.inflated());  // the probe must not force the lock fat
-  });
-  s.run();
-  EXPECT_FALSE(probed);
-  EXPECT_EQ(l.stats().inflations, 0u);
-}
-
-TEST(ThinTryAcquireTest, BoundedWaitInflatesAndTimesOutExactly) {
-  rt::Scheduler s;
-  ThinLock l("l");
-  bool got = true;
-  std::uint64_t start = 0, woke = 0;
-  s.spawn("holder", rt::kNormPriority, [&] {
-    l.acquire();
-    s.sleep_for(100);
-    l.release();
-  });
-  s.spawn("waiter", rt::kNormPriority, [&] {
-    start = s.now();
-    got = l.try_acquire(25);
-    woke = s.now();
-  });
-  s.run();
-  EXPECT_FALSE(got);
-  EXPECT_EQ(woke - start, 25u);
-  EXPECT_EQ(l.stats().inflation_by_contention, 1u);
-}
-
-TEST(ThinTryAcquireTest, BoundedWaitSucceedsWhenHolderReleasesInTime) {
-  rt::Scheduler s;
-  ThinLock l("l");
-  bool got = false;
-  s.spawn("holder", rt::kNormPriority, [&] {
-    l.acquire();
-    s.sleep_for(10);
-    l.release();
-  });
-  s.spawn("waiter", rt::kNormPriority, [&] {
-    got = l.try_acquire(1000);
-    if (got) l.release();
-  });
-  s.run();
-  EXPECT_TRUE(got);
-}
-
-// ---------------------------------------------------------------------------
 // Blocking entry is abortable entry with no deadline, and so never observes
 // cancellation (Java fidelity, MonitorBase::cancel): a cancel posted before
 // entry or while parked is at most a spurious wakeup, on every layer.
@@ -359,11 +280,9 @@ struct EntryWorld {
   heap::HeapObject* obj = heap.alloc("obj", 1);
   BlockingMonitor blocking{"blocking"};
   core::RevocableMonitor* revocable = engine.make_monitor("revocable");
-  ThinLock thin{"thin"};
 };
 
-// Runs while the lock is held, given the fat monitor behind it (nullptr
-// while a thin lock is still thin).
+// Runs while the lock is held, given the monitor behind it.
 using Inside = std::function<void(MonitorBase*)>;
 
 struct BlockingPath {
@@ -383,12 +302,6 @@ const BlockingPath kBlockingPaths[] = {
        w.revocable->acquire();
        inside(w.revocable);
        w.revocable->release();
-     }},
-    {"ThinLock::acquire",
-     [](EntryWorld& w, const Inside& inside) {
-       w.thin.acquire();
-       inside(MonitorTable::global().monitor_at(w.thin.word()));
-       w.thin.release();
      }},
     {"Engine::synchronized(m)",
      [](EntryWorld& w, const Inside& inside) {
