@@ -55,8 +55,20 @@ std::size_t pooled_chunk_count() {
 
 }  // namespace detail
 
-UndoLog::~UndoLog() {
+void release_pooled_chunks() {
+  detail::ChunkPool& p = detail::pool();
+  if (!p.alive) return;
+  while (p.count > 0) p.slots[--p.count].reset();
+}
+
+void UndoLog::release_storage() {
+  note_high_water();
   for (auto& chunk : chunks_) detail::pool_release(std::move(chunk));
+  chunks_.clear();
+  cursor_ = nullptr;
+  chunk_begin_ = nullptr;
+  chunk_end_ = nullptr;
+  active_ = 0;
 }
 
 void UndoLog::next_chunk() {

@@ -23,9 +23,11 @@
 //
 // Chunks are pooled per OS thread (DESIGN.md §11): commit and rollback park
 // retired chunks — those holding no live entries — on a thread-local free
-// list, and next_chunk() takes from it before touching the allocator.  A
-// steady-state section therefore never mallocs, and a thread that logged one
-// burst does not hold its high-water footprint forever.
+// list, a finished thread parks all of its chunks there (release_storage),
+// and next_chunk() takes from it before touching the allocator.  A
+// steady-state section therefore never mallocs, a thread that logged one
+// burst does not hold its high-water footprint forever, and a finished
+// thread holds none.
 #pragma once
 
 #include <cstddef>
@@ -81,6 +83,10 @@ extern void (*g_log_obs_hook)(LogEventKind, std::uint64_t);
 std::size_t pooled_chunk_count();
 }  // namespace detail
 
+// Frees every chunk parked on the calling OS thread's free list (the
+// scheduler calls this when it dies; DESIGN.md §11).
+void release_pooled_chunks();
+
 inline void set_log_obs_hook(void (*hook)(LogEventKind, std::uint64_t)) {
   detail::g_log_obs_hook = hook;
 }
@@ -123,8 +129,8 @@ class UndoLog {
     chunks_.reserve((initial_capacity + kChunkEntries - 1) >> kChunkShift);
   }
 
-  // Returns every chunk to the per-thread pool.
-  ~UndoLog();
+  // Returns every chunk to the per-thread pool (release_storage()).
+  ~UndoLog() { release_storage(); }
 
   UndoLog(const UndoLog&) = delete;
   UndoLog& operator=(const UndoLog&) = delete;
@@ -191,6 +197,15 @@ class UndoLog {
     return s;
   }
   void reset_stats() { stats_ = LogStats{}; }
+
+  // Returns every chunk to the calling OS thread's pool and leaves an
+  // empty log holding no storage; statistics survive, high-water mark
+  // included.  The scheduler calls this when a thread finishes, so a
+  // finished thread's log costs nothing while its control block lives on
+  // (DESIGN.md §11, §15).  Any live entries are dropped, not replayed.
+  // Non-allocating, like the truncation paths: chunks move into fixed pool
+  // slots and overflow is freed.
+  RVK_NO_YIELD void release_storage();
 
   // Allocated entry slots across all chunks (diagnostics).
   std::size_t capacity() const { return chunks_.size() << kChunkShift; }

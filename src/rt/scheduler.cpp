@@ -140,6 +140,13 @@ Scheduler::Scheduler(SchedulerConfig cfg)
 
 Scheduler::~Scheduler() {
   RVK_CHECK_MSG(!running_, "Scheduler destroyed while running");
+  // Give this OS thread's pooled log chunks back to the allocator.  A dead
+  // scheduler then leaves no chunk memory behind, and the large frees make
+  // glibc consolidate the small blocks its engine freed at teardown here,
+  // not inside the next large allocation (typically the next scheduler's
+  // set-up).  The stack pool stays: its mappings are not heap memory, and
+  // keeping them spares the next scheduler's spawns an mmap.
+  log::release_pooled_chunks();
 #ifdef RVK_TSAN_FIBERS
   // Fibers of threads that never finished (stalled-test wreckage).
   for (const auto& t : threads_) {
@@ -238,13 +245,17 @@ void Scheduler::dispatch(VThread* t) {
       t->state_ = ThreadState::kFinished;
       --live_count_;
       wake_all(t->joiners_);
-      // Reclaim the dead fiber's execution resources.  The swapcontext
-      // above completed the switch off that stack (and switch_out already
-      // tore down its ASan fake stack), so nothing can touch it again: a
-      // finished thread is never dispatched and join() only reads control-
-      // block fields.  This keeps memory O(live threads) when open-loop
-      // drivers (svc/) spawn one short-lived green thread per request.
+      // Reclaim the dead fiber's execution resources: its stack mapping and
+      // its undo-log chunks go back to this OS thread's pools, where the
+      // next spawn and the next section take them without a system call.
+      // The swapcontext above completed the switch off that stack (and
+      // switch_out already tore down its ASan fake stack), so nothing can
+      // touch it again: a finished thread is never dispatched and join()
+      // only reads control-block fields; its log statistics survive the
+      // release.  This keeps memory O(live threads) when open-loop drivers
+      // (svc/) spawn one short-lived green thread per request.
       t->stack_.reset();
+      t->undo_log.release_storage();
       t->body_ = nullptr;
 #ifdef RVK_TSAN_FIBERS
       // Back on the scheduler fiber (switch_out announced that), so the

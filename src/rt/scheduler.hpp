@@ -247,10 +247,10 @@ class Scheduler {
 
   std::size_t live_count() const { return live_count_; }
 
-  // Fiber stacks released by finished threads (each thread's stack is
-  // reclaimed the moment it finishes, so resident memory tracks the LIVE
-  // population even when a run spawns short-lived threads by the hundred
-  // thousand — the open-loop driver's regime).
+  // Fiber stacks released by finished threads (each thread's stack and
+  // undo-log chunks are recycled the moment it finishes, so resident memory
+  // tracks the LIVE population even when a run spawns short-lived threads
+  // by the hundred thousand — the open-loop driver's regime).
   std::uint64_t stacks_reclaimed() const { return stacks_reclaimed_; }
 
   // True if the deadline heap still holds a live (non-stale-generation)

@@ -92,6 +92,10 @@ class VThread {
   Scheduler* scheduler() const { return sched_; }
   const ThreadStats& stats() const { return stats_; }
 
+  // Execution stack; nullptr once the thread has finished and its mapping
+  // went back to the pool.
+  const Stack* stack() const { return stack_.get(); }
+
   // ---- Synchronized-section support (used by heap/ barriers and core/) ----
 
   // Depth of nested synchronized sections; >0 enables the write-barrier

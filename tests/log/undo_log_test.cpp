@@ -301,5 +301,23 @@ TEST(UndoLogTest, RollbackToCurrentWatermarkIsNoop) {
   EXPECT_EQ(log.size(), 1u);
 }
 
+TEST(UndoLogTest, ReleaseStorageKeepsStatsAndLeavesAReusableLog) {
+  UndoLog log;
+  Word x = 1;
+  log.record(EntryKind::kStaticField, &x, x, &x, 0);
+  log.record(EntryKind::kStaticField, &x, x, &x, 0);
+  log.release_storage();
+  EXPECT_EQ(log.capacity(), 0u);
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.stats().appends, 2u);
+  EXPECT_EQ(log.stats().high_water, 2u);
+  // The next store reopens a chunk.
+  log.record(EntryKind::kStaticField, &x, 7, &x, 0);
+  EXPECT_EQ(log.capacity(), UndoLog::kChunkEntries);
+  log.rollback_to(0);
+  EXPECT_EQ(x, 7u);
+  EXPECT_EQ(log.stats().appends, 3u);
+}
+
 }  // namespace
 }  // namespace rvk::log

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "rt/domain.hpp"
 #include "rt/mailbox.hpp"
 #include "rt/scheduler.hpp"
+#include "rt/stack.hpp"
 
 namespace rvk::rt {
 namespace {
@@ -272,6 +274,62 @@ TEST(DomainSetTest, OsThreadsModeCompletesCrossTraffic) {
   EXPECT_EQ(count[0], 50);
   EXPECT_EQ(count[1], 50);
   EXPECT_FALSE(set.deadlocked());
+}
+
+TEST(DomainSetTest, OsThreadsShardsRecycleFromTheirOwnPools) {
+  // Stack and undo-log chunk pools are per OS thread (DESIGN.md §16): each
+  // shard recycles its finished threads' mappings among its own threads, no
+  // mapping is ever handed to both shards, and destroying the set on this
+  // thread — after the shard threads tore their pools down — is race-free.
+  constexpr int kWaves = 64;
+  constexpr int kWidth = 16;
+  // Home-shard-only mutation, read after join().
+  std::vector<const void*> bases[2];
+  std::size_t kept_log_slots[2] = {0, 0};  // capacity left in finished logs
+  std::size_t pooled_stacks[2] = {0, 0};
+  {
+    DomainSet::Config cfg;
+    cfg.shards = 2;
+    cfg.mode = DomainSet::Mode::kOsThreads;
+    DomainSet set(cfg);
+    set.start([&](Domain& d) {
+      const std::uint16_t me = d.id();
+      Scheduler& s = d.sched();
+      s.spawn("driver", 5, [&, me] {
+        std::vector<VThread*> wave;
+        for (int w = 0; w < kWaves; ++w) {
+          wave.clear();
+          for (int i = 0; i < kWidth; ++i) {
+            VThread* c = s.spawn("c", 5, [] {
+              log::Word x = 0;
+              current_vthread()->undo_log.record(log::EntryKind::kStaticField,
+                                                 &x, x, &x, 0);
+            });
+            bases[me].push_back(c->stack()->base());
+            wave.push_back(c);
+          }
+          for (VThread* c : wave) {
+            s.join(c);
+            kept_log_slots[me] += c->undo_log.capacity();
+          }
+        }
+        pooled_stacks[me] = detail::pooled_stack_count();
+      });
+    });
+    set.join();
+  }
+  for (int shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(bases[shard].size(), static_cast<std::size_t>(kWaves * kWidth));
+    EXPECT_EQ(kept_log_slots[shard], 0u) << "shard " << shard;
+    EXPECT_GE(pooled_stacks[shard], static_cast<std::size_t>(kWidth))
+        << "shard " << shard;
+  }
+  const std::set<const void*> own0(bases[0].begin(), bases[0].end());
+  const std::set<const void*> own1(bases[1].begin(), bases[1].end());
+  // Every wave after the first ran on recycled mappings.
+  EXPECT_LE(own0.size(), 64u + kWidth);
+  EXPECT_LE(own1.size(), 64u + kWidth);
+  for (const void* b : own1) EXPECT_EQ(own0.count(b), 0u) << b;
 }
 
 TEST(DomainSetTest, OsThreadsSurfacesShardFailureAtJoin) {

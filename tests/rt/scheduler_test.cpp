@@ -309,8 +309,10 @@ TEST(SchedulerTest, CurrentVThreadAccessors) {
 
 TEST(SchedulerTest, FinishedThreadStacksAreReclaimed) {
   // Open-loop drivers inject far more threads than are ever live at once;
-  // each finished fiber must give its stack back at dispatch so memory is
-  // O(live threads), not O(total spawned).
+  // each finished fiber must give its stack and its undo-log chunks back at
+  // dispatch so memory is O(live threads), not O(total spawned).  The
+  // recycling itself (pool bounds, statistics kept, guard page kept) is
+  // covered in recycle_test.cpp.
   Scheduler s;
   constexpr int kThreads = 50;
   for (int i = 0; i < kThreads; ++i) {
