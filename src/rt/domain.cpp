@@ -34,8 +34,12 @@ Domain* current_domain() { return g_current_domain; }
 // ---------------------------------------------------------------------------
 // Domain
 
-Domain::Domain(DomainSet* set, std::uint16_t id, SchedulerConfig cfg)
-    : set_(set), id_(id) {
+Domain::Domain(DomainSet* set, std::uint16_t id, std::size_t senders,
+               SchedulerConfig cfg)
+    : set_(set),
+      id_(id),
+      inbox_(std::make_unique<Mailbox[]>(senders)),
+      senders_(senders) {
   // The set's run loops own stall handling — a stalled shard may simply be
   // waiting for a message from a peer, which is not a process-fatal event.
   cfg.on_stall = SchedulerConfig::OnStall::kReturn;
@@ -48,7 +52,7 @@ Domain::Domain(DomainSet* set, std::uint16_t id, SchedulerConfig cfg)
 Domain::~Domain() = default;
 
 void Domain::post(const Message& m) {
-  RVK_CHECK_MSG(m.from < kMaxShards, "message from an impossible shard id");
+  RVK_CHECK_MSG(m.from < senders_, "message from an impossible shard id");
   // Counted before the push: from the receiving shard's point of view the
   // message exists the instant it becomes poppable, and the deflation veto
   // must already see it then.
@@ -71,7 +75,7 @@ void Domain::post(const Message& m) {
 std::size_t Domain::drain() {
   std::size_t popped = 0;
   Message m;
-  for (std::size_t s = 0; s < kMaxShards; ++s) {
+  for (std::size_t s = 0; s < senders_; ++s) {
     // The pending_n_ guard keeps handle_message's deferred-work store a
     // plain array write — a full pending list leaves messages in the ring
     // for the next drain instead of allocating.
@@ -175,8 +179,8 @@ void Domain::run_remote_section(RemoteCall* call) {
 
 bool Domain::has_inbox_data() const {
   if (pending_n_ > 0) return true;
-  for (const Mailbox& m : inbox_) {
-    if (!m.empty()) return true;
+  for (std::size_t s = 0; s < senders_; ++s) {
+    if (!inbox_[s].empty()) return true;
   }
   return false;
 }
@@ -209,8 +213,8 @@ DomainSet::DomainSet(Config cfg) : cfg_(cfg) {
     // classic numbering so RVK_SHARDS=1 is bit-for-bit today's runtime.
     sc.first_thread_id =
         1 + static_cast<std::uint32_t>(d) * cfg_.thread_id_stride;
-    domains_.push_back(
-        std::make_unique<Domain>(this, static_cast<std::uint16_t>(d), sc));
+    domains_.push_back(std::make_unique<Domain>(
+        this, static_cast<std::uint16_t>(d), cfg_.shards, sc));
   }
 }
 

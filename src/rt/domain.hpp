@@ -54,10 +54,14 @@ class DomainSet;
 
 class Domain {
  public:
-  // Shards a mailbox matrix can address; far above any sane RVK_SHARDS.
+  // Largest shard count a DomainSet accepts (the RVK_SHARDS clamp); far
+  // above any sane RVK_SHARDS.
   static constexpr std::size_t kMaxShards = 16;
 
-  Domain(DomainSet* set, std::uint16_t id, SchedulerConfig cfg);
+  // `senders` is the number of shards that may post here (the set's size):
+  // the domain keeps one inbound ring per sender, no more.
+  Domain(DomainSet* set, std::uint16_t id, std::size_t senders,
+         SchedulerConfig cfg);
   ~Domain();
 
   Domain(const Domain&) = delete;
@@ -84,12 +88,12 @@ class Domain {
   // ---- Cross-shard producer side (called from OTHER shards, or from the
   // set-owning thread before the shards run) ----
 
-  // Enqueues `m` into this domain's inbox for shard `m.from`.  Retries from
-  // a yield point when the ring is momentarily full (sender must be a
-  // vthread in that case).  Counts the message as inbound work until the
-  // receiving shard fully executes it — the deflation veto reads that
-  // counter, so a monitor can never deflate while a message that might
-  // reference it is in flight.
+  // Enqueues `m` into this domain's inbox for shard `m.from`, which must be
+  // below the sender count.  Retries from a yield point when the ring is
+  // momentarily full (sender must be a vthread in that case).  Counts the
+  // message as inbound work until the receiving shard fully executes it —
+  // the deflation veto reads that counter, so a monitor can never deflate
+  // while a message that might reference it is in flight.
   void post(const Message& m);
 
   // Messages accepted but not yet fully executed (in a ring, in the
@@ -157,7 +161,9 @@ class Domain {
   std::unique_ptr<Scheduler> sched_;
   void* engine_ctx_ = nullptr;
   Revoker revoker_;
-  std::array<Mailbox, kMaxShards> inbox_;  // inbox_[s]: messages from shard s
+  // inbox_[s]: messages from shard s, one ring per sender of the set.
+  std::unique_ptr<Mailbox[]> inbox_;
+  std::size_t senders_;
   std::array<Message, kMaxPending> pending_{};
   std::size_t pending_n_ = 0;
   WaitQueue remote_waiters_;

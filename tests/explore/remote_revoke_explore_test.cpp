@@ -54,10 +54,11 @@ TEST(RemoteRevokeExploreTest, RevokeVsCommitBothOutcomesBound2Exhaustive) {
     st->probe = st->heap.alloc("probe", 1);
 
     // A standalone Domain playing "the owner's mailbox": no DomainSet, no
-    // OS thread — just the ring, the pending list and the counters.  Its
-    // revoker re-enters the scenario engine, exactly like the one
-    // core::Engine installs on its shard.
-    rt::Domain* d = ctx.make<rt::Domain>(nullptr, 0, rt::SchedulerConfig{});
+    // OS thread — just one sender's ring, the pending list and the
+    // counters.  Its revoker re-enters the scenario engine, exactly like
+    // the one core::Engine installs on its shard.
+    rt::Domain* d = ctx.make<rt::Domain>(nullptr, 0, /*senders=*/1,
+                                         rt::SchedulerConfig{});
     d->set_revoker([&e](rt::VThread* owner, void* mon, int boost_to) {
       return e.request_revocation(
           owner, *static_cast<core::RevocableMonitor*>(mon),

@@ -1,8 +1,8 @@
-// Scheduler shards (DESIGN.md §16): mailbox SPSC ring semantics, RVK_SHARDS
-// parsing, cooperative round-robin shard multiplexing, remote call/spawn
-// plumbing, OS-thread mode, and virtual-clock determinism of the
-// cooperative mode (the property the exploration harness and the
-// deterministic suite lean on).
+// Scheduler shards (DESIGN.md §16): mailbox SPSC ring semantics, one ring
+// per sender of the set, RVK_SHARDS parsing, cooperative round-robin shard
+// multiplexing, remote call/spawn plumbing, OS-thread mode, and
+// virtual-clock determinism of the cooperative mode (the property the
+// exploration harness and the deterministic suite lean on).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -274,6 +274,106 @@ TEST(DomainSetTest, OsThreadsModeCompletesCrossTraffic) {
   EXPECT_EQ(count[0], 50);
   EXPECT_EQ(count[1], 50);
   EXPECT_FALSE(set.deadlocked());
+}
+
+// Every ordered pair (from != to) of an N-shard cooperative set makes one
+// remote call, each from its own vthread so a shard's rings fill
+// concurrently.  Returns, per target shard, the sender of every call in the
+// order it ran, plus each shard's dispatch count, so callers can compare
+// whole runs.
+struct AllPairsRun {
+  std::vector<std::vector<std::uint16_t>> ran_from;  // [to]: senders in order
+  std::vector<std::uint64_t> dispatches;
+  bool operator==(const AllPairsRun&) const = default;
+};
+
+AllPairsRun run_all_pairs(std::size_t shards) {
+  DomainSet::Config cfg;
+  cfg.shards = shards;
+  AllPairsRun r;
+  r.ran_from.resize(shards);
+  r.dispatches.resize(shards);
+  DomainSet set(cfg);
+  set.run(
+      [&](Domain& d) {
+        const std::uint16_t from = d.id();
+        for (std::size_t t = 0; t < shards; ++t) {
+          const auto to = static_cast<std::uint16_t>(t);
+          if (to == from) continue;
+          d.sched().spawn("pair", 5, [&set, &r, from, to] {
+            // Runs on `to`: ran_from[to] is home-shard-only state.
+            set.remote_call(to, 5, "hop",
+                            [&r, from, to] { r.ran_from[to].push_back(from); });
+          });
+        }
+      },
+      [&](Domain& d) { r.dispatches[d.id()] = d.sched().dispatches(); });
+  return r;
+}
+
+void expect_every_ring_delivers(std::size_t shards) {
+  const AllPairsRun a = run_all_pairs(shards);
+  for (std::size_t to = 0; to < shards; ++to) {
+    std::vector<int> calls(shards, 0);
+    for (const std::uint16_t from : a.ran_from[to]) ++calls[from];
+    for (std::size_t from = 0; from < shards; ++from) {
+      EXPECT_EQ(calls[from], from == to ? 0 : 1)
+          << "shard " << to << " from " << from;
+    }
+  }
+  EXPECT_TRUE(a == run_all_pairs(shards));  // cooperative: run for run
+}
+
+TEST(DomainSetTest, CooperativeAllPairsThreeShards) {
+  expect_every_ring_delivers(3);
+}
+
+TEST(DomainSetTest, CooperativeAllPairsMaxShards) {
+  expect_every_ring_delivers(Domain::kMaxShards);
+}
+
+TEST(DomainDeathTest, PostFromBeyondTheSetAborts) {
+  // A domain holds one ring per shard of its set, so a sender id at or past
+  // the set's size has no ring — even when it is below kMaxShards.
+  DomainSet::Config cfg;
+  cfg.shards = 3;
+  DomainSet set(cfg);
+  Message m;
+  m.kind = Message::Kind::kBoost;
+  m.from = 3;
+  EXPECT_DEATH(set.domain(0).post(m), "message from an impossible shard id");
+  m.from = static_cast<std::uint16_t>(Domain::kMaxShards - 1);
+  EXPECT_DEATH(set.domain(2).post(m), "message from an impossible shard id");
+}
+
+TEST(DomainSetTest, OsThreadsThreeShardsCallBothNeighbours) {
+  constexpr int kRounds = 25;
+  DomainSet::Config cfg;
+  cfg.shards = 3;
+  cfg.mode = DomainSet::Mode::kOsThreads;
+  DomainSet set(cfg);
+  int calls[3][3] = {};  // [to][from], mutated only on shard `to`
+  set.start([&](Domain& d) {
+    const std::uint16_t me = d.id();
+    d.sched().spawn("caller", 5, [&set, &calls, me] {
+      for (int i = 0; i < kRounds; ++i) {
+        for (const int step : {1, 2}) {
+          const auto to = static_cast<std::uint16_t>((me + step) % 3);
+          set.remote_call(to, 5, "hop",
+                          [&calls, me, to] { ++calls[to][me]; });
+        }
+      }
+    });
+  });
+  set.join();  // join() gives the happens-before for reading the counters
+  EXPECT_FALSE(set.deadlocked());
+  for (int to = 0; to < 3; ++to) {
+    for (int from = 0; from < 3; ++from) {
+      EXPECT_EQ(calls[to][from], from == to ? 0 : kRounds)
+          << "shard " << to << " from " << from;
+    }
+    EXPECT_EQ(set.domain(to).inbound_work(), 0u);
+  }
 }
 
 TEST(DomainSetTest, OsThreadsShardsRecycleFromTheirOwnPools) {
