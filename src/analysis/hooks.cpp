@@ -48,8 +48,6 @@ const char* pin_reason_name(core::PinReason r) {
       return "none";
     case core::PinReason::kDependency:
       return "dependency";
-    case core::PinReason::kVolatile:
-      return "volatile";
     case core::PinReason::kNativeCall:
       return "native-call";
     case core::PinReason::kWait:

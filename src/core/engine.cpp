@@ -32,7 +32,6 @@ struct GlobalHooks {
   int count = 0;
   bool jmm_guard = false;
   bool dedup_logging = false;
-  bool conservative_volatile = false;
 };
 GlobalHooks g_hooks;
 }  // namespace
@@ -129,28 +128,21 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
 
   {
     std::lock_guard<std::mutex> lk(g_hooks.mu);
-    const bool conservative =
-        cfg_.jmm_guard && cfg_.volatile_policy == VolatilePolicy::kConservative;
     if (g_hooks.count == 0) {
       g_hooks.jmm_guard = cfg_.jmm_guard;
       g_hooks.dedup_logging = cfg_.dedup_logging;
-      g_hooks.conservative_volatile = conservative;
       rt::set_lazy_frame_hook(&Engine::lazy_frame_trampoline);
       heap::set_dependency_tracking(cfg_.jmm_guard);
       heap::set_dedup_logging(cfg_.dedup_logging);
       heap::set_alloc_hook(&Engine::alloc_trampoline);
       if (cfg_.jmm_guard) {
         heap::set_tracked_read_hook(&Engine::tracked_read_trampoline);
-        if (conservative) {
-          heap::set_volatile_write_hook(&Engine::volatile_write_trampoline);
-        }
       }
     } else {
       RVK_CHECK_MSG(g_hooks.jmm_guard == cfg_.jmm_guard &&
-                        g_hooks.dedup_logging == cfg_.dedup_logging &&
-                        g_hooks.conservative_volatile == conservative,
+                        g_hooks.dedup_logging == cfg_.dedup_logging,
                     "co-active engines must agree on barrier-programming "
-                    "config (jmm_guard / dedup_logging / volatile_policy)");
+                    "config (jmm_guard / dedup_logging)");
     }
     ++g_hooks.count;
   }
@@ -212,7 +204,6 @@ Engine::~Engine() {
       rt::set_lazy_frame_hook(nullptr);
       heap::set_alloc_hook(nullptr);
       heap::set_tracked_read_hook(nullptr);
-      heap::set_volatile_write_hook(nullptr);
       heap::set_dependency_tracking(false);
       heap::set_dedup_logging(false);
     }
@@ -890,19 +881,10 @@ void Engine::on_tracked_read(heap::ObjectMeta& meta) {
   pin_frames_up_to(writer, meta.writer_frame, PinReason::kDependency);
 }
 
-void Engine::on_volatile_write() {
-  pin_current_frames(PinReason::kVolatile);
-}
-
 void Engine::tracked_read_trampoline(heap::ObjectMeta& meta,
                                      const void* base) {
   (void)base;
   if (Engine* e = Engine::active()) e->on_tracked_read(meta);
-}
-
-void Engine::volatile_write_trampoline(const void* var) {
-  (void)var;
-  if (Engine* e = Engine::active()) e->on_volatile_write();
 }
 
 void Engine::alloc_trampoline(heap::Heap* heap, heap::HeapObject* obj) {

@@ -17,10 +17,10 @@
 //    is rolled back, breaking the cycle (§1.1).
 //  * JMM consistency (§2.2): frames become non-revocable when a read-write
 //    dependency escapes them (dependency-tracking read barrier), when a
-//    volatile write escapes (precise) or occurs (conservative policy), when
-//    a native method runs inside the section, or when the section executes
-//    Object.wait().  Requests against pinned frames are refused; requests
-//    that race with a pin are dropped at delivery.
+//    volatile write escapes, when a native method runs inside the section,
+//    or when the section executes Object.wait().  Requests against pinned
+//    frames are refused; requests that race with a pin are dropped at
+//    delivery.
 //
 // One Engine may be active per *shard* at a time: constructed with a
 // rt::Domain current (DomainSet setup runs there), the engine binds to that
@@ -30,8 +30,8 @@
 // classic unsharded runtime (no domain entered) this degenerates to the old
 // rule: one engine per OS thread, stored in a thread-local.  Either way,
 // construct the engine after its Scheduler and destroy it before, and keep
-// barrier-programming config (jmm_guard / dedup_logging / volatile_policy)
-// identical across co-active engines — the constructor enforces it.
+// barrier-programming config (jmm_guard / dedup_logging) identical
+// across co-active engines — the constructor enforces it.
 #pragma once
 
 #include <algorithm>
@@ -73,15 +73,6 @@ enum class DetectionMode : std::uint8_t {
   kNone,  // revocation machinery active (logging, frames) but never triggered
 };
 
-// How volatile writes inside sections are treated (§2.2 / Figure 3).
-enum class VolatilePolicy : std::uint8_t {
-  // Pin the writer's frames only when a foreign volatile read actually
-  // observes the speculative value (the paper's read-write dependency rule).
-  kPrecise,
-  // Pin at the volatile write itself; cheaper, strictly more conservative.
-  kConservative,
-};
-
 // Turning revocation off entirely while keeping frames and logging (to
 // isolate barrier overhead) is detection = kNone plus deadlock_detection =
 // false.
@@ -95,8 +86,6 @@ struct EngineConfig {
   // frames.  Disabling it is ONLY sound for workloads where all accesses to
   // shared data are monitor-mediated (like the paper's micro-benchmark).
   bool jmm_guard = true;
-
-  VolatilePolicy volatile_policy = VolatilePolicy::kPrecise;
 
   // Deadlock detection/resolution by revocation (§1.1).
   bool deadlock_detection = true;
@@ -479,14 +468,12 @@ class Engine {
 
   // JMM guard plumbing (static trampolines resolve via Engine::active()).
   void on_tracked_read(heap::ObjectMeta& meta);
-  void on_volatile_write();
   // Pins every unpinned frame of `t` with id <= frame_id (§2.2 upward
   // closure), counting and publishing the pin.
   void pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
                         PinReason reason);
   static void tracked_read_trampoline(heap::ObjectMeta& meta,
                                       const void* base);
-  static void volatile_write_trampoline(const void* var);
   static void alloc_trampoline(heap::Heap* heap, heap::HeapObject* obj);
   void on_alloc(heap::Heap* heap, heap::HeapObject* obj);
 

@@ -35,7 +35,6 @@ class RevocableMonitor;
 enum class PinReason : std::uint8_t {
   kNone = 0,
   kDependency,   // read-write dependency escaped to another thread (§2.2)
-  kVolatile,     // volatile written inside, conservative policy
   kNativeCall,   // native method invoked inside the section (§2.2)
   kWait,         // Object.wait() called inside the section (§2.2)
   kBudget,       // livelock guard: revocation budget exhausted (extension)

@@ -16,7 +16,6 @@ namespace detail {
 bool g_track_dependencies = false;
 bool g_dedup_logging = false;
 void (*g_tracked_read_hook)(ObjectMeta&, const void*) = nullptr;
-void (*g_volatile_write_hook)(const void*) = nullptr;
 void (*g_trace_access)(const TraceAccess&) = nullptr;
 void (*g_analysis_access)(const TraceAccess&) = nullptr;
 }  // namespace detail
@@ -37,10 +36,6 @@ bool dedup_logging() { return detail::g_dedup_logging; }
 
 void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*)) {
   detail::g_tracked_read_hook = hook;
-}
-
-void set_volatile_write_hook(void (*hook)(const void*)) {
-  detail::g_volatile_write_hook = hook;
 }
 
 }  // namespace rvk::heap

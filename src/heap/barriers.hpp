@@ -97,9 +97,6 @@ extern bool g_dedup_logging;
 // Engine hook invoked when a read observes a (possibly stale) writer mark.
 // May clear the mark; must not block.
 extern void (*g_tracked_read_hook)(ObjectMeta& meta, const void* base);
-// Engine hook for volatile stores inside synchronized sections (used only by
-// the conservative volatile policy; see core::EngineConfig).
-extern void (*g_volatile_write_hook)(const void* var);
 // Execution-trace hook (jmm/ recorder); nullptr outside tests.
 extern void (*g_trace_access)(const TraceAccess&);
 // Revocation-safety analyzer hook (analysis/); nullptr unless RVK_ANALYZE.
@@ -131,9 +128,8 @@ bool dependency_tracking();
 void set_dedup_logging(bool on);
 bool dedup_logging();
 
-// Installs the engine hooks (nullptr to uninstall).
+// Installs the engine hook (nullptr to uninstall).
 void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
-void set_volatile_write_hook(void (*hook)(const void*));
 
 // The write barrier.  `addr` is the slot being stored to; `base`/`offset`
 // identify it in paper terms (reference + offset).  The fast path is the

@@ -9,12 +9,11 @@
 // thread must pin the writer's enclosing monitors non-revocable, or a
 // rollback would make the observed value appear out of thin air.
 //
-// Two policies are supported (selected by core::EngineConfig):
-//  * precise (default): the pin happens when a *foreign read actually
-//    observes* the speculative write — exactly the read-write dependency the
-//    paper describes;
-//  * conservative: the pin happens at the volatile write itself (cheaper,
-//    strictly more pessimistic); ablated in bench/ablation_jmm_guard.
+// The pin happens when a *foreign read actually observes* the speculative
+// write — exactly the read-write dependency the paper describes.  A volatile
+// store therefore takes the ordinary write barrier and nothing more; the
+// read barrier in load() finds the writer mark (core::EngineConfig::jmm_guard
+// turns the tracking on and off, ablated in bench/ablation_jmm_guard).
 #pragma once
 
 #include <string>
@@ -43,12 +42,6 @@ class VolatileVar {
 
   void store(T v) {
     write_barrier(log::EntryKind::kVolatileSlot, meta_, &value_, this, 0);
-    if (detail::g_volatile_write_hook != nullptr) {
-      rt::VThread* t = rt::current_vthread();
-      if (t != nullptr && t->sync_depth > 0) {
-        detail::g_volatile_write_hook(this);
-      }
-    }
     Word w = detail::to_word(v);
     trace_access(TraceAccess::Kind::kVolatileWrite, this, 0, w, value_);
     value_ = w;

@@ -4,7 +4,8 @@
 // targeting, upward pin closure §2.2, refusal-as-counted-drop), cross-shard
 // notify wakes a remote waiter, a remote boost repositions the target in
 // its home shard's queues, and the deflation veto holds while any inbound
-// message is in flight.
+// message is in flight.  The remote revocation also runs on kOsThreads
+// shards, where only its counts (not its ticks) are deterministic.
 //
 // All scenarios run with strict_priority=true: sequencing below is argued
 // from priorities (a priority-1 trigger thread runs only after everything
@@ -60,8 +61,16 @@ struct RevokeRunShape {
   }
 };
 
-RevokeRunShape run_remote_revoke_scenario() {
-  rt::DomainSet set(two_shards());
+// Under kOsThreads the same scenario runs with one OS thread per shard: the
+// counts still hold, because the kRevoke reaches the owner while it is parked
+// on m2, but ticks and event order follow OS timing, so nothing is marked
+// (shard 0 and shard 1 would race on `events` and on s1's clock).
+RevokeRunShape run_remote_revoke_scenario(
+    rt::DomainSet::Mode mode = rt::DomainSet::Mode::kCooperative) {
+  rt::DomainSet::Config cfg = two_shards();
+  cfg.mode = mode;
+  const bool os_threads = mode == rt::DomainSet::Mode::kOsThreads;
+  rt::DomainSet set(cfg);
   RevokeRunShape shape;
   std::unique_ptr<core::Engine> eng[2];
   core::RevocableMonitor* m = nullptr;
@@ -72,56 +81,62 @@ RevokeRunShape run_remote_revoke_scenario() {
   rt::Scheduler* s1 = nullptr;
 
   auto mark = [&](const char* label) {
+    if (os_threads) return;
     shape.events.push_back(std::to_string(s1->now()) + " " + label);
   };
 
-  set.run(
-      [&](rt::Domain& d) {
-        eng[d.id()] = std::make_unique<core::Engine>(d.sched());
-        if (d.id() != 1) return;
-        s1 = &d.sched();
-        m = eng[1]->make_monitor("m");
-        n = eng[1]->make_monitor("n");
-        m2 = eng[1]->make_monitor("m2");
-        m3 = eng[1]->make_monitor("m3");
-        d.sched().spawn("W", 5, [&] {
-          eng[1]->synchronized(*m2, [&] {
-            eng[1]->synchronized(*m3, [&] { m3->wait(); });
-          });
-          mark("w-done");
-        });
-        owner_vt = d.sched().spawn("owner", 2, [&] {
-          eng[1]->synchronized(*m, [&] {
-            ++shape.owner_attempts;  // host-side: survives the rollback
-            s1->yield_point();
-            eng[1]->synchronized(*n, [&] {
-              s1->yield_point();
-              eng[1]->synchronized(*m2, [] {});  // held by W: parks here
-            });
-          });
-          mark("owner-done");
-        });
-        d.sched().spawn("S", 1, [&] {
-          set.remote_spawn(0, "req", 5, [&] {
-            set.remote_revoke(1, owner_vt, m, 8);
-            set.remote_call(1, 6, "m3-notify", [&] {
-              eng[1]->synchronized(*m3, [&] { m3->notify_one(); });
-            });
-            mark("req-done");
-          });
-        });
-      },
-      [&](rt::Domain& d) {
-        if (d.id() == 1) {
-          shape.revokes_executed = d.revokes_executed();
-          shape.dropped = d.dropped();
-          const core::EngineStats& st = eng[1]->stats();
-          shape.rollbacks = st.rollbacks_completed;
-          shape.frames_aborted = st.frames_aborted;
-          shape.requested = st.revocations_requested;
-        }
-        eng[d.id()].reset();  // engine dies before its shard's scheduler
+  auto setup = [&](rt::Domain& d) {
+    eng[d.id()] = std::make_unique<core::Engine>(d.sched());
+    if (d.id() != 1) return;
+    s1 = &d.sched();
+    m = eng[1]->make_monitor("m");
+    n = eng[1]->make_monitor("n");
+    m2 = eng[1]->make_monitor("m2");
+    m3 = eng[1]->make_monitor("m3");
+    d.sched().spawn("W", 5, [&] {
+      eng[1]->synchronized(*m2, [&] {
+        eng[1]->synchronized(*m3, [&] { m3->wait(); });
       });
+      mark("w-done");
+    });
+    owner_vt = d.sched().spawn("owner", 2, [&] {
+      eng[1]->synchronized(*m, [&] {
+        ++shape.owner_attempts;  // host-side: survives the rollback
+        s1->yield_point();
+        eng[1]->synchronized(*n, [&] {
+          s1->yield_point();
+          eng[1]->synchronized(*m2, [] {});  // held by W: parks here
+        });
+      });
+      mark("owner-done");
+    });
+    d.sched().spawn("S", 1, [&] {
+      set.remote_spawn(0, "req", 5, [&] {
+        set.remote_revoke(1, owner_vt, m, 8);
+        set.remote_call(1, 6, "m3-notify", [&] {
+          eng[1]->synchronized(*m3, [&] { m3->notify_one(); });
+        });
+        mark("req-done");
+      });
+    });
+  };
+  auto teardown = [&](rt::Domain& d) {
+    if (d.id() == 1) {
+      shape.revokes_executed = d.revokes_executed();
+      shape.dropped = d.dropped();
+      const core::EngineStats& st = eng[1]->stats();
+      shape.rollbacks = st.rollbacks_completed;
+      shape.frames_aborted = st.frames_aborted;
+      shape.requested = st.revocations_requested;
+    }
+    eng[d.id()].reset();  // engine dies before its shard's scheduler
+  };
+  if (os_threads) {
+    set.start(setup, teardown);
+    set.join();  // join() gives the happens-before for reading the shape
+  } else {
+    set.run(setup, teardown);
+  }
   EXPECT_FALSE(set.deadlocked());
   return shape;
 }
@@ -155,6 +170,23 @@ TEST(CrossShardRevokeTest, DeterministicTickForTick) {
   const RevokeRunShape a = run_remote_revoke_scenario();
   const RevokeRunShape b = run_remote_revoke_scenario();
   EXPECT_TRUE(a == b);
+}
+
+TEST(CrossShardRevokeTest, OsThreadsRemoteRevokeRollsBackAndRetries) {
+  // The same revocation with one OS thread per shard: the only revocation
+  // path across native threads.  The counts hold under any OS timing; ticks
+  // and event order do not, so neither is asserted.
+  for (int run = 0; run < 20; ++run) {
+    SCOPED_TRACE(run);
+    const RevokeRunShape r =
+        run_remote_revoke_scenario(rt::DomainSet::Mode::kOsThreads);
+    EXPECT_EQ(r.revokes_executed, 1u);
+    EXPECT_EQ(r.dropped, 0u);
+    EXPECT_EQ(r.requested, 1u);
+    EXPECT_EQ(r.rollbacks, 1u);
+    EXPECT_EQ(r.frames_aborted, 2u);
+    EXPECT_EQ(r.owner_attempts, 2);
+  }
 }
 
 TEST(CrossShardRevokeTest, RacingACommitIsACountedDropNotAnError) {

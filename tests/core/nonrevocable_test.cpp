@@ -164,7 +164,7 @@ TEST(NonRevocableTest, StaleWriterMarkIsClearedAndHarmless) {
 
 TEST(NonRevocableTest, VolatilePreciseDependencyPins) {
   // Figure 3: T writes a volatile inside its section; T' reads it with no
-  // monitor at all.  Precise policy: pin at the foreign read.
+  // monitor at all.  The pin happens at the foreign read.
   Fixture fx;
   RevocableMonitor* m = fx.engine.make_monitor("m");
   heap::VolatileVar<int> vol("vol");
@@ -192,7 +192,7 @@ TEST(NonRevocableTest, VolatilePreciseDependencyPins) {
 }
 
 TEST(NonRevocableTest, VolatileWithoutForeignReadStaysRevocable) {
-  // Precise policy: a volatile write nobody observed does not pin.
+  // A volatile write nobody observed does not pin.
   Fixture fx;
   RevocableMonitor* m = fx.engine.make_monitor("m");
   heap::VolatileVar<int> vol("vol");
@@ -213,30 +213,6 @@ TEST(NonRevocableTest, VolatileWithoutForeignReadStaysRevocable) {
   EXPECT_EQ(fx.engine.stats().rollbacks_completed, 1u);
   // The rolled-back volatile write was restored.
   EXPECT_EQ(vol.load(), 7);  // final committed value from the re-run
-}
-
-TEST(NonRevocableTest, VolatileConservativePolicyPinsAtWrite) {
-  EngineConfig cfg;
-  cfg.volatile_policy = VolatilePolicy::kConservative;
-  Fixture fx(cfg);
-  RevocableMonitor* m = fx.engine.make_monitor("m");
-  heap::VolatileVar<int> vol("vol");
-  int t_runs = 0;
-  fx.sched.spawn("T", 2, [&] {
-    fx.engine.synchronized(*m, [&] {
-      ++t_runs;
-      vol.store(7);  // pins immediately, with no reader at all
-      for (int i = 0; i < 1500; ++i) fx.sched.yield_point();
-    });
-  });
-  fx.sched.spawn("hi", 8, [&] {
-    fx.sched.sleep_for(50);
-    fx.engine.synchronized(*m, [] {});
-  });
-  fx.sched.run();
-  EXPECT_EQ(t_runs, 1);
-  EXPECT_EQ(fx.engine.stats().rollbacks_completed, 0u);
-  EXPECT_GE(fx.engine.stats().frames_pinned, 1u);
 }
 
 TEST(NonRevocableTest, WaitPinsSection) {
