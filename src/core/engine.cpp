@@ -5,7 +5,6 @@
 
 #include "analysis/hooks.hpp"
 #include "heap/heap.hpp"
-#include "jmm/trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 
@@ -67,11 +66,9 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
 
   // RVK_BIAS=0 is the escape hatch reproducing pre-bias behaviour (figures
   // cross-check; DESIGN.md §11).  Resolved here, before any monitor latches
-  // the flag.  Trace mode records per-acquire events the lazy fast path
-  // would skip, so it keeps the engine path (monitor bias stays on).
+  // the flag.
   const char* bias_env = std::getenv("RVK_BIAS");
   if (bias_env != nullptr && bias_env[0] == '0') cfg_.bias = false;
-  bias_enabled_ = cfg_.bias && !cfg_.trace;
 
   // Multi-shard: the shared MonitorTable pool needs its mutex from here on,
   // starting with this engine's own veto registration below (peer shards
@@ -316,8 +313,8 @@ void Engine::materialize_lazy(rt::VThread* t) {
   f.log_mark = ts.lazy_log_mark;
   f.revocations = ts.lazy_budget_used;
   // `recursive` stays false: a biased grant never re-enters a held monitor.
-  // No events or trace records: both are gated off while the fast path is
-  // eligible (see enter_frame), so nobody missed the enter.
+  // No event: publishing is gated off while the fast path is eligible (see
+  // enter_frame), so nobody missed the enter.
 }
 
 std::uint64_t Engine::lazy_enter(RevocableMonitor& m, rt::VThread* t,
@@ -349,7 +346,6 @@ std::uint64_t Engine::push_frame(RevocableMonitor& m, rt::VThread* t,
   if (++t->sync_depth == 1) rt::enter_section(t);
   t->current_frame_id = f.id;
   ++stats_.sections_entered;
-  if (cfg_.trace) jmm::Trace::record_acquire(&m);
   if (observed()) [[unlikely]] {
     publish(obs::EventKind::kSectionEnter, t, f.id, &m);
   }
@@ -370,7 +366,7 @@ std::uint64_t Engine::enter_frame(
   // Green-thread atomicity keeps the frame invisible until the first yield
   // point, logged write, nested entry, or blocking call materialises it, at
   // which point the section is exactly as revocable as a slow-path one.
-  if (bias_enabled_ && !observed() && !t->revoke_requested &&
+  if (cfg_.bias && !observed() && !t->revoke_requested &&
       !(deadline && t->cancel_requested) && m.bias_fast_acquire(t)) {
     return lazy_enter(m, t, budget_used);
   }
@@ -456,16 +452,11 @@ void Engine::commit_frame(rt::VThread* t) {
     t->undo_log.discard_all();
     if (cfg_.dedup_logging) t->dedup.clear();  // bound the filter's memory
     ++t->section_epoch;
-    // rvkcheck:allow(alloc): trace diagnostic, tests/debug only (cfg_.trace
-    // disables the biased fast path entirely — see EngineConfig).
-    if (cfg_.trace) jmm::Trace::record_commit_outer();
   }
   // Release *after* the bookkeeping; there is no yield point in between, so
   // the whole step is atomic with respect to other threads.
   f.monitor->release();
   ++stats_.sections_committed;
-  // rvkcheck:allow(alloc): trace diagnostic, tests/debug only.
-  if (cfg_.trace) jmm::Trace::record_release(f.monitor);
   if (observed()) [[unlikely]] {
     publish(obs::EventKind::kSectionCommit, t, f.id, f.monitor);
   }
@@ -493,14 +484,14 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
 
   // Undo this frame's log segment (reverse replay), then release the
   // monitor — §3.1.2: "partial results … are reverted before any of the
-  // locks are released".  Green threads make the sequence atomic.
-  if (cfg_.trace) {
-    t->undo_log.for_each_above_reverse(f.log_mark, [](const log::Entry& e) {
-      // rvkcheck:allow(alloc): trace diagnostic, tests/debug only.
-      jmm::Trace::record_undo(jmm::Loc{e.base, e.offset}, e.old_value);
-    });
+  // locks are released".  Green threads make the sequence atomic.  The
+  // replay is published first, while the entries it undoes are still in
+  // the log (aux = their count; the JMM trace reads them).
+  const std::uint64_t words = t->undo_log.size() - f.log_mark;
+  if (observed()) [[unlikely]] {
+    publish(obs::EventKind::kUndoReplay, t, f.id, f.monitor, words);
   }
-  stats_.words_undone += t->undo_log.size() - f.log_mark;
+  stats_.words_undone += words;
   t->undo_log.rollback_to(f.log_mark);
 
   --t->sync_depth;
@@ -527,12 +518,6 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
   // back in (§4: "the high-priority thread acquires control").
   f.monitor->release_reserving();
   ++stats_.frames_aborted;
-  if (cfg_.trace) {
-    // rvkcheck:allow(alloc): trace diagnostics, tests/debug only.
-    jmm::Trace::record_abort_frame(f.id);
-    // rvkcheck:allow(alloc): trace diagnostics, tests/debug only.
-    jmm::Trace::record_release(f.monitor);
-  }
   if (observed()) [[unlikely]] {
     publish(obs::EventKind::kSectionAbort, t, f.id, f.monitor);
   }
@@ -847,7 +832,6 @@ void Engine::pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
       f.pin_reason = reason;
       ++stats_.frames_pinned;
       pinned = true;
-      if (cfg_.trace) jmm::Trace::record_pin(f.id);
     }
   }
   if (pinned) {

@@ -126,9 +126,6 @@ struct EngineConfig {
   // bench/ablation_dedup.
   bool dedup_logging = false;
 
-  // Record a jmm::Trace-compatible event stream (tests only).
-  bool trace = false;
-
   // Install the revocation-safety analyzer (analysis/) for this engine's
   // lifetime: lockset race detection, barrier-bypass and forbidden-region
   // lints, pin-closure audits.  ORed with the RVK_ANALYZE environment
@@ -491,8 +488,8 @@ class Engine {
   RVK_TRUSTED(
       "observers_ holds virtual EngineObserver callbacks rvkcheck cannot "
       "resolve; subscribers must be forbidden-safe, save the diagnostic ones "
-      "(analyzer, exploration invariants), which may allocate and never run "
-      "in measured runs")
+      "(analyzer, exploration invariants, the JMM trace recorder), which may "
+      "allocate and never run in measured runs")
   void publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
                const RevocableMonitor* m, std::uint64_t aux = 0);
 
@@ -513,9 +510,6 @@ class Engine {
   std::uint64_t next_frame_id_ = 1;
   analysis::Analyzer* analyzer_ = nullptr;  // installed by this engine
   bool observing_ = false;  // this engine installed the obs recorder
-  // cfg_.bias && !cfg_.trace, latched once: the enter_frame fast-path gate
-  // (trace mode records per-acquire events the lazy path would skip).
-  bool bias_enabled_ = false;
   std::vector<EngineObserver*> observers_;  // publish's subscribers
 
   friend class RevocableMonitor;

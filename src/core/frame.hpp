@@ -131,13 +131,15 @@ struct ThreadSync {
   }
 };
 
-// One engine protocol transition (§3.1.2 enter/commit/abort/retry, §4
-// revocation request/delivery/refusal/drop, §2.2 pin/unpin, §1.1 deadlock
-// break), named by the obs trace vocabulary's engine kinds.  `frame` is the
-// frame the transition is about (0 for kDeadlockBreak); `monitor` is null
-// when none applies; `aux` is 1 on a kRevokeDenied that refused for budget
-// (and pinned, §2.2) and the retry count on kSectionRetry; `frames` is the
-// thread's live frame stack, valid only during the callback.
+// One engine protocol transition (§3.1.2 enter/commit/abort/retry and undo
+// replay, §4 revocation request/delivery/refusal/drop, §2.2 pin/unpin, §1.1
+// deadlock break), named by the obs trace vocabulary's engine kinds.
+// `frame` is the frame the transition is about (0 for kDeadlockBreak);
+// `monitor` is null when none applies; `aux` is 1 on a kRevokeDenied that
+// refused for budget (and pinned, §2.2), the retry count on kSectionRetry
+// and, on kUndoReplay, the number of newest undo-log entries the rollback is
+// about to replay (still in the thread's log during the callback); `frames`
+// is the thread's live frame stack, valid only during the callback.
 struct EngineEvent {
   obs::EventKind kind;
   rt::VThread* thread;

@@ -29,14 +29,13 @@ struct RunOutcome {
 };
 
 // Runs one schedule from scratch: fresh scheduler, engine, registry and
-// scenario state, every decision steered by `strategy` (nullptr = kQuantum:
-// the scheduler's own dispatch order).
+// scenario state, every decision steered by `strategy`.
 RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
-                   ExplorationStrategy* strategy) {
+                   ExplorationStrategy& strategy) {
   RunOutcome out;
 
   rt::SchedulerConfig scfg = opts.sched;
-  if (opts.mode != Mode::kQuantum) scfg.quantum = 1;
+  scfg.quantum = 1;
   scfg.on_stall = rt::SchedulerConfig::OnStall::kReturn;
   rt::Scheduler sched(scfg);
   core::Engine engine(sched, opts.engine);  // after the Scheduler (CLAUDE.md)
@@ -47,35 +46,33 @@ RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
 
   bool overrun = false;
   rt::VThread* prev = nullptr;
-  if (strategy != nullptr) {
-    sched.set_pick_hook(
-        [&](const std::vector<rt::VThread*>& cands) -> rt::VThread* {
-          int prev_index = -1;
-          for (std::size_t i = 0; i < cands.size(); ++i) {
-            if (cands[i] == prev) prev_index = static_cast<int>(i);
+  sched.set_pick_hook(
+      [&](const std::vector<rt::VThread*>& cands) -> rt::VThread* {
+        int prev_index = -1;
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          if (cands[i] == prev) prev_index = static_cast<int>(i);
+        }
+        rt::VThread* chosen;
+        if (out.trace.size() >= opts.max_steps) {
+          // Runaway schedule: stop branching and drain with default
+          // choices; the step hook converts this into a failure from
+          // green-thread context (throwing here would tear through the
+          // scheduler loop).
+          if (!overrun) {
+            overrun = true;
+            out.failure = "schedule exceeded max_steps (" +
+                          std::to_string(opts.max_steps) +
+                          ") dispatch decisions — livelocked interleaving?";
           }
-          rt::VThread* chosen;
-          if (out.trace.size() >= opts.max_steps) {
-            // Runaway schedule: stop branching and drain with default
-            // choices; the step hook converts this into a failure from
-            // green-thread context (throwing here would tear through the
-            // scheduler loop).
-            if (!overrun) {
-              overrun = true;
-              out.failure = "schedule exceeded max_steps (" +
-                            std::to_string(opts.max_steps) +
-                            ") dispatch decisions — livelocked interleaving?";
-            }
-            chosen = prev_index >= 0 ? cands[prev_index] : cands.front();
-          } else {
-            chosen = strategy->pick(cands, prev_index);
-          }
-          prev = chosen;
-          out.trace.push_back(Decision{static_cast<std::uint32_t>(cands.size()),
-                                       chosen->id()});
-          return chosen;
-        });
-  }
+          chosen = prev_index >= 0 ? cands[prev_index] : cands.front();
+        } else {
+          chosen = strategy.pick(cands, prev_index);
+        }
+        prev = chosen;
+        out.trace.push_back(Decision{static_cast<std::uint32_t>(cands.size()),
+                                     chosen->id()});
+        return chosen;
+      });
   if (opts.check_invariants) engine.subscribe(&registry);
   sched.set_step_hook([&](rt::VThread* t) {
     if (overrun) [[unlikely]] throw InvariantViolation{out.failure};
@@ -160,13 +157,11 @@ ExploreResult explore(const Scenario& scenario, ExploreOptions opts) {
       strategy = std::make_unique<ReplayStrategy>(std::move(trace));
       break;
     }
-    case Mode::kQuantum:
-      break;  // no pick hook: the scheduler's natural schedule
   }
 
   for (;;) {
-    if (strategy != nullptr) strategy->begin_schedule();
-    RunOutcome out = run_one(scenario, opts, strategy.get());
+    strategy->begin_schedule();
+    RunOutcome out = run_one(scenario, opts, *strategy);
     ++res.schedules;
     res.decisions += out.trace.size();
     res.checks += out.checks;
@@ -187,7 +182,7 @@ ExploreResult explore(const Scenario& scenario, ExploreOptions opts) {
       archive_failure(res, opts);
       break;
     }
-    if (opts.mode == Mode::kQuantum || opts.mode == Mode::kReplay) break;
+    if (opts.mode == Mode::kReplay) break;
     if (opts.max_schedules != 0 && res.schedules >= opts.max_schedules) break;
     if (!strategy->next_schedule()) {
       res.complete = opts.mode == Mode::kExhaustive;

@@ -8,8 +8,7 @@
 //
 //  * kExhaustive — bounded DFS over preemption points (CHESS-style);
 //  * kRandom    — N seeded random walks (RVK_EXPLORE_SEED);
-//  * kReplay    — byte-for-byte re-execution of a recorded trace;
-//  * kQuantum   — the scheduler's own quantum schedule (legacy fuzz mode).
+//  * kReplay    — byte-for-byte re-execution of a recorded trace.
 //
 // After every step an invariant registry asserts the monitor / undo-log /
 // pin-closure invariants; the first failing schedule stops the search and
@@ -35,7 +34,6 @@ enum class Mode : std::uint8_t {
   kExhaustive,
   kRandom,
   kReplay,
-  kQuantum,
 };
 
 struct ExploreOptions {
@@ -71,11 +69,10 @@ struct ExploreOptions {
   // Stem for archived failing-trace filenames.
   std::string name = "scenario";
 
-  // Per-schedule construction parameters.  quantum is forced to 1 in every
-  // mode except kQuantum so that each yield point is a decision point
-  // (quasi-preemptive atomicity makes that enumeration complete); on_stall
-  // is always forced to kReturn so a stall fails the schedule instead of
-  // aborting the process.
+  // Per-schedule construction parameters.  quantum is forced to 1 so that
+  // each yield point is a decision point (quasi-preemptive atomicity makes
+  // that enumeration complete); on_stall is forced to kReturn so a stall
+  // fails the schedule instead of aborting the process.
   rt::SchedulerConfig sched;
   core::EngineConfig engine;
 

@@ -50,7 +50,7 @@ struct CheckResult {
   std::string report(std::size_t max = 10) const;
 };
 
-// Runs both checks over `events` (typically jmm::Trace::events()).
+// Runs both checks over `events` (typically a jmm::Trace's events()).
 CheckResult check_consistency(const std::vector<Event>& events);
 
 }  // namespace rvk::jmm

@@ -1,43 +1,34 @@
 #include "jmm/trace.hpp"
 
+#include "common/check.hpp"
+#include "core/engine.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::jmm {
 
 namespace {
-bool g_enabled = false;
-std::vector<Event> g_events;
-
-std::uint32_t current_tid() {
-  rt::VThread* t = rt::current_vthread();
-  return t != nullptr ? t->id() : 0;
-}
-
-std::uint64_t current_frame() {
-  rt::VThread* t = rt::current_vthread();
-  return t != nullptr ? t->current_frame_id : 0;
-}
-
-void access_hook(const heap::TraceAccess& a) { Trace::record_access(a); }
+// The Trace the heap hook feeds (the hook is a plain function pointer).
+Trace* g_active = nullptr;
 }  // namespace
 
-void Trace::enable() {
-  g_events.clear();
-  g_enabled = true;
-  heap::set_trace_hook(&access_hook);
+Trace::Trace(core::Engine& engine) : engine_(engine) {
+  RVK_CHECK_MSG(g_active == nullptr, "another jmm::Trace is already active");
+  g_active = this;
+  heap::set_trace_hook(&Trace::access_hook);
+  engine_.subscribe(this);
 }
 
-void Trace::disable() {
-  g_enabled = false;
+Trace::~Trace() {
+  engine_.unsubscribe(this);
   heap::set_trace_hook(nullptr);
+  g_active = nullptr;
 }
 
-bool Trace::enabled() { return g_enabled; }
-
-const std::vector<Event>& Trace::events() { return g_events; }
+void Trace::access_hook(const heap::TraceAccess& a) {
+  g_active->record_access(a);
+}
 
 void Trace::record_access(const heap::TraceAccess& a) {
-  if (!g_enabled) return;
   Event e;
   switch (a.kind) {
     // Unlogged stores model stores the compiler proved thread-local (§1.1);
@@ -58,70 +49,68 @@ void Trace::record_access(const heap::TraceAccess& a) {
       e.kind = EventKind::kVolatileWrite;
       break;
   }
-  e.tid = current_tid();
+  rt::VThread* t = rt::current_vthread();
+  e.tid = t != nullptr ? t->id() : 0;
   e.loc = Loc{a.base, a.offset};
   e.value = a.value;
   e.old_value = a.old_value;
   if (e.kind == EventKind::kWrite || e.kind == EventKind::kVolatileWrite) {
     // A write's frame is meaningful only when performed inside a section.
-    rt::VThread* t = rt::current_vthread();
-    e.frame = (t != nullptr && t->sync_depth > 0) ? current_frame() : 0;
+    e.frame = (t != nullptr && t->sync_depth > 0) ? t->current_frame_id : 0;
   }
-  g_events.push_back(e);
+  events_.push_back(e);
 }
 
-void Trace::record_acquire(const void* mon) {
-  if (!g_enabled) return;
+void Trace::push(EventKind kind, std::uint32_t tid, const void* monitor,
+                 std::uint64_t frame) {
   Event e;
-  e.kind = EventKind::kAcquire;
-  e.tid = current_tid();
-  e.monitor = mon;
-  g_events.push_back(e);
-}
-
-void Trace::record_release(const void* mon) {
-  if (!g_enabled) return;
-  Event e;
-  e.kind = EventKind::kRelease;
-  e.tid = current_tid();
-  e.monitor = mon;
-  g_events.push_back(e);
-}
-
-void Trace::record_undo(Loc loc, std::uint64_t restored) {
-  if (!g_enabled) return;
-  Event e;
-  e.kind = EventKind::kUndo;
-  e.tid = current_tid();
-  e.loc = loc;
-  e.value = restored;
-  g_events.push_back(e);
-}
-
-void Trace::record_commit_outer() {
-  if (!g_enabled) return;
-  Event e;
-  e.kind = EventKind::kCommitOuter;
-  e.tid = current_tid();
-  g_events.push_back(e);
-}
-
-void Trace::record_abort_frame(std::uint64_t frame) {
-  if (!g_enabled) return;
-  Event e;
-  e.kind = EventKind::kAbortFrame;
-  e.tid = current_tid();
+  e.kind = kind;
+  e.tid = tid;
+  e.monitor = monitor;
   e.frame = frame;
-  g_events.push_back(e);
+  events_.push_back(e);
 }
 
-void Trace::record_pin(std::uint64_t frame) {
-  if (!g_enabled) return;
-  Event e;
-  e.kind = EventKind::kPin;
-  e.tid = current_tid();
-  e.frame = frame;
-  g_events.push_back(e);
+void Trace::on_engine_event(const core::EngineEvent& e) {
+  using K = obs::EventKind;
+  const std::uint32_t tid = e.thread->id();
+  const void* mon = e.monitor;
+  switch (e.kind) {
+    case K::kSectionEnter:
+      push(EventKind::kAcquire, tid, mon, 0);
+      break;
+    case K::kSectionCommit:
+      // The stack is already popped: empty means the outermost commit.
+      if (e.frames->empty()) {
+        push(EventKind::kCommitOuter, tid, nullptr, 0);
+      }
+      push(EventKind::kRelease, tid, mon, 0);
+      break;
+    case K::kSectionAbort:
+      push(EventKind::kAbortFrame, tid, nullptr, e.frame);
+      push(EventKind::kRelease, tid, mon, 0);
+      break;
+    case K::kPin:
+      push(EventKind::kPin, tid, nullptr, e.frame);
+      break;
+    case K::kUndoReplay: {
+      // Published just before the replay: the aux newest entries are the
+      // ones about to be restored, in replay order.
+      const log::UndoLog& undo = e.thread->undo_log;
+      const std::size_t mark = undo.size() - e.aux;
+      undo.for_each_above_reverse(mark, [&](const log::Entry& u) {
+        Event ev;
+        ev.kind = EventKind::kUndo;
+        ev.tid = tid;
+        ev.loc = Loc{u.base, u.offset};
+        ev.value = u.old_value;
+        events_.push_back(ev);
+      });
+      break;
+    }
+    default:
+      break;
+  }
 }
 
 }  // namespace rvk::jmm

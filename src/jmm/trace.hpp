@@ -6,21 +6,26 @@
 // engine enforces this with non-revocability pinning (§2.2); *this* module
 // exists to check, over whole executions, that the enforcement worked.
 //
-// When enabled, the recorder captures a linear event stream — every shared
-// read/write (via the heap trace hook), every monitor acquire/release,
-// every undo performed by a rollback, and section commit/abort boundaries.
-// Because the substrate is single-core green threads, the stream is the
-// exact total order of the execution, which makes the checker (checker.hpp)
-// precise rather than approximate.
+// A Trace captures a linear event stream — every shared read/write (via the
+// heap trace hook), every monitor acquire/release, every undo performed by a
+// rollback, and section commit/abort boundaries.  The structural events come
+// from the engine's one event stream (Engine::publish): the trace is an
+// EngineObserver.  Because the substrate is single-core green threads, the
+// stream is the exact total order of the execution, which makes the checker
+// (checker.hpp) precise rather than approximate.
 //
-// Recording is global (one stream per process) and off by default; tests
-// enable it around a scheduler run and verify the collected trace.
+// Tests construct one around a scheduler run and verify the collected trace.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/frame.hpp"
 #include "heap/barriers.hpp"
+
+namespace rvk::core {
+class Engine;
+}  // namespace rvk::core
 
 namespace rvk::jmm {
 
@@ -29,12 +34,12 @@ enum class EventKind : std::uint8_t {
   kWrite,          // shared write: loc, value, old_value, frame
   kVolatileRead,   // volatile read
   kVolatileWrite,  // volatile write
-  kAcquire,        // monitor acquired (non-recursive): mon
-  kRelease,        // monitor fully released: mon
+  kAcquire,        // section entered: mon (one per engine frame)
+  kRelease,        // section left: mon (commit or abort)
   kUndo,           // rollback restored loc to value (= the write's old value)
   kCommitOuter,    // thread's outermost section committed
   kAbortFrame,     // a frame aborted (after its undos were recorded)
-  kPin,            // a frame was marked non-revocable
+  kPin,            // frame(s) up to `frame` were marked non-revocable
 };
 
 // Location identity: (base pointer, offset) — matches the paper's
@@ -63,32 +68,32 @@ struct Event {
   std::uint64_t frame = 0;     // frame id for write/abort/pin events
 };
 
-class Trace {
+// Records one engine's execution for its lifetime.  Construction subscribes
+// to the engine's event stream and installs the heap trace hook;
+// destruction undoes both.  The heap hook is process-wide, so at most one
+// Trace exists at a time.  Construct it after the engine and destroy it
+// first, like any EngineObserver; the collected events stay readable until
+// then.
+class Trace final : public core::EngineObserver {
  public:
-  // Enables recording into a fresh trace.  Installs the heap trace hook.
-  //
-  // The engine contributes the structural events (acquire/release, undo,
-  // commit) only when EngineConfig::trace is also set — enable BOTH, or the
-  // checker will see speculative writes that never commit and report
-  // spurious violations.
-  static void enable();
+  explicit Trace(core::Engine& engine);
+  ~Trace();
 
-  // Disables recording (uninstalls the hook).  The collected events remain
-  // available via events() until the next enable().
-  static void disable();
+  Trace(const Trace&) = delete;
+  Trace& operator=(const Trace&) = delete;
 
-  static bool enabled();
+  const std::vector<Event>& events() const { return events_; }
 
-  static const std::vector<Event>& events();
+  void on_engine_event(const core::EngineEvent& e) override;
 
-  // Engine-side recording entry points (no-ops when disabled).
-  static void record_access(const heap::TraceAccess& a);
-  static void record_acquire(const void* mon);
-  static void record_release(const void* mon);
-  static void record_undo(Loc loc, std::uint64_t restored);
-  static void record_commit_outer();
-  static void record_abort_frame(std::uint64_t frame);
-  static void record_pin(std::uint64_t frame);
+ private:
+  static void access_hook(const heap::TraceAccess& a);
+  void record_access(const heap::TraceAccess& a);
+  void push(EventKind kind, std::uint32_t tid, const void* monitor,
+            std::uint64_t frame);
+
+  core::Engine& engine_;
+  std::vector<Event> events_;
 };
 
 }  // namespace rvk::jmm

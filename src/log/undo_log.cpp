@@ -5,8 +5,6 @@
 namespace rvk::log {
 
 namespace detail {
-void (*g_log_obs_hook)(LogEventKind, std::uint64_t) = nullptr;
-
 namespace {
 
 // Per-OS-thread free list of retired chunks (DESIGN.md §11).  Every green
@@ -80,7 +78,6 @@ void UndoLog::next_chunk() {
     std::unique_ptr<Entry[]> chunk = detail::pool_take();
     if (chunk == nullptr) chunk = std::make_unique<Entry[]>(kChunkEntries);
     chunks_.push_back(std::move(chunk));
-    log_obs_event(LogEventKind::kChunkGrow, capacity());
   }
   chunk_begin_ = chunks_[active_].get();
   chunk_end_ = chunk_begin_ + kChunkEntries;
@@ -134,16 +131,13 @@ void UndoLog::rollback_to(std::size_t mark) {
   set_position(mark);
   release_retired_chunks();
   ++stats_.rollbacks;
-  log_obs_event(LogEventKind::kRollback, n - mark);
 }
 
 void UndoLog::discard_all() {
   note_high_water();
-  const std::size_t n = size();
   set_position(0);
   release_retired_chunks();
   ++stats_.commits;
-  log_obs_event(LogEventKind::kCommitDiscard, n);
 }
 
 std::size_t UndoLog::count_kind(EntryKind kind, std::size_t from) const {

@@ -62,22 +62,7 @@ struct Entry {
   EntryKind kind;
 };
 
-// Cold-path log events surfaced to the observability layer (obs/).  The
-// dependency points upward — obs/ links this library and installs the hook;
-// log/ knows nothing about obs/ — mirroring how rt/ exposes its switch
-// probe to analysis/.  The hook fires only on cold paths (rollback replay,
-// commit discard, chunk growth), never on the record() fast path, and the
-// installed handler must honour the forbidden-region contract: rollback and
-// discard run inside commit/abort paths, so it must not allocate, yield, or
-// block (CLAUDE.md).
-enum class LogEventKind : std::uint8_t {
-  kRollback,       // arg = entries replayed
-  kCommitDiscard,  // arg = entries discarded by the outermost commit
-  kChunkGrow,      // arg = total entry capacity after growth
-};
-
 namespace detail {
-extern void (*g_log_obs_hook)(LogEventKind, std::uint64_t);
 // Chunks currently parked on the calling OS thread's free list
 // (tests/diagnostics).
 std::size_t pooled_chunk_count();
@@ -86,20 +71,6 @@ std::size_t pooled_chunk_count();
 // Frees every chunk parked on the calling OS thread's free list (the
 // scheduler calls this when it dies; DESIGN.md §11).
 void release_pooled_chunks();
-
-inline void set_log_obs_hook(void (*hook)(LogEventKind, std::uint64_t)) {
-  detail::g_log_obs_hook = hook;
-}
-
-RVK_TRUSTED(
-    "g_log_obs_hook is a function-pointer seam rvkcheck cannot resolve; the "
-    "install contract above requires the handler to be forbidden-safe, and "
-    "the obs-side handler is checked separately")
-inline void log_obs_event(LogEventKind kind, std::uint64_t arg) {
-  if (detail::g_log_obs_hook != nullptr) [[unlikely]] {
-    detail::g_log_obs_hook(kind, arg);
-  }
-}
 
 // Statistics a log keeps about its own traffic; consumed by tests and by the
 // micro-overhead benchmarks.
@@ -180,7 +151,7 @@ class UndoLog {
   }
 
   // Visits entries (mark, size()] newest-first — the replay order a rollback
-  // of a frame with watermark `mark` would use.  Consumers (engine trace,
+  // of a frame with watermark `mark` would use.  Consumers (the JMM trace,
   // diagnostics) iterate segments without copying.
   template <typename F>
   void for_each_above_reverse(std::size_t mark, F&& f) const {

@@ -24,9 +24,8 @@ const char* event_kind_name(EventKind k) {
     case EventKind::kRevokeDropped:  return "revoke-dropped";
     case EventKind::kDeadlockBreak:  return "deadlock-break";
     case EventKind::kPin:            return "pin";
-    case EventKind::kUnpin:          return "unpin";
     case EventKind::kUndoReplay:     return "undo-replay";
-    case EventKind::kLogGrow:        return "log-grow";
+    case EventKind::kUnpin:          return "unpin";
   }
   return "?";
 }

@@ -43,11 +43,8 @@ enum class EventKind : std::uint8_t {
   kRevokeDropped,   // request invalid at delivery (stale / lost to commit)
   kDeadlockBreak,   // this thread chosen as deadlock victim (§1.1)
   kPin,             // frame(s) marked non-revocable (§2.2)
+  kUndoReplay,      // abort replays b undo-log entries in reverse (§3.1.2)
   kUnpin,           // a pinned frame left the stack (committed or aborted)
-
-  // Undo log (log/): b = kind-specific.
-  kUndoReplay,      // rollback replayed b log entries in reverse (§3.1.2)
-  kLogGrow,         // chunked arena opened a fresh chunk (allocation)
 };
 
 // Stable display name ("dispatch", "monitor-contend", ...).

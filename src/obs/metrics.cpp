@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "core/engine.hpp"
-#include "log/undo_log.hpp"
 #include "monitor/monitor.hpp"
 #include "monitor/monitor_table.hpp"
 
@@ -167,15 +166,6 @@ void publish(Registry& r, const monitor::MonitorTableStats& s,
   r.counter(p + "re_inflations") += s.re_inflations;
   r.counter(p + "scavenge_passes") += s.scavenge_passes;
   r.set_max(p + "live_high_water", s.live_high_water);
-}
-
-void publish(Registry& r, const log::LogStats& s, std::string_view prefix) {
-  const std::string p(prefix);
-  r.counter(p + "appends") += s.appends;
-  r.counter(p + "words_undone") += s.words_undone;
-  r.counter(p + "rollbacks") += s.rollbacks;
-  r.counter(p + "commits") += s.commits;
-  r.set_max(p + "high_water", s.high_water);
 }
 
 }  // namespace rvk::obs

@@ -1,7 +1,7 @@
 // Metrics registry: one export surface for every counter and latency
 // distribution the runtime produces (DESIGN.md §10).
 //
-// The runtime's statistics were historically scattered — `UndoLog::stats()`,
+// The runtime's statistics were historically scattered —
 // `monitor::MonitorStats`, `core::EngineStats`, ad-hoc figure CSVs.  Those
 // accessors all remain (they are the storage, and tests use them), but the
 // registry is where they are *published*: the publish() adapters below fold
@@ -33,9 +33,6 @@ struct EngineStats;
 namespace rvk::monitor {
 struct MonitorStats;
 struct MonitorTableStats;
-}
-namespace rvk::log {
-struct LogStats;
 }
 
 namespace rvk::obs {
@@ -120,8 +117,6 @@ void publish(Registry& r, const monitor::MonitorStats& s,
              std::string_view prefix);
 void publish(Registry& r, const monitor::MonitorTableStats& s,
              std::string_view prefix = "montable.");
-void publish(Registry& r, const log::LogStats& s,
-             std::string_view prefix = "log.");
 
 // Escapes `s` for inclusion in a JSON string literal (used by the trace
 // exporter too).

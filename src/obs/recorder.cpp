@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "log/undo_log.hpp"
 #include "obs/trace_export.hpp"
 
 namespace rvk::obs {
@@ -48,25 +47,6 @@ const char* env_str(const char* name) {
   return (v != nullptr && v[0] != '\0') ? v : nullptr;
 }
 
-// Trampoline from the undo log's observability seam (log/ cannot name obs/
-// types, so the hook is installed from here).  Forbidden-safe: dispatches to
-// pre-created counters and pre-reserved ring slots only.
-void log_hook(log::LogEventKind kind, std::uint64_t arg) {
-  Recorder* r = detail::g_recorder;
-  if (r == nullptr) return;
-  switch (kind) {
-    case log::LogEventKind::kRollback:
-      r->record_log_rollback(arg);
-      break;
-    case log::LogEventKind::kChunkGrow:
-      r->record_log_grow(arg);
-      break;
-    case log::LogEventKind::kCommitDiscard:
-      r->record_log_commit(arg);
-      break;
-  }
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -86,7 +66,6 @@ Recorder::Recorder(RecorderConfig cfg)
   rollback_ns_ = &registry_.histogram("rollback.latency_ns");
   rollback_bytes_ = &registry_.histogram("rollback.bytes_undone");
   log_rollbacks_ = &registry_.counter("log.rollbacks_observed");
-  log_chunk_grows_ = &registry_.counter("log.chunk_grows");
   log_commit_discards_ = &registry_.counter("log.commit_discards");
 }
 
@@ -100,10 +79,7 @@ Recorder* Recorder::install(RecorderConfig cfg) {
   }
   {
     std::lock_guard<std::mutex> lk(g_obs_mu);
-    // First shard in installs the log seam; the hook reads the TLS
-    // recorder, so peers that install later observe it through this mutex
-    // (their install locks it) and shards without a recorder no-op.
-    if (g_obs_count++ == 0) log::set_log_obs_hook(&log_hook);
+    ++g_obs_count;
   }
   detail::g_recorder = new Recorder(cfg);
   // Open the dispatchers' fast-path gate only after this shard's slot is
@@ -131,7 +107,6 @@ void Recorder::uninstall() {
       delete p;
     }
     g_obs_parked.clear();
-    log::set_log_obs_hook(nullptr);
   }
   if (const char* path = env_str("RVK_OBS_METRICS")) {
     std::ofstream os(path);
@@ -379,7 +354,14 @@ void Recorder::record_monitor_abandon(rt::VThread* t, const void* m,
 void Recorder::record_engine(EventKind kind, rt::VThread* t,
                              std::uint64_t frame, const void* m,
                              std::uint64_t aux) {
-  // Forbidden-safe: several of these fire from inside commit/abort.
+  // Forbidden-safe: several of these fire from inside commit/abort.  The
+  // undo-log counters count every thread, registered or not.
+  if (kind == EventKind::kUndoReplay) {
+    ++*log_rollbacks_;
+    rollback_bytes_->record(aux * sizeof(std::uint64_t));
+  } else if (kind == EventKind::kSectionCommit && t->sync_depth == 0) {
+    ++*log_commit_discards_;
+  }
   ThreadSide* s = side_of(t);
   if (s == nullptr) {
     ++orphan_events_;
@@ -401,35 +383,6 @@ void Recorder::record_engine(EventKind kind, rt::VThread* t,
   const std::uint64_t a =
       frame != 0 ? frame : reinterpret_cast<std::uintptr_t>(m);
   push(*s, t, kind, a, aux);
-}
-
-void Recorder::record_log_rollback(std::uint64_t words) {
-  // Forbidden-safe: fires inside abort_frame's replay.
-  ++*log_rollbacks_;
-  rollback_bytes_->record(words * sizeof(log::Word));
-  ThreadSide* s = current_side_;
-  if (s == nullptr || s->thread == nullptr) {
-    ++orphan_events_;
-    return;
-  }
-  push(*s, s->thread, EventKind::kUndoReplay, 0, words);
-}
-
-void Recorder::record_log_grow(std::uint64_t capacity) {
-  ++*log_chunk_grows_;
-  ThreadSide* s = current_side_;
-  if (s == nullptr || s->thread == nullptr) {
-    ++orphan_events_;
-    return;
-  }
-  push(*s, s->thread, EventKind::kLogGrow, 0, capacity);
-}
-
-void Recorder::record_log_commit(std::uint64_t words) {
-  // Forbidden-safe: fires inside commit_frame's discard.  Counter only —
-  // the engine's kSectionCommit event already marks the moment.
-  ++*log_commit_discards_;
-  (void)words;
 }
 
 // ---------------------------------------------------------------------------

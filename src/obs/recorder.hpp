@@ -9,7 +9,7 @@
 // before exporting, so RVK_OBS=1 produces one merged metrics document under
 // any shard count (peer event *traces* are not merged; they are counted as
 // obs.foreign_shard_events so the loss is visible).  Instrumentation sites
-// across rt/, monitor/, core/ and log/ call the inline on_*() dispatchers
+// across rt/, monitor/ and core/ call the inline on_*() dispatchers
 // below; when no recorder is installed anywhere they cost a single
 // predicted-not-taken test of a plain global — the same zero-cost-off
 // discipline as the revocation-safety analyzer.  The yield
@@ -36,7 +36,10 @@
 //  * rollback.latency_{ticks,ns}         — revocation request → the victim
 //    restarting its section (kSectionRetry);
 //  * rollback.bytes_undone               — per rollback, undo-log entries
-//    replayed × 8 bytes/word (§3.1.2).
+//    replayed × 8 bytes/word (§3.1.2), from the engine's kUndoReplay.
+// The engine stream also feeds two undo-log counters: log.rollbacks_observed
+// (one per kUndoReplay) and log.commit_discards (one per outermost
+// kSectionCommit, the commit that discards the thread's whole log).
 #pragma once
 
 #include <atomic>
@@ -168,9 +171,6 @@ class Recorder {
   RVK_NO_YIELD void record_engine(EventKind kind, rt::VThread* t,
                                   std::uint64_t frame, const void* m,
                                   std::uint64_t aux);    // forbidden-safe
-  RVK_NO_YIELD void record_log_rollback(std::uint64_t words);  // forbidden-safe
-  void record_log_grow(std::uint64_t capacity);
-  RVK_NO_YIELD void record_log_commit(std::uint64_t words);  // forbidden-safe
 
   const RecorderConfig& config() const { return cfg_; }
 
@@ -260,7 +260,6 @@ class Recorder {
   Histogram* rollback_ns_;
   Histogram* rollback_bytes_;
   std::uint64_t* log_rollbacks_;
-  std::uint64_t* log_chunk_grows_;
   std::uint64_t* log_commit_discards_;
 };
 

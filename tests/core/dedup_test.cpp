@@ -147,10 +147,8 @@ TEST(DedupTest, ArraySweepLogBoundedByWorkingSet) {
 }
 
 TEST(DedupTest, TraceCheckerAcceptsDedupedRollback) {
-  EngineConfig cfg = Fixture::dedup_cfg();
-  cfg.trace = true;
-  Fixture fx(cfg);
-  jmm::Trace::enable();
+  Fixture fx(Fixture::dedup_cfg());
+  jmm::Trace trace(fx.engine);
   {
     heap::HeapObject* o = fx.heap.alloc("o", 2);
     RevocableMonitor* m = fx.engine.make_monitor("m");
@@ -174,8 +172,7 @@ TEST(DedupTest, TraceCheckerAcceptsDedupedRollback) {
     fx.sched.run();
     EXPECT_GE(fx.engine.stats().rollbacks_completed, 1u);
   }
-  jmm::CheckResult r = jmm::check_consistency(jmm::Trace::events());
-  jmm::Trace::disable();
+  jmm::CheckResult r = jmm::check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
 }
 

@@ -88,7 +88,7 @@ TEST(EventStreamTest, SubscriberSeesExactlyTheRecordedEngineEvents) {
   for (const Seen& s : capture.seen) kinds.insert(std::get<0>(s));
   for (K k : {K::kSectionEnter, K::kSectionCommit, K::kSectionAbort,
               K::kSectionRetry, K::kRevokeRequest, K::kRevokeDeliver,
-              K::kRevokeDenied, K::kPin, K::kUnpin}) {
+              K::kRevokeDenied, K::kPin, K::kUndoReplay, K::kUnpin}) {
     EXPECT_EQ(kinds.count(k), 1u) << obs::event_kind_name(k);
   }
 }

@@ -596,17 +596,7 @@ TEST(ExploreRandomTest, SeedZeroConsultsEnvironment) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantum (legacy) mode and the livelock guard
-
-TEST(ExploreQuantumTest, RunsTheNaturalScheduleOnce) {
-  ExploreOptions o;
-  o.mode = Mode::kQuantum;
-  const ExploreResult r = explore(revoke_during_wakeup, o);
-  EXPECT_FALSE(r.failed) << diag(r);
-  EXPECT_EQ(r.schedules, 1u);
-  EXPECT_EQ(r.decisions, 0u);  // no pick hook installed in this mode
-  EXPECT_GT(r.checks, 0u);     // invariants still swept at every step
-}
+// The livelock guard
 
 TEST(ExploreGuardTest, RunawayScheduleFailsWithMaxStepsDiagnostic) {
   const Scenario runaway = [](ScenarioContext& ctx) {

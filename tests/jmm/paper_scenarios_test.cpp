@@ -14,15 +14,8 @@ namespace rvk::jmm {
 namespace {
 
 struct Fixture {
-  explicit Fixture(core::EngineConfig cfg = make_cfg())
-      : engine(sched, cfg) {}
-  static core::EngineConfig make_cfg() {
-    core::EngineConfig cfg;
-    cfg.trace = true;
-    return cfg;
-  }
   rt::Scheduler sched;
-  core::Engine engine;
+  core::Engine engine{sched};
   heap::Heap heap;
 };
 
@@ -31,7 +24,7 @@ TEST(PaperScenarioTest, Figure2NestingNoBadRevocation) {
   // inner and reads v.  A later rollback of T's outer section would make
   // T''s read out-of-thin-air — the engine must pin outer instead.
   Fixture fx;
-  Trace::enable();
+  Trace trace(fx.engine);
   {
     core::RevocableMonitor* outer = fx.engine.make_monitor("outer");
     core::RevocableMonitor* inner = fx.engine.make_monitor("inner");
@@ -54,8 +47,7 @@ TEST(PaperScenarioTest, Figure2NestingNoBadRevocation) {
     });
     fx.sched.run();
   }
-  CheckResult r = check_consistency(Trace::events());
-  Trace::disable();
+  CheckResult r = check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
   EXPECT_GT(r.reads_checked, 0u);
 }
@@ -64,7 +56,7 @@ TEST(PaperScenarioTest, Figure3VolatileNoBadRevocation) {
   // Figure 3: T writes a volatile inside a monitor; T' reads it with no
   // monitor.  Rollback after the read would violate the JMM.
   Fixture fx;
-  Trace::enable();
+  Trace trace(fx.engine);
   {
     core::RevocableMonitor* m = fx.engine.make_monitor("M");
     heap::VolatileVar<int> vol("vol");
@@ -84,8 +76,7 @@ TEST(PaperScenarioTest, Figure3VolatileNoBadRevocation) {
     });
     fx.sched.run();
   }
-  CheckResult r = check_consistency(Trace::events());
-  Trace::disable();
+  CheckResult r = check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
 }
 
@@ -95,7 +86,7 @@ TEST(PaperScenarioTest, Figure4TerminationDependsOnPartialResult) {
   // semantically impossible; the engine must instead pin T's outer section
   // once the dependency forms, and BOTH threads must terminate.
   Fixture fx;
-  Trace::enable();
+  Trace trace(fx.engine);
   {
     core::RevocableMonitor* outer = fx.engine.make_monitor("outer");
     core::RevocableMonitor* inner = fx.engine.make_monitor("inner");
@@ -123,8 +114,7 @@ TEST(PaperScenarioTest, Figure4TerminationDependsOnPartialResult) {
     fx.sched.run();
     EXPECT_TRUE(tprime_done);
   }
-  CheckResult r = check_consistency(Trace::events());
-  Trace::disable();
+  CheckResult r = check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
 }
 
@@ -132,7 +122,7 @@ TEST(PaperScenarioTest, RevocationProducesConsistentTrace) {
   // A revocation that legitimately happens (no escaped dependency) must
   // leave a trace the checker accepts: undone values were never observed.
   Fixture fx;
-  Trace::enable();
+  Trace trace(fx.engine);
   {
     core::RevocableMonitor* m = fx.engine.make_monitor("m");
     heap::HeapObject* o = fx.heap.alloc("o", 4);
@@ -153,15 +143,14 @@ TEST(PaperScenarioTest, RevocationProducesConsistentTrace) {
     fx.sched.run();
     EXPECT_GE(fx.engine.stats().rollbacks_completed, 1u);
   }
-  CheckResult r = check_consistency(Trace::events());
-  Trace::disable();
+  CheckResult r = check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
   EXPECT_GT(r.undos_seen, 0u);
 }
 
 TEST(PaperScenarioTest, TraceRecordsAcquireReleasePairs) {
   Fixture fx;
-  Trace::enable();
+  Trace trace(fx.engine);
   {
     core::RevocableMonitor* m = fx.engine.make_monitor("m");
     fx.sched.spawn("t", rt::kNormPriority, [&] {
@@ -171,11 +160,10 @@ TEST(PaperScenarioTest, TraceRecordsAcquireReleasePairs) {
     fx.sched.run();
   }
   int acquires = 0, releases = 0;
-  for (const Event& e : Trace::events()) {
+  for (const Event& e : trace.events()) {
     if (e.kind == EventKind::kAcquire) ++acquires;
     if (e.kind == EventKind::kRelease) ++releases;
   }
-  Trace::disable();
   EXPECT_EQ(acquires, 2);
   EXPECT_EQ(releases, 2);
 }

@@ -31,27 +31,22 @@ std::size_t count_kind(const std::vector<Event>& ev, EventKind k, Loc loc) {
 
 TEST(TraceIdentityTest, StaticsRollbackCorrelatesUndoWithWrite) {
   rt::Scheduler sched;
-  core::EngineConfig cfg;
-  cfg.trace = true;
-  core::Engine engine(sched, cfg);
+  core::Engine engine(sched);
   heap::StaticsTable statics;
   const std::uint32_t g = statics.define("g", 7);
   core::RevocableMonitor* m = engine.make_monitor("m");
 
-  Trace::enable();
+  Trace trace(engine);
   sched.spawn("T", rt::kNormPriority, [&] {
     engine.section_enter(*m);
     statics.set<int>(g, 42);
     engine.section_abort();  // undo must restore and trace the same Loc
   });
   sched.run();
-  Trace::disable();
-
-  EXPECT_EQ(statics.get<int>(g), 7) << "rollback must restore the slot";
 
   // The write and its undo must share one Loc; an identity mismatch leaves
   // the undo orphaned (and the checker flags the store as never undone).
-  const std::vector<Event>& ev = Trace::events();
+  const std::vector<Event>& ev = trace.events();
   Loc write_loc{};
   for (const Event& e : ev) {
     if (e.kind == EventKind::kWrite) write_loc = e.loc;
@@ -61,17 +56,17 @@ TEST(TraceIdentityTest, StaticsRollbackCorrelatesUndoWithWrite) {
   CheckResult r = check_consistency(ev);
   EXPECT_TRUE(r.ok()) << r.report();
   EXPECT_EQ(r.undos_seen, 1u);
+  // Checked last: the trace is still live and would record this read.
+  EXPECT_EQ(statics.get<int>(g), 7) << "rollback must restore the slot";
 }
 
 TEST(TraceIdentityTest, VolatileKindsConsistentOnFastAndSlowPaths) {
   rt::Scheduler sched;
-  core::EngineConfig cfg;
-  cfg.trace = true;
-  core::Engine engine(sched, cfg);
+  core::Engine engine(sched);
   heap::VolatileVar<int> v("v");
   core::RevocableMonitor* m = engine.make_monitor("m");
 
-  Trace::enable();
+  Trace trace(engine);
   // Round-robin runs the writer first: it stores v inside a section
   // (marking v's meta) and finishes.  The reader's first load then takes
   // the *slow* path (stale writer mark -> engine hook clears it), and its
@@ -88,9 +83,8 @@ TEST(TraceIdentityTest, VolatileKindsConsistentOnFastAndSlowPaths) {
     EXPECT_EQ(v.load(), 1);  // fast path (mark cleared)
   });
   sched.run();
-  Trace::disable();
 
-  const std::vector<Event>& ev = Trace::events();
+  const std::vector<Event>& ev = trace.events();
   const Loc loc{&v, 0};
   EXPECT_EQ(count_kind(ev, EventKind::kVolatileWrite, loc), 1u);
   EXPECT_EQ(count_kind(ev, EventKind::kVolatileRead, loc), 2u);

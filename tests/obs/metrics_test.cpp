@@ -7,7 +7,6 @@
 
 #include "core/engine.hpp"
 #include "json_lite.hpp"
-#include "log/undo_log.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/metrics.hpp"
 
@@ -103,15 +102,6 @@ TEST(RegistryTest, PublishAdaptersAccumulateLegacyStructs) {
   publish(r, ms, "monitor.shared.stats.");
   EXPECT_EQ(r.find("monitor.shared.stats.acquires")->value, 5u);
   EXPECT_EQ(r.find("monitor.shared.stats.reservations")->value, 1u);
-
-  log::LogStats ls;
-  ls.appends = 10;
-  ls.high_water = 6;
-  publish(r, ls);  // default prefix "log."
-  ls.high_water = 3;
-  publish(r, ls);  // high-water folds with max, not sum
-  EXPECT_EQ(r.find("log.appends")->value, 20u);
-  EXPECT_EQ(r.find("log.high_water")->value, 6u);
 }
 
 }  // namespace

@@ -40,7 +40,6 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   cfg.dedup_logging = mp.dedup;
   cfg.boost_victim = mp.boost;
   cfg.retry_backoff_ticks = mp.backoff;
-  cfg.trace = true;
   Engine engine(sched, cfg);
   heap::Heap heap;
 
@@ -50,7 +49,7 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   // 2 low + 1 medium + 1 high thread, several sections each.
   int sections_done = 0;
   std::uint64_t hi_total_wait = 0;
-  jmm::Trace::enable();
+  jmm::Trace trace(engine);
   for (int t = 0; t < 4; ++t) {
     const int prio = (t < 2) ? 2 : (t == 2 ? 5 : 9);
     sched.spawn("t" + std::to_string(t), prio, [&, t, prio] {
@@ -90,8 +89,7 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   }
 
   // JMM consistency of the full run.
-  jmm::CheckResult r = jmm::check_consistency(jmm::Trace::events());
-  jmm::Trace::disable();
+  jmm::CheckResult r = jmm::check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
 }
 

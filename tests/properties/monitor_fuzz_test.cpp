@@ -3,15 +3,12 @@
 // wait/notify, yields) executed on many threads, checked against the
 // fundamental monitor invariants after every drained schedule.
 //
-// Two strategies drive the same scenario:
-//  * kQuantum — the scheduler's own quantum schedule, the pre-harness
-//    behaviour of this test (the legacy random mode), now with per-step
-//    protocol-invariant sweeps for free;
-//  * kRandom  — seeded random-walk schedules; a failing schedule comes back
-//    as a decision trace that replays byte-for-byte (and archives to
-//    $RVK_EXPLORE_TRACE_DIR under CI).
-// Seeds parameterize the op scripts; executions are deterministic per
-// (seed, schedule).
+// Both suites drive the scenario with seeded random-walk schedules
+// (kRandom): MonitorFuzzTest runs one schedule of each longer op script,
+// MonitorFuzzRandomTest many schedules of shorter ones.  A failing schedule
+// comes back as a decision trace that replays byte-for-byte (and archives
+// to $RVK_EXPLORE_TRACE_DIR under CI).  Seeds parameterize the op scripts;
+// executions are deterministic per (seed, schedule).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -63,7 +60,8 @@ explore::Scenario make_fuzz_scenario(const FuzzParams& p) {
       st->objects.push_back(st->heap.alloc("o" + std::to_string(m), 3));
     }
 
-    jmm::Trace::enable();  // clears the event buffer: one trace per schedule
+    // One trace per schedule, destroyed with the scenario before the engine.
+    jmm::Trace* trace = ctx.make<jmm::Trace>(engine);
     for (int t = 0; t < p.threads; ++t) {
       const int priority = 1 + (t % 9);
       sched.spawn("fuzz" + std::to_string(t), priority,
@@ -116,7 +114,7 @@ explore::Scenario make_fuzz_scenario(const FuzzParams& p) {
       });
     }
 
-    ctx.after_run([st, &engine, p] {
+    ctx.after_run([st, &engine, trace, p] {
       if (st->exclusion_violated) {
         throw std::runtime_error("mutual exclusion violated");
       }
@@ -148,8 +146,7 @@ explore::Scenario make_fuzz_scenario(const FuzzParams& p) {
           est.sections_committed + est.frames_aborted) {
         throw std::runtime_error("section ledger does not balance");
       }
-      const jmm::CheckResult r =
-          jmm::check_consistency(jmm::Trace::events());
+      const jmm::CheckResult r = jmm::check_consistency(trace->events());
       if (!r.ok()) throw std::runtime_error(r.report());
     });
   };
@@ -161,19 +158,18 @@ std::string fuzz_diag(const explore::ExploreResult& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy mode: the scheduler's own quantum schedule, exactly as the
-// pre-harness fuzz ran.
+// One seeded random-walk schedule per op script.
 
 class MonitorFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(MonitorFuzzTest, InvariantsHold) {
   explore::ExploreOptions o;
-  o.mode = explore::Mode::kQuantum;
-  o.engine.trace = true;
-  o.name = "monitor_fuzz_quantum";
+  o.mode = explore::Mode::kRandom;
+  o.trials = 1;
+  o.seed = 0;  // RVK_EXPLORE_SEED overrides; fixed default otherwise
+  o.name = "monitor_fuzz";
   const explore::ExploreResult r =
       explore::explore(make_fuzz_scenario(GetParam()), o);
-  jmm::Trace::disable();
   EXPECT_FALSE(r.failed) << fuzz_diag(r);
   EXPECT_EQ(r.schedules, 1u);
   EXPECT_GT(r.checks, 0u);
@@ -207,11 +203,9 @@ TEST_P(MonitorFuzzRandomTest, InvariantsHoldAcrossRandomSchedules) {
   o.mode = explore::Mode::kRandom;
   o.trials = 20;
   o.seed = 0;  // RVK_EXPLORE_SEED overrides; fixed default otherwise
-  o.engine.trace = true;
   o.name = "monitor_fuzz_random";
   const explore::ExploreResult r =
       explore::explore(make_fuzz_scenario(GetParam()), o);
-  jmm::Trace::disable();
   EXPECT_FALSE(r.failed) << fuzz_diag(r);
   EXPECT_EQ(r.schedules, 20u);
 }

@@ -76,9 +76,7 @@ TEST_P(RollbackPropertyTest, CommittedEffectsOnlyAndConsistent) {
   constexpr std::size_t kArrayLen = 16;
 
   rt::Scheduler sched;
-  EngineConfig cfg;
-  cfg.trace = true;
-  Engine engine(sched, cfg);
+  Engine engine(sched);
   heap::Heap h;
   heap::HeapArray<std::uint64_t>* arr =
       h.alloc_array<std::uint64_t>(kArrayLen);
@@ -92,7 +90,7 @@ TEST_P(RollbackPropertyTest, CommittedEffectsOnlyAndConsistent) {
   std::vector<SectionOps> commit_order;
   std::uint64_t total_sections = 0;
 
-  jmm::Trace::enable();
+  jmm::Trace trace(engine);
   const int n = p.high_threads + p.low_threads;
   for (int t = 0; t < n; ++t) {
     const bool high = t < p.high_threads;
@@ -133,8 +131,7 @@ TEST_P(RollbackPropertyTest, CommittedEffectsOnlyAndConsistent) {
   }
 
   // P2: the execution trace is JMM-consistent.
-  jmm::CheckResult r = jmm::check_consistency(jmm::Trace::events());
-  jmm::Trace::disable();
+  jmm::CheckResult r = jmm::check_consistency(trace.events());
   EXPECT_TRUE(r.ok()) << r.report();
 }
 
