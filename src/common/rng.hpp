@@ -14,14 +14,25 @@ namespace rvk {
 // SplitMix64: tiny, fast, statistically solid for workload shuffling.
 class SplitMix64 {
  public:
-  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+  // The state advances by kGamma per draw and each draw is mix(state), so
+  // draw k after the current state is mix(state() + k * kGamma): any
+  // position of the stream can be computed without the ones before it.
+  static constexpr std::uint64_t kGamma = 0x9E3779B97F4A7C15ULL;
 
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
+  static constexpr std::uint64_t mix(std::uint64_t z) {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
     return z ^ (z >> 31);
   }
+
+  explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+  std::uint64_t next() { return mix(state_ += kGamma); }
+
+  std::uint64_t state() const { return state_; }
+
+  // Skips n draws, as n calls to next() would.
+  void discard(std::uint64_t n) { state_ += n * kGamma; }
 
   // Uniform in [0, bound). bound must be nonzero.
   std::uint64_t next_below(std::uint64_t bound) { return next() % bound; }

@@ -61,6 +61,7 @@ struct Entry {
   std::uint32_t offset;
   EntryKind kind;
 };
+static_assert(sizeof(Entry) == 32, "UndoLog's chunk sizing assumes 32 B");
 
 namespace detail {
 // Chunks currently parked on the calling OS thread's free list
@@ -84,9 +85,9 @@ struct LogStats {
 
 class UndoLog {
  public:
-  // Entries per chunk.  4096 × 40 B keeps a chunk comfortably inside the
-  // page allocator's cheap range while making the grow branch fire once per
-  // 4096 appends.
+  // Entries per chunk.  4096 × 32 B = 128 KiB, exactly glibc's default mmap
+  // threshold, so a chunk the per-thread pool cannot supply is an mmap; the
+  // grow branch fires once per 4096 appends.
   static constexpr std::size_t kChunkShift = 12;
   static constexpr std::size_t kChunkEntries = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkEntries - 1;

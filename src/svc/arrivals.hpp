@@ -12,12 +12,19 @@
 //    inter-arrival times with mean kProbOne/rate ticks — the discrete-time
 //    analogue of exponential gaps.  All sampling is integer fixed-point;
 //    no libm call whose last ulp could differ between platforms touches
-//    the schedule.
+//    the schedule.  The per-tick draws are not made one at a time:
+//    SplitMix64 is counter-based (draw k is mix(state + k·γ)), so a
+//    kernel tests 32 positions per step and generate() skips to the first
+//    arrival, drawing its tier and seed exactly as a per-tick loop would.
+//    The kernel's AVX-512 build is chosen once per process by a CPU test
+//    on x86-64; other CPUs and targets use its base-ISA build.
 //  * Bursty traffic is a two-state Markov-modulated process (MMPP-2): the
 //    generator flips between a burst state and an idle state with
 //    geometric sojourn times (means burst_len / idle_len ticks), emitting
 //    Bernoulli arrivals at burst_rate or idle_rate respectively.  The
-//    long-run duty cycle is burst_len / (burst_len + idle_len).
+//    long-run duty cycle is burst_len / (burst_len + idle_len).  This
+//    path stays a per-tick scalar loop: its sojourn draw has no vector
+//    form.
 //
 // Each arrival is stamped with its SLO tier (sampled from tier_weights) and
 // a private RNG seed at generation time, so a request's behaviour does not
@@ -72,5 +79,24 @@ ArrivalSchedule generate(const ArrivalConfig& cfg, std::uint64_t duration,
 
 // Expected arrivals per tick (the offered load λ of the process).
 double offered_rate(const ArrivalConfig& cfg);
+
+// The Poisson path's skip kernel, exposed for its differential test only;
+// generate() picks the wrapper itself.  Returns the least j < limit such that
+// SplitMix64::mix(state + (j + 1) * kGamma) % kProbOne < rate, i.e. the
+// offset of the first arrival among the next `limit` draws of a stream whose
+// state is `state`, or `limit` if there is none.
+namespace detail {
+
+std::uint64_t first_arrival_base(std::uint64_t state, std::uint32_t rate,
+                                 std::uint64_t limit);
+#if defined(__x86_64__)
+[[gnu::target("avx512f,avx512dq,avx512vl")]] std::uint64_t
+first_arrival_avx512(std::uint64_t state, std::uint32_t rate,
+                     std::uint64_t limit);
+#endif
+// True on x86-64 CPUs with AVX-512 F, DQ and VL; false on every other target.
+bool avx512_usable();
+
+}  // namespace detail
 
 }  // namespace rvk::svc

@@ -3,10 +3,130 @@
 // scheduler involved, so nothing here can be timing-flaky.
 #include <gtest/gtest.h>
 
+#include <array>
+
+#include "common/rng.hpp"
 #include "svc/arrivals.hpp"
 
 namespace rvk::svc {
 namespace {
+
+// FNV-1a over 64-bit words: every (tick, tier, seed), then the arrival count
+// and burst_ticks.
+std::uint64_t digest(const ArrivalSchedule& s) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  auto fold = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001B3ULL; };
+  for (const Arrival& a : s.arrivals) {
+    fold(a.tick);
+    fold(a.tier);
+    fold(a.seed);
+  }
+  fold(s.arrivals.size());
+  fold(s.burst_ticks);
+  return h;
+}
+
+// Pinned schedules: every (config, duration) must keep the digest a
+// one-draw-per-tick loop produces, so skipping quiet draws in bulk can never
+// move an arrival, tier or request seed.  Durations straddle the kernel's
+// 32-draw step; the rates cover never, almost never, the benchmark's rho=50
+// point, the default, and the saturated edges around kProbOne.
+TEST(ArrivalsTest, GoldenScheduleDigests) {
+  constexpr std::array<std::uint64_t, 6> kDurations = {0,  1,  31,
+                                                       32, 33, 250'000};
+  constexpr std::array<std::uint32_t, 7> kRates = {
+      0, 1, 372, kProbOne / 64, kProbOne - 1, kProbOne, kProbOne + 1};
+  std::vector<ArrivalConfig> configs;
+  for (std::uint32_t rate : kRates) {
+    ArrivalConfig cfg;
+    cfg.rate = rate;
+    cfg.tier_weights = {2, 3, 5};
+    configs.push_back(cfg);
+  }
+  ArrivalConfig bursty;
+  bursty.kind = ArrivalKind::kBursty;
+  bursty.burst_rate = kProbOne / 8;
+  bursty.idle_rate = kProbOne / 256;
+  bursty.burst_len = 64;
+  bursty.idle_len = 192;
+  bursty.tier_weights = {2, 3, 5};
+  configs.push_back(bursty);
+
+  // Taken from the one-draw-per-tick loop; config rows, duration columns.
+  constexpr std::uint64_t kGolden[8][6] = {
+      {0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL,
+       0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL},
+      {0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL,
+       0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x88741AF279799563ULL},
+      {0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x2FC35E3ABD000D46ULL,
+       0x2FC35E3ABD000D46ULL, 0x2FC35E3ABD000D46ULL, 0xC107F512F69964DAULL},
+      {0x08328807B4EB6FEDULL, 0x08328807B4EB6FEDULL, 0x0CD734B404AA0E36ULL,
+       0x0CD734B404AA0E36ULL, 0x0CD734B404AA0E36ULL, 0xBD75C20FBEC357AAULL},
+      {0x08328807B4EB6FEDULL, 0x1D7E80D3B9A93B7CULL, 0xF4394C459CC22E2CULL,
+       0x067A294327312820ULL, 0x30AE81ED70F07E65ULL, 0x3C3E35D9B7019BBAULL},
+      {0x08328807B4EB6FEDULL, 0xA0A1814212F336E2ULL, 0x6A5F56B748A852D3ULL,
+       0x52111CB9F59DBC88ULL, 0x1D39F85EE78ED149ULL, 0x39599C9CFB1899C6ULL},
+      {0x08328807B4EB6FEDULL, 0x7B4920FE8E1FBFF6ULL, 0xB392B8C39C9E694FULL,
+       0x533ADC25EA317A5EULL, 0xCDDC7D34CF5E11ACULL, 0xF1F849B576BB7978ULL},
+      {0x08328807B4EB6FEDULL, 0x08328707B4EB6E3AULL, 0x1F1D2DD232EC86F2ULL,
+       0xC05CB1FD3EF0F197ULL, 0xC05CB0FD3EF0EFE4ULL, 0xFAD66CE63499F72CULL},
+  };
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    for (std::size_t d = 0; d < kDurations.size(); ++d) {
+      const std::uint64_t got =
+          digest(generate(configs[c], kDurations[d], 0x5EED0000 + c));
+      EXPECT_EQ(got, kGolden[c][d]) << "config " << c << " duration "
+                                    << kDurations[d];
+    }
+  }
+}
+
+// The skip kernel's contract, spelled as the one-draw-per-tick loop.
+std::uint64_t scalar_first_arrival(std::uint64_t state, std::uint32_t rate,
+                                   std::uint64_t limit) {
+  SplitMix64 rng(state);
+  for (std::uint64_t j = 0; j < limit; ++j) {
+    if (rng.next_below(kProbOne) < rate) return j;
+  }
+  return limit;
+}
+
+using FirstArrivalFn = std::uint64_t (*)(std::uint64_t, std::uint32_t,
+                                         std::uint64_t);
+
+// 2,000 seeded (rate, limit, state) triples: rates log-uniform over
+// [0, kProbOne) plus the saturated edges, limits mostly short (hit and miss
+// both common) with some spanning many 32-draw steps, states anywhere.
+void expect_matches_scalar(FirstArrivalFn kernel) {
+  constexpr std::array<std::uint32_t, 5> kEdgeRates = {
+      0, 1, kProbOne - 1, kProbOne, kProbOne + 1};
+  SplitMix64 pick(2004);
+  for (int i = 0; i < 2000; ++i) {
+    const auto rate =
+        i % 5 == 0 ? kEdgeRates[pick.next_below(kEdgeRates.size())]
+                   : static_cast<std::uint32_t>(
+                         pick.next_below(kProbOne >> pick.next_below(16)));
+    const std::uint64_t limit =
+        i % 8 == 0 ? pick.next_below(4096) : pick.next_below(100);
+    const std::uint64_t state = pick.next();
+    ASSERT_EQ(kernel(state, rate, limit),
+              scalar_first_arrival(state, rate, limit))
+        << "rate " << rate << " limit " << limit << " state " << state;
+  }
+}
+
+TEST(ArrivalsTest, BaseKernelMatchesScalarLoop) {
+  expect_matches_scalar(detail::first_arrival_base);
+}
+
+TEST(ArrivalsTest, Avx512KernelMatchesScalarLoop) {
+#if defined(__x86_64__)
+  if (!detail::avx512_usable()) GTEST_SKIP() << "CPU lacks AVX-512 F/DQ/VL";
+  expect_matches_scalar(detail::first_arrival_avx512);
+#else
+  GTEST_SKIP() << "the AVX-512 kernel exists on x86-64 only";
+#endif
+}
 
 TEST(ArrivalsTest, SameSeedIsByteIdentical) {
   ArrivalConfig cfg;
