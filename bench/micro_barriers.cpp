@@ -1,6 +1,8 @@
 // Barrier micro-costs (§1.1's "fast-path test on every non-local update"):
 //  * write fast path  — store outside any synchronized section
-//  * write slow path  — store inside a section (fast-path test + log append)
+//  * write slow path  — store inside a section (fast-path test, write-filter
+//                       miss, log append); the Repeat variant times a
+//                       filter hit (no append)
 //  * unlogged store   — the barrier the compiler would have elided
 //  * read fast path   — clean object, one mark test
 // These are the per-operation overheads the paper's modified VM charges on
@@ -26,6 +28,7 @@
 
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
+#include "log/write_filter.hpp"
 #include "obs/recorder.hpp"
 #include "rt/scheduler.hpp"
 
@@ -56,18 +59,26 @@ void BM_WriteOutsideSection(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteOutsideSection);
 
-void BM_WriteInsideSection(benchmark::State& state) {
+// Stores inside one section, to `words` slots of one object in turn.  More
+// than log::WriteFilter::kSlots slots keeps every store a filter miss —
+// store plus log append — and keeps the log-bounding rollback honest: the
+// next store to a slot always finds its filter entry evicted, so the filter
+// never vouches for a truncated entry.  One slot times the filter hit.
+void write_inside_section(benchmark::State& state, core::EngineConfig cfg,
+                          std::size_t words) {
   rt::Scheduler sched;
-  core::Engine eng(sched);
+  core::Engine eng(sched, cfg);
   heap::Heap h;
-  heap::HeapObject* o = h.alloc("o", 1);
+  heap::HeapObject* o = h.alloc("o", words);
   core::RevocableMonitor* m = eng.make_monitor("m");
   sched.spawn("bench", rt::kNormPriority, [&] {
     eng.synchronized(*m, [&] {
       rt::VThread* t = sched.current_thread();
       std::uint64_t v = 0;
+      std::size_t i = 0;
       for (auto _ : state) {
-        o->set_word(0, ++v);
+        o->set_word(i, ++v);
+        if (++i == words) i = 0;
         if (t->undo_log.size() >= (1u << 18)) {
           // keep the log bounded; truncation cost is amortized away
           t->undo_log.rollback_to(0);
@@ -80,7 +91,19 @@ void BM_WriteInsideSection(benchmark::State& state) {
   sched.run();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
+
+constexpr std::size_t kMissWords = 2 * log::WriteFilter::kSlots;
+
+void BM_WriteInsideSection(benchmark::State& state) {
+  write_inside_section(state, {}, kMissWords);
+}
 BENCHMARK(BM_WriteInsideSection);
+
+void BM_WriteInsideSectionRepeat(benchmark::State& state) {
+  // Every store after the first hits the write filter: no append.
+  write_inside_section(state, {}, 1);
+}
+BENCHMARK(BM_WriteInsideSectionRepeat);
 
 void BM_WriteInsideSectionObs(benchmark::State& state) {
   // Write slow path with the obs recorder live.  The store/log-append loop
@@ -89,28 +112,8 @@ void BM_WriteInsideSectionObs(benchmark::State& state) {
   // the delta vs BM_WriteInsideSection must be noise.
   const bool owned = obs::Recorder::active() == nullptr;
   if (owned) obs::Recorder::install();
-  rt::Scheduler sched;
-  core::Engine eng(sched);
-  heap::Heap h;
-  heap::HeapObject* o = h.alloc("o", 1);
-  core::RevocableMonitor* m = eng.make_monitor("m");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    eng.synchronized(*m, [&] {
-      rt::VThread* t = sched.current_thread();
-      std::uint64_t v = 0;
-      for (auto _ : state) {
-        o->set_word(0, ++v);
-        if (t->undo_log.size() >= (1u << 18)) {
-          t->undo_log.rollback_to(0);
-        }
-        benchmark::ClobberMemory();
-      }
-      t->undo_log.rollback_to(0);
-    });
-  });
-  sched.run();
+  write_inside_section(state, {}, kMissWords);
   if (owned) obs::Recorder::uninstall();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WriteInsideSectionObs);
 
@@ -220,28 +223,8 @@ BENCHMARK(BM_WriteOutsideSectionAnalyzed);
 
 void BM_WriteInsideSectionAnalyzed(benchmark::State& state) {
   // Analyzer cost on the write slow path: lockset update plus the
-  // barrier-bypass lint (undo-log tail must cover the stored location).
-  rt::Scheduler sched;
-  core::Engine eng(sched, analyzed_config());
-  heap::Heap h;
-  heap::HeapObject* o = h.alloc("o", 1);
-  core::RevocableMonitor* m = eng.make_monitor("m");
-  sched.spawn("bench", rt::kNormPriority, [&] {
-    eng.synchronized(*m, [&] {
-      rt::VThread* t = sched.current_thread();
-      std::uint64_t v = 0;
-      for (auto _ : state) {
-        o->set_word(0, ++v);
-        if (t->undo_log.size() >= (1u << 18)) {
-          t->undo_log.rollback_to(0);
-        }
-        benchmark::ClobberMemory();
-      }
-      t->undo_log.rollback_to(0);
-    });
-  });
-  sched.run();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  // barrier-bypass lint (an appending store's entry is the log tail).
+  write_inside_section(state, analyzed_config(), kMissWords);
 }
 BENCHMARK(BM_WriteInsideSectionAnalyzed);
 

@@ -183,16 +183,27 @@ void Analyzer::on_access(const heap::TraceAccess& a) {
 void Analyzer::check_logged_store(rt::VThread* t, const heap::TraceAccess& a) {
   if (t->sync_depth == 0) return;  // outside a section stores are permanent
   ++report_.bypass_checks;
-  // With dedup on, a repeat store to an already-logged location legitimately
-  // skips the append; coverage would need the dedup table's view.
-  if (heap::dedup_logging()) return;
-  // Accessors trace immediately after the barrier, so a covered store's
-  // entry is at the log tail, under the same (base, offset) identity.
+  // Accessors trace immediately after the barrier, so a store that appended
+  // has its entry at the log tail, under the same (base, offset) identity.
+  // A store the write filter skipped (log/write_filter.hpp) is covered by
+  // an earlier entry in the current frame's segment [log_mark, size).  A
+  // section no engine announced (tests drive sync_depth by hand) has no
+  // known frame; its segment is the whole log.
   const log::UndoLog& ul = t->undo_log;
-  const bool covered = !ul.empty() &&
-                       ul.entry(ul.size() - 1).base == a.base &&
-                       ul.entry(ul.size() - 1).offset == a.offset;
-  if (covered) return;
+  const auto covers = [&](std::size_t i) {
+    const log::Entry& e = ul.entry(i);
+    return e.base == a.base && e.offset == a.offset;
+  };
+  if (!ul.empty() && covers(ul.size() - 1)) return;
+  std::size_t mark = 0;
+  auto it = frames_of_.find(t->id());
+  if (it != frames_of_.end() && it->second != nullptr &&
+      !it->second->empty()) {
+    mark = it->second->back().log_mark;
+  }
+  for (std::size_t i = ul.size(); i > mark; --i) {
+    if (covers(i - 1)) return;
+  }
   Violation v;
   v.kind = Violation::Kind::kBarrierBypass;
   v.tid = t->id();
@@ -202,7 +213,8 @@ void Analyzer::check_logged_store(rt::VThread* t, const heap::TraceAccess& a) {
   std::ostringstream os;
   os << "in-section store to (" << a.base << ", " << a.offset
      << ") by '" << t->name()
-     << "' has no matching undo-log entry at the log tail";
+     << "' has no matching undo-log entry at the log tail or in its "
+        "frame's log segment";
   v.detail = os.str();
   record(std::move(v));
 }

@@ -30,7 +30,6 @@ struct GlobalHooks {
   std::mutex mu;
   int count = 0;
   bool jmm_guard = false;
-  bool dedup_logging = false;
 };
 GlobalHooks g_hooks;
 }  // namespace
@@ -127,19 +126,16 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
     std::lock_guard<std::mutex> lk(g_hooks.mu);
     if (g_hooks.count == 0) {
       g_hooks.jmm_guard = cfg_.jmm_guard;
-      g_hooks.dedup_logging = cfg_.dedup_logging;
       rt::set_lazy_frame_hook(&Engine::lazy_frame_trampoline);
       heap::set_dependency_tracking(cfg_.jmm_guard);
-      heap::set_dedup_logging(cfg_.dedup_logging);
       heap::set_alloc_hook(&Engine::alloc_trampoline);
       if (cfg_.jmm_guard) {
         heap::set_tracked_read_hook(&Engine::tracked_read_trampoline);
       }
     } else {
-      RVK_CHECK_MSG(g_hooks.jmm_guard == cfg_.jmm_guard &&
-                        g_hooks.dedup_logging == cfg_.dedup_logging,
+      RVK_CHECK_MSG(g_hooks.jmm_guard == cfg_.jmm_guard,
                     "co-active engines must agree on barrier-programming "
-                    "config (jmm_guard / dedup_logging)");
+                    "config (jmm_guard)");
     }
     ++g_hooks.count;
   }
@@ -202,7 +198,6 @@ Engine::~Engine() {
       heap::set_alloc_hook(nullptr);
       heap::set_tracked_read_hook(nullptr);
       heap::set_dependency_tracking(false);
-      heap::set_dedup_logging(false);
     }
   }
   sched_.set_revocation_deliverer(nullptr);
@@ -264,10 +259,10 @@ ThreadSync& Engine::sync_of(rt::VThread* t) {
   if (inserted) {
     it->second = std::make_unique<ThreadSync>();
     threads_by_id_[t->id()] = t;
-    // Mirror the dedup toggle into the thread so the write barrier's
-    // in-section path tests per-thread state only (heap::dedup_logging()
-    // stays the process-wide source for the analyzer and ablations).
-    t->log_dedup = cfg_.dedup_logging;
+    // The write filter's tags are this engine's frame ids, which restart
+    // at 1 in every engine: a thread that outlived an earlier engine must
+    // not find that engine's (word, id) pairs (log/write_filter.hpp).
+    t->write_filter.release_storage();
     t->engine_state = it->second.get();
   }
   return *it->second;
@@ -450,7 +445,6 @@ void Engine::commit_frame(rt::VThread* t) {
   if (ts.frames.empty()) {
     // Outermost commit: all speculative stores become permanent.
     t->undo_log.discard_all();
-    if (cfg_.dedup_logging) t->dedup.clear();  // bound the filter's memory
     ++t->section_epoch;
   }
   // Release *after* the bookkeeping; there is no yield point in between, so
@@ -497,7 +491,6 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
   --t->sync_depth;
   t->current_frame_id = ts.frames.empty() ? 0 : ts.frames.back().id;
   if (ts.frames.empty()) {
-    if (cfg_.dedup_logging) t->dedup.clear();
     ++t->section_epoch;
     if (t->sync_depth == 0) rt::exit_section();
   }

@@ -30,8 +30,8 @@
 // classic unsharded runtime (no domain entered) this degenerates to the old
 // rule: one engine per OS thread, stored in a thread-local.  Either way,
 // construct the engine after its Scheduler and destroy it before, and keep
-// barrier-programming config (jmm_guard / dedup_logging) identical
-// across co-active engines — the constructor enforces it.
+// barrier-programming config (jmm_guard) identical across co-active
+// engines — the constructor enforces it.
 #pragma once
 
 #include <algorithm>
@@ -118,13 +118,6 @@ struct EngineConfig {
   // monitor's handoff reservation alone, which already orders the
   // high-priority thread first).
   std::uint64_t retry_backoff_ticks = 0;
-
-  // Extension (paper §6 future work): within one frame, log only the FIRST
-  // store to each location — a rollback restores the pre-frame value either
-  // way, and intermediate values are never observable.  Big win for
-  // write-heavy sections over small working sets; ablated in
-  // bench/ablation_dedup.
-  bool dedup_logging = false;
 
   // Install the revocation-safety analyzer (analysis/) for this engine's
   // lifetime: lockset race detection, barrier-bypass and forbidden-region

@@ -92,8 +92,6 @@ struct TraceAccess {
 namespace detail {
 // Dependency tracking on/off (the jmm/ guard; engine-controlled, ablatable).
 extern bool g_track_dependencies;
-// Undo-log deduplication on/off (engine-controlled extension).
-extern bool g_dedup_logging;
 // Engine hook invoked when a read observes a (possibly stale) writer mark.
 // May clear the mark; must not block.
 extern void (*g_tracked_read_hook)(ObjectMeta& meta, const void* base);
@@ -124,10 +122,6 @@ inline void trace_access(TraceAccess::Kind kind, const void* base,
 void set_dependency_tracking(bool on);
 bool dependency_tracking();
 
-// Enables/disables undo-log deduplication (EngineConfig::dedup_logging).
-void set_dedup_logging(bool on);
-bool dedup_logging();
-
 // Installs the engine hook (nullptr to uninstall).
 void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
 
@@ -137,10 +131,9 @@ void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
 // rt::section_vthread() caches "the running thread, iff it is inside a
 // synchronized section" (maintained at section entry/exit and across fiber
 // switches), so out-of-section stores touch no VThread state at all.  The
-// common in-section store is one predicted branch plus the log's
-// bump-pointer append — the dedup-enabled test reads per-thread state
-// (VThread::log_dedup, stamped by the engine) rather than a process global,
-// so no extra cache line is touched on the hot path.
+// common in-section store is one predicted branch, one probe of the
+// thread's write filter (log/write_filter.hpp) and, on a miss, the log's
+// bump-pointer append.
 RVK_MAY_ALLOC inline void write_barrier(log::EntryKind kind, ObjectMeta& meta,
                                         Word* addr, const void* base,
                                         std::uint32_t offset) {
@@ -151,7 +144,7 @@ RVK_MAY_ALLOC inline void write_barrier(log::EntryKind kind, ObjectMeta& meta,
   // First logged store of a biased section: give it a real frame before the
   // log grows past its watermark (DESIGN.md §11).
   if (t->lazy_frame) [[unlikely]] rt::materialize_lazy_frame(t);
-  if (!t->log_dedup || t->dedup.should_log(addr, t->current_frame_id)) {
+  if (t->write_filter.first_store(addr, t->current_frame_id)) {
     t->undo_log.record(kind, addr, *addr, base, offset);
   }
   if (detail::g_track_dependencies) {

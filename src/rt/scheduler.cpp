@@ -247,7 +247,8 @@ void Scheduler::dispatch(VThread* t) {
       wake_all(t->joiners_);
       // Reclaim the dead fiber's execution resources: its stack mapping and
       // its undo-log chunks go back to this OS thread's pools, where the
-      // next spawn and the next section take them without a system call.
+      // next spawn and the next section take them without a system call,
+      // and its write filter is freed.
       // The swapcontext above completed the switch off that stack (and
       // switch_out already tore down its ASan fake stack), so nothing can
       // touch it again: a finished thread is never dispatched and join()
@@ -256,6 +257,7 @@ void Scheduler::dispatch(VThread* t) {
       // (svc/) spawn one short-lived green thread per request.
       t->stack_.reset();
       t->undo_log.release_storage();
+      t->write_filter.release_storage();
       t->body_ = nullptr;
 #ifdef RVK_TSAN_FIBERS
       // Back on the scheduler fiber (switch_out announced that), so the

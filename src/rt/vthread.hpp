@@ -24,8 +24,8 @@
 #include <memory>
 #include <string>
 
-#include "log/dedup.hpp"
 #include "log/undo_log.hpp"
+#include "log/write_filter.hpp"
 #include "rt/stack.hpp"
 #include "rt/wait_queue.hpp"
 
@@ -113,16 +113,10 @@ class VThread {
   // Per-thread sequential undo log (paper §3.1.2).
   log::UndoLog undo_log;
 
-  // Redundant-logging filter (extension; used only when the engine enables
-  // dedup_logging — see log/dedup.hpp).
-  log::DedupTable dedup;
-
-  // Per-thread mirror of EngineConfig::dedup_logging, stamped when the
-  // engine registers the thread.  The write barrier tests this instead of a
-  // process global so its in-section slow path stays one predicted branch +
-  // one bump-pointer append (the global remains the configuration source —
-  // heap::dedup_logging() — for the analyzer and ablations).
-  bool log_dedup = false;
+  // Lossy filter in front of undo_log (log/write_filter.hpp): the write
+  // barrier appends only a frame's first store to a word.  Holds storage
+  // from the thread's first logged store until it finishes.
+  log::WriteFilter write_filter;
 
   // Revocation request posted by another thread; examined at every yield
   // point and on every wakeup from blocking.  `revoke_target_frame` names the

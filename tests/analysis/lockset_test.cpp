@@ -137,6 +137,52 @@ TEST(LocksetTest, UnloggedStoreInsideSectionIsBarrierBypass) {
   EXPECT_EQ(count(fx.report(), Violation::Kind::kLocksetRace), 0u);
 }
 
+TEST(LocksetTest, TracedStoreWithNoLogEntryIsBarrierBypass) {
+  // A store traced as barriered whose location has no entry in the frame's
+  // log segment — what a barrier that skipped its append would produce.
+  Fixture fx;
+  core::RevocableMonitor* m = fx.engine.make_monitor("m");
+  heap::HeapObject* o = fx.heap.alloc("obj", 2);
+  fx.sched.spawn("T", rt::kNormPriority, [&fx, m, o] {
+    fx.engine.synchronized(*m, [&] {
+      o->set<int>(0, 1);  // logged: covers slot 0 only
+      heap::trace_access(heap::TraceAccess::Kind::kWrite, o, 1, 5, 0);
+    });
+  });
+  fx.sched.run();
+  EXPECT_EQ(count(fx.report(), Violation::Kind::kBarrierBypass), 1u);
+}
+
+TEST(LocksetTest, FilteredRepeatStoreIsCovered) {
+  // The write filter appends only a frame's first store to a word; the
+  // repeats are covered by that entry, even once later appends bury it
+  // below the log tail.  A nested frame logs its own first store.
+  Fixture fx;
+  core::RevocableMonitor* outer = fx.engine.make_monitor("outer");
+  core::RevocableMonitor* inner = fx.engine.make_monitor("inner");
+  heap::HeapObject* o = fx.heap.alloc("obj", 2);
+  std::size_t outer_log = 0;
+  std::size_t total_log = 0;
+  fx.sched.spawn("T", rt::kNormPriority, [&] {
+    fx.engine.synchronized(*outer, [&] {
+      o->set<int>(0, 1);
+      o->set<int>(1, 1);
+      o->set<int>(0, 2);  // filtered: its entry is not the tail
+      outer_log = fx.sched.current_thread()->undo_log.size();
+      fx.engine.synchronized(*inner, [&] {
+        o->set<int>(0, 3);  // the inner frame's first store: appended
+        o->set<int>(0, 4);  // filtered
+      });
+      total_log = fx.sched.current_thread()->undo_log.size();
+    });
+  });
+  fx.sched.run();
+  EXPECT_EQ(outer_log, 2u);
+  EXPECT_EQ(total_log, 3u);
+  EXPECT_EQ(fx.report().violations.size(), 0u);
+  EXPECT_EQ(fx.report().bypass_checks, 5u);
+}
+
 TEST(LocksetTest, BarrieredSectionStoresAreCovered) {
   // Negative control for the bypass lint: ordinary barriered stores inside
   // sections (object, array, static, volatile) all append before tracing.

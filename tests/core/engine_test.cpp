@@ -497,15 +497,15 @@ TEST(EngineTest, RetryBackoffDelaysVictim) {
 
 TEST(EngineTest, StatsAggregateLogAppends) {
   Fixture fx;
-  heap::HeapObject* o = fx.heap.alloc("o", 1);
+  heap::HeapObject* o = fx.heap.alloc("o", 25);
   RevocableMonitor* m = fx.engine.make_monitor("m");
   fx.sched.spawn("t", rt::kNormPriority, [&] {
     fx.engine.synchronized(*m, [&] {
-      for (int i = 0; i < 25; ++i) o->set<int>(0, i);
+      for (int i = 0; i < 25; ++i) o->set<int>(static_cast<std::size_t>(i), i);
     });
   });
   fx.sched.run();
-  EXPECT_EQ(fx.engine.stats().log_appends, 25u);
+  EXPECT_EQ(fx.engine.stats().log_appends, 25u);  // 25 distinct slots
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Engine-configuration matrix: the same contention scenario must satisfy
 // the same invariants under every combination of engine features —
-// detection mode × JMM guard × dedup logging × victim boost × backoff.
+// detection mode × JMM guard × victim boost × backoff × scheduler policy.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,7 +17,6 @@ namespace {
 struct MatrixParams {
   DetectionMode detection;
   bool jmm_guard;
-  bool dedup;
   bool boost;
   std::uint64_t backoff;
   bool strict_priority;
@@ -37,7 +36,6 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   cfg.detection = mp.detection;
   cfg.background_period = 5;
   cfg.jmm_guard = mp.jmm_guard;
-  cfg.dedup_logging = mp.dedup;
   cfg.boost_victim = mp.boost;
   cfg.retry_backoff_ticks = mp.backoff;
   Engine engine(sched, cfg);
@@ -102,8 +100,8 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParams>& info) {
     case DetectionMode::kBoth: os << "both"; break;
     case DetectionMode::kNone: os << "none"; break;
   }
-  os << (p.jmm_guard ? "_jmm" : "_nojmm") << (p.dedup ? "_dedup" : "")
-     << (p.boost ? "_boost" : "") << "_bk" << p.backoff
+  os << (p.jmm_guard ? "_jmm" : "_nojmm") << (p.boost ? "_boost" : "")
+     << "_bk" << p.backoff
      << (p.strict_priority ? "_strict" : "_rr");
   return os.str();
 }
@@ -111,18 +109,17 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParams>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ConfigMatrixTest,
     ::testing::Values(
-        MatrixParams{DetectionMode::kAtAcquire, true, false, true, 0, false},
-        MatrixParams{DetectionMode::kAtAcquire, true, true, true, 0, false},
-        MatrixParams{DetectionMode::kAtAcquire, false, false, true, 0, false},
-        MatrixParams{DetectionMode::kAtAcquire, true, false, true, 100, false},
-        MatrixParams{DetectionMode::kAtAcquire, true, true, true, 50, true},
-        MatrixParams{DetectionMode::kAtAcquire, true, false, false, 0, false},
-        MatrixParams{DetectionMode::kBackground, true, false, true, 0, false},
-        MatrixParams{DetectionMode::kBackground, true, true, true, 0, true},
-        MatrixParams{DetectionMode::kBoth, true, false, true, 0, false},
-        MatrixParams{DetectionMode::kBoth, false, true, true, 25, false},
-        MatrixParams{DetectionMode::kNone, true, false, true, 0, false},
-        MatrixParams{DetectionMode::kNone, false, true, false, 0, true}),
+        MatrixParams{DetectionMode::kAtAcquire, true, true, 0, false},
+        MatrixParams{DetectionMode::kAtAcquire, false, true, 0, false},
+        MatrixParams{DetectionMode::kAtAcquire, true, true, 100, false},
+        MatrixParams{DetectionMode::kAtAcquire, true, true, 50, true},
+        MatrixParams{DetectionMode::kAtAcquire, true, false, 0, false},
+        MatrixParams{DetectionMode::kBackground, true, true, 0, false},
+        MatrixParams{DetectionMode::kBackground, true, true, 0, true},
+        MatrixParams{DetectionMode::kBoth, true, true, 0, false},
+        MatrixParams{DetectionMode::kBoth, false, true, 25, false},
+        MatrixParams{DetectionMode::kNone, true, true, 0, false},
+        MatrixParams{DetectionMode::kNone, false, false, 0, true}),
     matrix_name);
 
 }  // namespace
