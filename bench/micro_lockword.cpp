@@ -51,7 +51,7 @@ monitor::MonitorTable::Factory revocable_factory(core::Engine& eng) {
 
 void BM_LockWordInflateRelease(benchmark::State& state) {
   rt::Scheduler sched;
-  core::Engine eng(sched);  // the veto release_slot consults
+  core::Engine eng(sched);  // the owner tag the cycled slot carries
   monitor::MonitorTable& table = monitor::MonitorTable::global();
   const monitor::MonitorTable::Factory factory = revocable_factory(eng);
   monitor::LockWord word;
@@ -86,7 +86,7 @@ BENCHMARK(BM_ObjectSyncBiased);
 void BM_LockWordBytesPerObject(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   rt::Scheduler sched;
-  core::Engine eng(sched);  // the veto + RevocableMonitor factory world
+  core::Engine eng(sched);  // the RevocableMonitors' engine
   monitor::MonitorTable& table = monitor::MonitorTable::global();
   const monitor::MonitorTable::Factory factory = revocable_factory(eng);
 

@@ -69,10 +69,11 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
   const char* bias_env = std::getenv("RVK_BIAS");
   if (bias_env != nullptr && bias_env[0] == '0') cfg_.bias = false;
 
-  // Multi-shard: the shared MonitorTable pool needs its mutex from here on,
-  // starting with this engine's own veto registration below (peer shards
-  // construct their engines concurrently).  Flipped before this shard runs a
-  // single vthread, and idempotent across shards.
+  // Multi-shard: the shared MonitorTable pool needs its mutex from here on
+  // (peer shards construct their engines concurrently), and a dying
+  // object's slot must wait for this engine, since a cross-shard message may
+  // still name its monitor.  Flipped before this shard runs a single
+  // vthread, and idempotent across shards.
   if (domain_ != nullptr && domain_->set() != nullptr &&
       domain_->set()->size() > 1) {
     monitor::MonitorTable::global().set_concurrent(true);
@@ -80,39 +81,12 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
 
   // Object monitors live behind compact lock words in the process-wide
   // MonitorTable (DESIGN.md §13).  The factory builds this engine's
-  // RevocableMonitors; the veto narrows the table's structural quiescence
-  // predicate with engine knowledge: a monitor referenced by any live frame
-  // — or by a biased section still in its LAZY window (DESIGN.md §11) — is
-  // not deflatable even if its owner/queues look idle at the instant asked.
-  // This is what keeps revocation semantics bit-identical under deflation:
-  // a frame's monitor pointer can never be invalidated under it.  The veto
-  // is keyed by this engine (the tag its slots carry), so it only ever runs
-  // against slots of this shard — a peer shard's scavenge never walks this
-  // engine's frames (§16).
+  // RevocableMonitors; the slots carry this engine as their owner tag, so
+  // teardown collects exactly its own.
   monitor_factory_ = [this](std::string name) {
     return std::unique_ptr<monitor::MonitorBase>(
         std::make_unique<RevocableMonitor>(std::move(name), *this));
   };
-  monitor::MonitorTable::global().set_deflate_veto(
-      this, [this](const monitor::MonitorBase& m) {
-        // §16: a cross-shard message may reference any monitor of this
-        // shard (a shipped section body is opaque until it runs), so while
-        // any message is in flight or executing here, nothing deflates.
-        if (domain_ != nullptr && domain_->inbound_work() > 0) return false;
-        for (const auto& [t, ts] : sync_states_) {
-          for (const Frame& f : ts->frames) {
-            if (static_cast<const monitor::MonitorBase*>(f.monitor) == &m) {
-              return false;
-            }
-          }
-          if (t->lazy_frame &&
-              static_cast<const monitor::MonitorBase*>(ts->lazy_monitor) ==
-                  &m) {
-            return false;
-          }
-        }
-        return true;
-      });
 
   sched_.set_revocation_deliverer([this](rt::VThread* t) { deliver(t); });
   sched_.set_stall_hook([this]() { return on_stall(); });
@@ -175,11 +149,10 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
 }
 
 Engine::~Engine() {
-  // Return this engine's MonitorTable slots first: the RevocableMonitor
-  // destructors unregister from monitors_, which must still be alive, and
-  // no later engine may inherit a veto capturing this one.
+  // Return this engine's MonitorTable slots first, detached ones included:
+  // the RevocableMonitor destructors unregister from monitors_, which must
+  // still be alive.
   monitor::MonitorTable::global().release_slots_owned_by(this);
-  monitor::MonitorTable::global().set_deflate_veto(this, {});
   if (observing_) obs::Recorder::uninstall();
   if (analyzer_ != nullptr) {
     unsubscribe(analyzer_);
@@ -221,9 +194,9 @@ RevocableMonitor* Engine::make_monitor(std::string name) {
 RevocableMonitor* Engine::monitor_of(const heap::HeapObject* obj) {
   RVK_CHECK_MSG(obj != nullptr, "synchronized on null object");
   // The object's header word IS the monitor association (DESIGN.md §13):
-  // no nursery map, no per-object pre-allocation.  A stale word (slot
-  // scavenged or released) reads as free through monitor_at's generation
-  // check and re-inflates here.
+  // no nursery map, no per-object pre-allocation.  A word whose slot was
+  // freed (this object's previous engine died) was cleared with it, so it
+  // reads as free and re-inflates here.
   monitor::LockWord& word = const_cast<heap::HeapObject*>(obj)->meta().lock;
   monitor::MonitorTable& table = monitor::MonitorTable::global();
   if (monitor::MonitorBase* m = table.monitor_at(word)) {
@@ -233,19 +206,6 @@ RevocableMonitor* Engine::monitor_of(const heap::HeapObject* obj) {
       table.inflate(word, "monitor:" + obj->name(), monitor_factory_,
                     /*owner_tag=*/this);
   return static_cast<RevocableMonitor*>(&m);
-}
-
-std::size_t Engine::scavenge_monitors() {
-  // Under kOsThreads each shard sweeps only its own slots: a whole-table
-  // sweep would run a peer engine's deflation veto against frame state that
-  // peer is concurrently mutating (§16).  Cooperative/unsharded runs keep
-  // the classic whole-table sweep (untagged slots included).
-  const void* tag = nullptr;
-  if (domain_ != nullptr && domain_->set() != nullptr &&
-      domain_->set()->mode() == rt::DomainSet::Mode::kOsThreads) {
-    tag = this;
-  }
-  return monitor::MonitorTable::global().scavenge(tag);
 }
 
 ThreadSync& Engine::sync_of(rt::VThread* t) {
@@ -605,7 +565,7 @@ void Engine::deliver(rt::VThread* t) {
 }
 
 void Engine::begin_boost(rt::VThread* victim, int boost_to) {
-  if (!cfg_.boost_victim || boost_to <= victim->priority()) return;
+  if (boost_to <= victim->priority()) return;
   ThreadSync& ts = sync_of(victim);
   if (ts.boost_restore_priority < 0) {
     ts.boost_restore_priority = victim->priority();

@@ -24,8 +24,8 @@
 //
 // One Engine may be active per *shard* at a time: constructed with a
 // rt::Domain current (DomainSet setup runs there), the engine binds to that
-// shard — its scheduler, its mailbox revoker, its slice of the deflation
-// veto — and the process-global barrier hooks become a refcounted shared
+// shard — its scheduler, its mailbox revoker, the object-monitor slots it
+// inflates — and the process-global barrier hooks become a refcounted shared
 // install whose trampolines resolve the acting engine per shard.  In the
 // classic unsharded runtime (no domain entered) this degenerates to the old
 // rule: one engine per OS thread, stored in a thread-local.  Either way,
@@ -100,14 +100,6 @@ struct EngineConfig {
   // can actually take it; prevents a high-priority victim from stealing the
   // handoff back and re-forming the cycle forever.
   std::uint64_t deadlock_backoff_ticks = 64;
-
-  // Transiently raise a revocation victim to the requester's priority until
-  // its rollback completes.  Under the paper's round-robin scheduler this
-  // is a no-op (ready-queue order ignores priorities); under the
-  // strict-priority scheduler it is essential — otherwise medium-priority
-  // threads can starve the victim of the CPU it needs to reach a yield
-  // point and roll back, recreating the inversion inside the mechanism.
-  bool boost_victim = true;
 
   // Livelock guard (extension; the paper notes "a sequence of deadlock
   // revocations may result in livelock" without solving it): a section
@@ -196,18 +188,10 @@ class Engine {
   // Java: "every object can act as a monitor" (§2).  Resolves the monitor
   // behind `obj`'s compact lock word (DESIGN.md §13), inflating a
   // RevocableMonitor into the process-wide MonitorTable on first use.  The
-  // slot lives until the word deflates (scavenge_monitors), the object dies,
-  // or this engine is destroyed — NOT for the engine's lifetime per se, so
-  // callers must not cache the pointer across yield points; re-resolve
-  // instead (synchronized(obj) below does).
+  // slot lives until the object dies (a busy slot, or any slot under a
+  // multi-shard set, then detaches and lives on) or this engine is
+  // destroyed, whichever comes first.
   RevocableMonitor* monitor_of(const heap::HeapObject* obj);
-
-  // Deflates every quiescent object monitor this engine inflated (and any
-  // detached slots) back to free lock words, returning the count.  This is
-  // the ONLY engine-side deflation entry point: commit/abort/release are
-  // forbidden regions (no alloc/yield), so the engine never deflates
-  // opportunistically — callers run this from idle/maintenance context.
-  std::size_t scavenge_monitors();
 
   // Runs `body` as a speculative synchronized section guarded by `m`
   // (Java's `synchronized (m) { body(); }`).  `body` re-executes from the
@@ -221,10 +205,8 @@ class Engine {
                 body);
   }
 
-  // synchronized(obj) { body; } — Java's object-monitor form.  Re-resolves
-  // monitor_of(obj) on EVERY retry: a scavenge between a rollback and its
-  // retry may deflate and re-inflate the object's monitor into a different
-  // slot, so a captured reference would dangle.
+  // synchronized(obj) { body; } — Java's object-monitor form: resolves
+  // monitor_of(obj) at every entry attempt, retries included.
   template <typename F>
   void synchronized(const heap::HeapObject* obj, F&& body) {
     run_section(object_monitor(obj), std::nullopt, body);
@@ -332,7 +314,10 @@ class Engine {
   // Returns false (and records why) if the frame is non-revocable or over
   // budget.  `deadlock` marks deadlock-breaking requests (victim backoff);
   // `boost_to` is the priority of the thread being cleared a path (the
-  // victim is transiently raised to it when EngineConfig::boost_victim).
+  // victim is transiently raised to it until its rollback completes: under
+  // the strict-priority scheduler medium-priority threads would otherwise
+  // starve the victim of the CPU it needs to reach a yield point, recreating
+  // the inversion inside the mechanism; under round-robin it is a no-op).
   bool request_revocation(rt::VThread* owner, RevocableMonitor& m,
                           bool deadlock = false, int boost_to = 0);
 

@@ -102,7 +102,7 @@ struct ThreadSync {
   FrameStack frames;
 
   // Pre-boost priority while a revocation request is pending against this
-  // thread (EngineConfig::boost_victim); -1 when no boost is active.
+  // thread (Engine::begin_boost); -1 when no boost is active.
   int boost_restore_priority = -1;
 
   // Lazy-frame registers (DESIGN.md §11): while rt::VThread::lazy_frame is

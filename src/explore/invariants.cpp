@@ -151,7 +151,7 @@ std::string InvariantRegistry::check_all() {
     // entry queue or wait set sits inside a TransitGuard window, so the
     // counter can never undercount the queue population.  An abandon path
     // that decremented twice (or a cancel window that leaked a decrement)
-    // trips this before the deflation predicate could misfire.
+    // trips this before the slot quiescence predicate could misfire.
     if (static_cast<std::size_t>(m->in_transit()) <
         m->entry_queue().size() + m->wait_set().size()) {
       oss << "monitor '" << m->name() << "': in_transit " << m->in_transit()

@@ -31,8 +31,8 @@ using Word = log::Word;
 // Per-object header: the speculative-writer mark plus the compact lock word
 // (DESIGN.md §13) that makes every HeapObject/HeapArray directly lockable
 // with no pre-allocated monitor — the word is free until the object's first
-// synchronized inflates it into a MonitorTable slot, and free again once a
-// scavenge deflates that slot.
+// synchronized inflates it into a MonitorTable slot, and free again once the
+// slot is freed (the object dies, or the engine that inflated it does).
 //
 // Writer-mark granularity is per object (not per slot): the paper does not
 // specify it, and per-object is the classic Jikes-style header-word choice.

@@ -30,7 +30,7 @@ bool MonitorBase::enter(const std::optional<std::uint64_t>& ticks) {
   // In transit for the whole loop (and through abandon): between a failed
   // try_take and the post-wakeup retry the thread may sit in no queue while
   // holding `this`, and a contender that gives up must stay visible until
-  // its bookkeeping is unwound — the guard keeps the deflation quiescence
+  // its bookkeeping is unwound — the guard keeps the slot quiescence
   // predicate honest (DESIGN.md §13).  RAII, so a RollbackException
   // unwinding out of on_revocation_pending/on_block drops it too.
   TransitGuard transit(*this);
@@ -218,7 +218,8 @@ void MonitorBase::wait() {
   ++stats_.waits;
   // In transit for the whole window: a notified waiter is runnable but in
   // NO queue until its reacquire blocks — without the guard that window
-  // would read as quiescent and deflation could free the monitor under it.
+  // would read as quiescent and a dying object could free the monitor under
+  // it.
   TransitGuard transit(*this);
   on_wait_release(t);
   const int saved = recursion_;

@@ -150,8 +150,8 @@ class MonitorBase {
   // Threads currently inside enter()'s contended loop or a wait() window.
   // A woken waiter that has not yet been rescheduled sits in NO queue while
   // still holding a reference to this monitor — this counter is what lets
-  // the deflation quiescence predicate (MonitorTable::quiescent, DESIGN.md
-  // §13) see it.
+  // the quiescence predicate (MonitorTable::quiescent, DESIGN.md §13) see
+  // it before a dying object's slot is destroyed.
   int in_transit() const { return transit_; }
 
  protected:

@@ -13,31 +13,10 @@ MonitorTable& MonitorTable::global() {
   return table;
 }
 
-void MonitorTable::set_deflate_veto(void* tag, DeflateVeto allow) {
-  RVK_CHECK_MSG(tag != nullptr, "a deflation veto needs an owner tag");
-  auto lk = lock();
-  if (allow) {
-    tag_vetoes_[tag] = std::move(allow);
-  } else {
-    tag_vetoes_.erase(tag);
-  }
-}
-
-bool MonitorTable::may_deflate_locked(const MonitorBase& m,
-                                      const void* owner_tag) const {
-  if (!quiescent(m)) return false;
-  if (owner_tag != nullptr) {
-    auto it = tag_vetoes_.find(owner_tag);
-    if (it != tag_vetoes_.end() && !it->second(m)) return false;
-  }
-  return true;
-}
-
 MonitorBase& MonitorTable::inflate(LockWord& word, std::string name,
                                    const Factory& factory, void* owner_tag) {
   auto lk = lock();
-  // A stale inflated word is logically free; a live one must not re-inflate.
-  RVK_DCHECK(slot_of(word) == nullptr);
+  RVK_DCHECK(slot_of(word) == nullptr);  // a live word must not re-inflate
 
   std::uint32_t index;
   if (free_head_ != kNoFree) {
@@ -63,7 +42,7 @@ MonitorBase& MonitorTable::inflate(LockWord& word, std::string name,
   slot.ever_used = true;
   ++live_;
   if (live_ > stats_.live_high_water) stats_.live_high_water = live_;
-  word = LockWord::inflated(index, slot.generation);
+  word = LockWord::inflated(index);
   slot.word = &word;
   return *slot.monitor;
 }
@@ -71,10 +50,9 @@ MonitorBase& MonitorTable::inflate(LockWord& word, std::string name,
 MonitorTable::Slot* MonitorTable::slot_of(const LockWord& word) {
   if (!word.is_inflated() || word.index() >= slots_.size()) return nullptr;
   Slot& slot = slots_[word.index()];
-  if (slot.monitor == nullptr || slot.generation != word.generation()) {
-    return nullptr;  // stale: slot deflated/recycled since the word was cut
-  }
-  return &slot;
+  // The back-link is null for a free or detached slot, so this one compare
+  // also rejects every word the slot was not inflated through.
+  return slot.word == &word ? &slot : nullptr;
 }
 
 const MonitorTable::Slot* MonitorTable::slot_of(const LockWord& word) const {
@@ -98,55 +76,24 @@ void MonitorTable::destroy_slot(std::uint32_t index) {
   slot.monitor.reset();
   slot.word = nullptr;
   slot.owner_tag = nullptr;
-  ++slot.generation;  // every word minted for the old tenancy goes stale
-  // Retirement keeps the 12-bit generation sound: a slot that exhausted its
-  // generations is never recycled, so no stale word can ever falsely match
-  // a re-tenanted slot.  Costs one Slot of bookkeeping per kMaxGeneration
-  // deflations of the SAME index — vanishingly rare by construction.
-  if (slot.generation <= LockWord::kMaxGeneration) {
-    slot.next_free = free_head_;
-    free_head_ = index;
-  }
+  slot.next_free = free_head_;
+  free_head_ = index;
   --live_;
-}
-
-std::size_t MonitorTable::scavenge(const void* tag) {
-  auto lk = lock();
-  ++stats_.scavenge_passes;
-  std::size_t deflated = 0;
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
-    if (slot.monitor == nullptr) continue;
-    if (tag != nullptr && slot.owner_tag != tag) continue;
-    if (!may_deflate_locked(*slot.monitor, slot.owner_tag)) continue;
-    if (slot.word != nullptr) *slot.word = LockWord();
-    destroy_slot(i);
-    ++stats_.deflations;
-    ++deflated;
-  }
-  return deflated;
 }
 
 void MonitorTable::release_slot(LockWord& word) noexcept {
   auto lk = lock();
   Slot* slot = slot_of(word);
-  if (slot == nullptr) {
-    // Stale (slot already recycled from under the word) or not inflated:
-    // logically free either way; normalize the bits so the holder never
-    // re-presents a stale word.
-    if (word.is_inflated()) word = LockWord();
-    return;
-  }
   const std::uint32_t index = word.index();
   word = LockWord();
-  if (may_deflate_locked(*slot->monitor, slot->owner_tag)) {
+  if (slot == nullptr) return;
+  // A multi-shard set may have a message in flight that names this monitor
+  // (a kRevoke carries it raw, DESIGN.md §16), which quiescent() cannot
+  // see: there the slot always waits for its engine.
+  if (quiescent(*slot->monitor) && !concurrent()) {
     destroy_slot(index);
   } else {
-    // The word dies but the monitor still has protocol state (e.g. waiters
-    // draining after a speculative object was reclaimed).  Detach: nothing
-    // can re-reach the slot, and a later scavenge collects it once
-    // quiescent.
-    slot->word = nullptr;
+    slot->word = nullptr;  // detached: engine teardown collects it
   }
 }
 
@@ -158,7 +105,7 @@ void MonitorTable::release_slots_owned_by(void* tag) {
   for (std::uint32_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (slot.monitor == nullptr || slot.owner_tag != tag) continue;
-    if (slot.word != nullptr) *slot.word = LockWord();
+    if (slot.word != nullptr) *slot.word = LockWord();  // null: detached
     destroy_slot(i);
   }
 }

@@ -162,9 +162,7 @@ void publish(Registry& r, const monitor::MonitorTableStats& s,
              std::string_view prefix) {
   const std::string p(prefix);
   r.counter(p + "inflations") += s.inflations;
-  r.counter(p + "deflations") += s.deflations;
   r.counter(p + "re_inflations") += s.re_inflations;
-  r.counter(p + "scavenge_passes") += s.scavenge_passes;
   r.set_max(p + "live_high_water", s.live_high_water);
 }
 

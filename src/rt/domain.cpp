@@ -54,8 +54,8 @@ Domain::~Domain() = default;
 void Domain::post(const Message& m) {
   RVK_CHECK_MSG(m.from < senders_, "message from an impossible shard id");
   // Counted before the push: from the receiving shard's point of view the
-  // message exists the instant it becomes poppable, and the deflation veto
-  // must already see it then.
+  // message exists the instant it becomes poppable, and the termination
+  // handshake must already see it then.
   inbound_work_.fetch_add(1, std::memory_order_acq_rel);
   Mailbox& ring = inbox_[m.from];
   if (!ring.try_push(m)) [[unlikely]] {
@@ -129,7 +129,7 @@ void Domain::service_pending() {
         sched_->spawn(call->name, call->priority,
                       [this, call] { run_remote_section(call); });
         // inbound_work_ stays raised until the helper completes: the
-        // shipped body may reference any monitor of this shard.
+        // shard is not idle while the shipped body still has to run.
         break;
       }
       case Message::Kind::kRevoke: {

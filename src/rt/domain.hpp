@@ -22,8 +22,8 @@
 // remote state directly; they enqueue a Message on the owner shard's SPSC
 // mailbox (mailbox.hpp) and the owner executes it between its own yield
 // points.  A remote synchronized section ships as a closure and runs in a
-// helper vthread at the requester's priority; cross-shard notify and
-// deflation/scavenge queries are just such sections; cross-shard revocation
+// helper vthread at the requester's priority; cross-shard notify is just
+// such a section; cross-shard revocation
 // (kRevoke) re-enters Engine::request_revocation on the owner shard, so
 // oldest-frame targeting and upward pin closure (§2.2) apply exactly as if
 // the request were local.
@@ -92,13 +92,13 @@ class Domain {
   // below the sender count.  Retries from a yield point when the ring is
   // momentarily full (sender must be a vthread in that case).  Counts the
   // message as inbound work until the receiving shard fully executes it —
-  // the deflation veto reads that counter, so a monitor can never deflate
-  // while a message that might reference it is in flight.
+  // the termination handshake reads that counter, so a set never reports
+  // quiescence while a message is still in flight.
   void post(const Message& m);
 
   // Messages accepted but not yet fully executed (in a ring, in the
   // deferred-work list, or running in a helper).  Zero means no cross-shard
-  // work can possibly reference this shard's monitors.
+  // work is pending on this shard.
   std::uint64_t inbound_work() const {
     return inbound_work_.load(std::memory_order_acquire);
   }

@@ -4,7 +4,7 @@
 // a vthread's frames, lock words and owned monitors are only ever mutated
 // from their home shard.  Everything that crosses shards — revocation of a
 // remote owner, a priority boost, a remote synchronized section (which is
-// how cross-shard notify and deflation-veto/scavenge queries travel) — is a
+// how cross-shard notify travels) — is a
 // Message placed in the owner shard's mailbox and executed over there, so
 // the engine's undo-then-release sequence (§3.1.2) never runs concurrently
 // with the state it mutates.

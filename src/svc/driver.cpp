@@ -26,7 +26,7 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
   scfg.stack_size = cfg.stack_size;
   // Priority protocols are only meaningful when priorities pick who runs
   // (the baseline-ablation setting; the engine's victim boost keeps
-  // revocation live under strict priority too — EngineConfig::boost_victim).
+  // revocation live under strict priority too — Engine::begin_boost).
   scfg.strict_priority = true;
   rt::Scheduler sched(scfg);
   BankService service(sched, cfg.service);

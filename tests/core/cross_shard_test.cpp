@@ -3,9 +3,10 @@
 // lands on the owner shard with the classic semantics (oldest-frame
 // targeting, upward pin closure §2.2, refusal-as-counted-drop), cross-shard
 // notify wakes a remote waiter, a remote boost repositions the target in
-// its home shard's queues, and the deflation veto holds while any inbound
-// message is in flight.  The remote revocation also runs on kOsThreads
-// shards, where only its counts (not its ticks) are deterministic.
+// its home shard's queues, and under a multi-shard set a dying object's
+// monitor slot waits for its engine.  The remote revocation also runs on
+// kOsThreads shards, where only its counts (not its ticks) are
+// deterministic.
 //
 // All scenarios run with strict_priority=true: sequencing below is argued
 // from priorities (a priority-1 trigger thread runs only after everything
@@ -19,8 +20,8 @@
 #include "core/engine.hpp"
 #include "core/revocable_monitor.hpp"
 #include "heap/heap.hpp"
+#include "monitor/monitor_table.hpp"
 #include "rt/domain.hpp"
-#include "rt/mailbox.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk {
@@ -392,55 +393,48 @@ TEST(CrossShardMonitorTest, RemoteBoostRepositionsEntryQueue) {
   EXPECT_EQ(order, "TC");     // boost moved T ahead of the higher-born C
 }
 
-TEST(CrossShardDeflationTest, InboundWorkVetoesDeflation) {
-  // DESIGN.md §16: a monitor may not deflate while ANY inbound message is
-  // unexecuted — the message may reference it.  The veto keys off
-  // Domain::inbound_work(), so even a no-op shipped section blocks
-  // scavenging until the shard has fully run it.
+TEST(CrossShardDeflationTest, DyingObjectDetachesUntilEngineTeardown) {
+  // DESIGN.md §16: a kRevoke message names its monitor by raw pointer, and
+  // quiescent() cannot see a message in flight.  So under a multi-shard
+  // set, even a quiescent object monitor whose object dies is detached,
+  // not destroyed, and the engine's teardown collects it.
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
   rt::DomainSet set(two_shards());
   set.with_domain(1, [&](rt::Domain& d) {
-    core::Engine eng(d.sched());  // binds to the entered domain
-    heap::Heap heap;
-    heap::HeapObject* obj = heap.alloc("obj", 2);
-    ASSERT_NE(eng.monitor_of(obj), nullptr);  // inflate; quiescent at once
-
-    // A fire-and-forget no-op from shard 0, not yet drained.  (Posting from
-    // the set-owning thread is legal while the set is not started.)
-    auto* call = new rt::RemoteCall;
-    call->body = [] {};
-    call->name = "noop";
-    call->from = 0;
-    rt::Message msg;
-    msg.kind = rt::Message::Kind::kRunSection;
-    msg.from = 0;
-    msg.call = call;
-    d.post(msg);
-
-    EXPECT_EQ(d.inbound_work(), 1u);
-    EXPECT_EQ(eng.scavenge_monitors(), 0u);  // vetoed: message in flight
-
-    d.drain_and_service();  // spawns the helper…
-    EXPECT_EQ(eng.scavenge_monitors(), 0u);  // …still in flight until it ran
-    d.sched().run();
-    EXPECT_EQ(d.inbound_work(), 0u);
-    EXPECT_EQ(eng.scavenge_monitors(), 1u);  // quiescent again: deflates
+    const std::size_t live_before = table.live_slots();
+    {
+      core::Engine eng(d.sched());  // binds to the entered domain
+      ASSERT_TRUE(table.concurrent());
+      heap::Heap heap;
+      heap::HeapObject* obj = heap.alloc("obj", 2);
+      const monitor::MonitorBase* m = eng.monitor_of(obj);
+      ASSERT_NE(m, nullptr);
+      EXPECT_TRUE(monitor::MonitorTable::quiescent(*m));
+      EXPECT_EQ(table.live_slots(), live_before + 1);
+      heap.free(obj);  // quiescent, but a message might still name it
+      EXPECT_EQ(table.live_slots(), live_before + 1);  // detached
+    }
+    EXPECT_EQ(table.live_slots(), live_before);  // teardown collected it
   });
 }
 
 TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {
   // Both shard threads build their engines at once, with nothing
-  // serialising them: each constructor registers its deflation veto in the
-  // shared MonitorTable, which must already be in its locked multi-shard
-  // mode by then (ThreadSanitizer flags the race otherwise).  Each shard
-  // then inflates, uses and scavenges an object monitor of its own.
+  // serialising them: each constructor switches the shared MonitorTable
+  // into its locked multi-shard mode before its shard touches the table
+  // (ThreadSanitizer flags the race otherwise).  Each shard then inflates
+  // and uses an object monitor of its own, and its engine's teardown
+  // returns that one slot.
   rt::DomainSet::Config cfg;
   cfg.shards = 2;
   cfg.mode = rt::DomainSet::Mode::kOsThreads;
   rt::DomainSet set(cfg);
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  const std::size_t live_before = table.live_slots();
+  const std::uint64_t inflations_before = table.stats().inflations;
   std::unique_ptr<core::Engine> eng[2];
   std::unique_ptr<heap::Heap> heaps[2];
   int sections[2] = {0, 0};  // home-shard-only mutation
-  std::size_t deflated[2] = {0, 0};
   set.start(
       [&](rt::Domain& d) {
         const std::uint16_t me = d.id();
@@ -453,16 +447,12 @@ TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {
           }
         });
       },
-      [&](rt::Domain& d) {
-        const std::uint16_t me = d.id();
-        deflated[me] = eng[me]->scavenge_monitors();
-        eng[me].reset();
-      });
+      [&](rt::Domain& d) { eng[d.id()].reset(); });
   set.join();  // join() gives the happens-before for reading the results
   EXPECT_EQ(sections[0], 10);
   EXPECT_EQ(sections[1], 10);
-  EXPECT_EQ(deflated[0], 1u);
-  EXPECT_EQ(deflated[1], 1u);
+  EXPECT_EQ(table.stats().inflations, inflations_before + 2);
+  EXPECT_EQ(table.live_slots(), live_before);
   EXPECT_FALSE(set.deadlocked());
 }
 

@@ -1,12 +1,14 @@
-// Engine-side lock-word inflation and scavenge-driven deflation
-// (DESIGN.md §13): object monitors materialize in the MonitorTable on first
-// synchronized(obj), deflate only when provably quiescent AND unreferenced
-// by any frame, and survive nothing they shouldn't.
+// Engine-side lock-word inflation and slot lifetime (DESIGN.md §13):
+// object monitors materialize in the MonitorTable on first
+// synchronized(obj), and a slot is freed only when its object dies (a busy
+// slot detaches instead) or when the engine that inflated it dies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "analysis/hooks.hpp"
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
 #include "monitor/monitor_table.hpp"
@@ -34,98 +36,9 @@ TEST(DeflationTest, MonitorOfInflatesTheObjectWord) {
   EXPECT_GE(monitor::MonitorTable::global().stats().inflations, 1u);
 }
 
-TEST(DeflationTest, ScavengeDeflatesIdleObjectMonitor) {
-  Fixture fx;
-  heap::HeapObject* obj = fx.heap.alloc("obj", 1);
-  const std::size_t monitors_before = fx.engine.monitors().size();
-  fx.sched.spawn("t", rt::kNormPriority, [&] {
-    fx.engine.synchronized(obj, [&] { obj->set<int>(0, 1); });
-  });
-  fx.sched.run();
-  EXPECT_TRUE(obj->meta().lock.is_inflated());
-  EXPECT_EQ(fx.engine.monitors().size(), monitors_before + 1);
-  // Nobody holds it, no frame references it: the sweep returns the slot.
-  EXPECT_GE(fx.engine.scavenge_monitors(), 1u);
-  EXPECT_TRUE(obj->meta().lock.is_free());
-  EXPECT_EQ(fx.engine.monitors().size(), monitors_before);
-  EXPECT_EQ(obj->get<int>(0), 1);  // the DATA of course survives
-}
-
-TEST(DeflationTest, ScavengeRefusedWhileSectionActive) {
-  Fixture fx;
-  heap::HeapObject* obj = fx.heap.alloc("obj", 1);
-  fx.engine.scavenge_monitors();  // drain any leftovers from earlier tests
-  fx.sched.spawn("t", rt::kNormPriority, [&] {
-    fx.engine.synchronized(obj, [&] {
-      obj->set<int>(0, 1);  // materialized: a real frame references m
-      // The monitor is OWNED here, and the frame's pointer must not be
-      // invalidated under the section: both layers refuse.
-      EXPECT_EQ(fx.engine.scavenge_monitors(), 0u);
-      EXPECT_TRUE(obj->meta().lock.is_inflated());
-    });
-  });
-  fx.sched.run();
-}
-
-TEST(DeflationTest, ScavengeRefusedWhileFrameLazy) {
-  // A biased re-entry defers its frame (DESIGN.md §11): before the first
-  // logged write there is no Frame and bias_fast_acquire's owner stamp plus
-  // the engine veto's lazy-register check are what keep the monitor
-  // undeflatable.  Scavenging from inside the lazy window must refuse.
-  Fixture fx;
-  heap::HeapObject* obj = fx.heap.alloc("obj", 1);
-  fx.engine.scavenge_monitors();  // drain any leftovers from earlier tests
-  bool lazy_checked = false;
-  fx.sched.spawn("t", rt::kNormPriority, [&] {
-    // First section: full entry, grants bias to this thread on release.
-    fx.engine.synchronized(obj, [&] { obj->set<int>(0, 1); });
-    // Second section: biased fast entry — frame stays lazy until a write.
-    fx.engine.synchronized(obj, [&] {
-      EXPECT_EQ(fx.engine.scavenge_monitors(), 0u);
-      EXPECT_TRUE(obj->meta().lock.is_inflated());
-      lazy_checked = true;
-    });
-  });
-  fx.sched.run();
-  EXPECT_TRUE(lazy_checked);
-}
-
-TEST(DeflationTest, ReinflationAfterScavengeKeepsExclusion) {
-  Fixture fx;
-  heap::HeapObject* obj = fx.heap.alloc("obj", 1);
-  const auto before = monitor::MonitorTable::global().stats();
-  fx.sched.spawn("t", rt::kNormPriority, [&] {
-    fx.engine.synchronized(obj, [&] { obj->set<int>(0, 1); });
-  });
-  fx.sched.run();
-  ASSERT_GE(fx.engine.scavenge_monitors(), 1u);
-  // The next synchronized(obj) re-inflates a fresh monitor into the
-  // (pooled) table and the protocol continues as if nothing happened.
-  int max_inside = 0, inside = 0;
-  for (int t = 0; t < 3; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
-      for (int i = 0; i < 5; ++i) {
-        fx.engine.synchronized(obj, [&] {
-          max_inside = std::max(max_inside, ++inside);
-          obj->set<int>(0, obj->get<int>(0) + 1);
-          for (int k = 0; k < 10; ++k) fx.sched.yield_point();
-          --inside;
-        });
-      }
-    });
-  }
-  fx.sched.run();
-  EXPECT_EQ(max_inside, 1);
-  EXPECT_EQ(obj->get<int>(0), 16);
-  const auto after = monitor::MonitorTable::global().stats();
-  EXPECT_GE(after.re_inflations, before.re_inflations + 1);
-}
-
-TEST(DeflationTest, RevocationAcrossDeflationRetriesOnFreshMonitor) {
-  // synchronized(obj) re-resolves monitor_of on every retry, so a rollback
-  // whose victim's monitor was deflated+re-inflated between abort and retry
-  // still locks the RIGHT (current) monitor.  Exercised here by revoking a
-  // low-priority section on an object monitor — the classic fig-5 shape.
+TEST(DeflationTest, RevocationOnObjectMonitorUndoesAndRetries) {
+  // The classic fig-5 shape on an object monitor: the low-priority section
+  // is revoked, its store undone, and its retry resolves the same slot.
   Fixture fx;
   heap::HeapObject* obj = fx.heap.alloc("obj", 1);
   int lo_runs = 0, hi_saw = -1;
@@ -149,40 +62,40 @@ TEST(DeflationTest, RevocationAcrossDeflationRetriesOnFreshMonitor) {
 }
 
 TEST(DeflationTest, ObjectMonitorChurnKeepsSlotCountFlat) {
-  // 64 objects synchronized on by 4 interleaving threads all inflate, and
-  // one scavenge returns every slot: monitor memory tracks live
-  // synchronization, not the number of objects ever locked.
+  // 4 interleaving threads each synchronize on, and then free, 32 objects
+  // of their own in turn: 128 inflations, but a dying object returns its
+  // slot, so monitor memory tracks live synchronized objects, not the number
+  // of objects ever locked.
+  constexpr int kThreads = 4, kObjectsPerThread = 32;
   rt::SchedulerConfig cfg;
   cfg.quantum = 5;
   rt::Scheduler sched(cfg);
   Engine engine(sched);
   heap::Heap heap;
   monitor::MonitorTable& table = monitor::MonitorTable::global();
-  engine.scavenge_monitors();  // drain any leftovers from earlier tests
   const std::size_t live_before = table.live_slots();
   const std::uint64_t inflations_before = table.stats().inflations;
-  std::vector<heap::HeapObject*> objs;
-  for (int i = 0; i < 64; ++i) {
-    objs.push_back(heap.alloc("o" + std::to_string(i), 1));
-  }
-  for (int t = 0; t < 4; ++t) {
-    sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
-      for (int round = 0; round < 3; ++round) {
-        for (heap::HeapObject* obj : objs) {
+  std::size_t live_max = live_before;
+  for (int t = 0; t < kThreads; ++t) {
+    sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&, t] {
+      for (int i = 0; i < kObjectsPerThread; ++i) {
+        heap::HeapObject* obj =
+            heap.alloc("o" + std::to_string(t) + "." + std::to_string(i), 1);
+        for (int round = 0; round < 3; ++round) {
           engine.synchronized(obj, [&] { sched.yield_point(); });
         }
+        live_max = std::max(live_max, table.live_slots());
+        heap.free(obj);  // ~ObjectMeta destroys the quiescent slot
       }
     });
   }
   sched.run();
-  // Each object's first synchronized inflated its word, and nothing
-  // deflated mid-run...
-  EXPECT_EQ(table.stats().inflations, inflations_before + objs.size());
-  EXPECT_EQ(table.live_slots(), live_before + objs.size());
-  // ...but none of it persists past a scavenge.
-  EXPECT_EQ(engine.scavenge_monitors(), objs.size());
+  // Every object's first synchronized inflated its word...
+  EXPECT_EQ(table.stats().inflations,
+            inflations_before + kThreads * kObjectsPerThread);
+  // ...but at most one object per thread ever held a slot.
+  EXPECT_LE(live_max, live_before + kThreads);
   EXPECT_EQ(table.live_slots(), live_before);
-  for (heap::HeapObject* obj : objs) EXPECT_TRUE(obj->meta().lock.is_free());
 }
 
 TEST(DeflationTest, EngineTeardownReleasesItsSlots) {
@@ -200,7 +113,7 @@ TEST(DeflationTest, EngineTeardownReleasesItsSlots) {
     EXPECT_EQ(table.live_slots(), live_before + 1);
   }
   // The engine died: its RevocableMonitors cannot outlive it, so the slot
-  // was released and the object's word went stale (== free).
+  // was released and the object's word cleared.
   EXPECT_EQ(table.live_slots(), live_before);
   EXPECT_EQ(table.monitor_at(obj->meta().lock), nullptr);
   {
@@ -228,6 +141,45 @@ TEST(DeflationTest, DyingObjectReturnsItsSlot) {
   EXPECT_EQ(table.live_slots(), live_before + 1);
   fx.heap.free(obj);  // ~ObjectMeta releases the quiescent slot
   EXPECT_EQ(table.live_slots(), live_before);
+}
+
+TEST(DeflationTest, DyingHeldObjectDetachesUntilEngineTeardown) {
+  // An object freed inside the section that holds its monitor: the slot
+  // is not quiescent (the section owns it), so release_slot detaches it,
+  // and the section still commits through the live monitor.  The slot then
+  // lives until its engine dies.  Once through the biased lazy path, where
+  // no Frame exists and bias_fast_acquire's owner stamp is what keeps the
+  // slot alive, and once on the heavy path with a real Frame.
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  for (const bool bias : {true, false}) {
+    SCOPED_TRACE(bias ? "biased lazy path" : "heavy path");
+    const std::size_t live_before = table.live_slots();
+    rt::Scheduler sched;
+    heap::Heap heap;
+    heap::HeapObject* obj = heap.alloc("obj", 1);
+    bool freed = false;
+    {
+      EngineConfig cfg;
+      cfg.bias = bias;
+      Engine engine(sched, cfg);
+      // RVK_BIAS=0 and the analyzer gate the lazy path off (DESIGN.md §11).
+      const bool lazy = engine.config().bias && !analysis::env_enabled();
+      sched.spawn("t", rt::kNormPriority, [&] {
+        rt::VThread* t = sched.current_thread();
+        engine.synchronized(obj, [&] { obj->set<int>(0, 1); });
+        engine.synchronized(obj, [&] {
+          EXPECT_EQ(t->lazy_frame, lazy);
+          heap.free(obj);  // ~ObjectMeta with the monitor held
+          EXPECT_EQ(table.live_slots(), live_before + 1);  // detached
+          freed = true;
+        });
+      });
+      sched.run();
+      EXPECT_TRUE(freed);
+      EXPECT_EQ(table.live_slots(), live_before + 1);
+    }
+    EXPECT_EQ(table.live_slots(), live_before);  // teardown collected it
+  }
 }
 
 }  // namespace

@@ -144,7 +144,7 @@ void nested_pin_revocation(ScenarioContext& ctx) {
 
 // ---------------------------------------------------------------------------
 // Scenario 3 — priority re-bucket mid-queue.  When H contends m, the engine
-// revokes (and, with boost_victim, priority-boosts) L — which at that moment
+// revokes (and priority-boosts) L — which at that moment
 // may be parked on m2's entry queue behind/ahead of M.  The boost must
 // re-bucket L in place (WaitQueue::reposition) and the revocation interrupt
 // must yank it cleanly out of whichever bucket it sits in.
@@ -288,132 +288,6 @@ void biased_holder_revoked(ScenarioContext& ctx) {
   expect_done(ctx, st, 3);
 }
 
-// ---------------------------------------------------------------------------
-// Scenario 6 — deflation vs barging (DESIGN.md §13).  A and B repeatedly
-// synchronize on the OBJECT o (compact lock word; the engine inflates a
-// RevocableMonitor into the MonitorTable on first contention of each round)
-// while D sweeps scavenge_monitors() between their sections.  A scavenge
-// landing between B's release and A's next entry deflates the slot, so A's
-// entry re-inflates a fresh monitor — and one landing while anyone is
-// queued, in transit, or barging (§5.6 releases do not reserve) must
-// refuse.  The probe checks mutual exclusion across every such transition.
-void deflate_vs_barge(ScenarioContext& ctx) {
-  rt::Scheduler& s = ctx.sched();
-  core::Engine& e = ctx.engine();
-  Shared* st = ctx.make<Shared>();
-  st->probe = st->heap.alloc("o", 1);
-  heap::HeapObject* obj = st->probe;  // the lockee IS the probe object
-
-  for (int i = 0; i < 2; ++i) {
-    s.spawn(i == 0 ? "A" : "B", 5, [&s, &e, obj, st] {
-      for (int r = 0; r < 2; ++r) {
-        e.synchronized(obj, [&] {
-          enter_probe(s, st->probe, 0);
-          s.yield_point();
-          exit_probe(st->probe, 0);
-        });
-        s.yield_point();  // deflation window between sections
-      }
-      ++st->done;
-    });
-  }
-  s.spawn("D", 5, [&s, &e, st] {
-    for (int r = 0; r < 3; ++r) {
-      e.scavenge_monitors();
-      s.yield_point();
-    }
-    ++st->done;
-  });
-  expect_done(ctx, st, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 7 — deflation vs revocation reservation.  H's contention on the
-// object monitor revokes L; L's rollback release RESERVES the monitor for H
-// (§4: the high-priority thread acquires control).  D scavenges at every
-// point around that handoff: while the reservation is pending the monitor
-// is non-quiescent (reserved != null) and while L retries its frame
-// references the monitor (engine veto) — both must refuse, and L's retry
-// must re-resolve whatever monitor the word holds by then.
-void deflate_vs_reservation(ScenarioContext& ctx) {
-  rt::Scheduler& s = ctx.sched();
-  core::Engine& e = ctx.engine();
-  Shared* st = ctx.make<Shared>();
-  st->probe = st->heap.alloc("o", 1);
-  heap::HeapObject* obj = st->probe;
-
-  s.spawn("L", 2, [&s, &e, obj, st] {
-    e.synchronized(obj, [&] {
-      enter_probe(s, st->probe, 0);
-      s.yield_point();
-      s.yield_point();
-      exit_probe(st->probe, 0);
-    });
-    ++st->done;
-  });
-  s.spawn("H", 8, [&s, &e, obj, st] {
-    e.synchronized(obj, [&] {
-      enter_probe(s, st->probe, 0);
-      s.yield_point();
-      exit_probe(st->probe, 0);
-    });
-    ++st->done;
-  });
-  s.spawn("D", 9, [&s, &e, st] {
-    for (int r = 0; r < 3; ++r) {
-      e.scavenge_monitors();
-      s.yield_point();
-    }
-    ++st->done;
-  });
-  expect_done(ctx, st, 3);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 8 — deflation around lazy (biased) frames (DESIGN.md §11 + §13).
-// L's first section latches the object monitor's bias; its re-entries take
-// the biased fast path, whose frame stays LAZY until the probe write.  The
-// structural guarantee under test: bias_fast_acquire stamps the owner, and
-// green-thread atomicity means D can only run at yield points — by which
-// time a lazy frame has either materialized or released — so no schedule
-// can deflate a monitor out from under a lazy holder.  D scavenging just
-// BEFORE a biased re-entry is legal (the entry re-inflates, bias lost) and
-// must also be exclusion-clean.
-void deflate_while_frame_lazy(ScenarioContext& ctx) {
-  rt::Scheduler& s = ctx.sched();
-  core::Engine& e = ctx.engine();
-  Shared* st = ctx.make<Shared>();
-  st->probe = st->heap.alloc("o", 1);
-  heap::HeapObject* obj = st->probe;
-
-  s.spawn("L", 5, [&s, &e, obj, st] {
-    for (int r = 0; r < 3; ++r) {  // first run latches bias; rest re-enter
-      e.synchronized(obj, [&] {
-        enter_probe(s, st->probe, 0);
-        exit_probe(st->probe, 0);
-      });
-      s.yield_point();
-    }
-    ++st->done;
-  });
-  s.spawn("M", 5, [&s, &e, obj, st] {
-    e.synchronized(obj, [&] {
-      enter_probe(s, st->probe, 0);
-      s.yield_point();
-      exit_probe(st->probe, 0);
-    });
-    ++st->done;
-  });
-  s.spawn("D", 5, [&s, &e, st] {
-    for (int r = 0; r < 3; ++r) {
-      e.scavenge_monitors();
-      s.yield_point();
-    }
-    ++st->done;
-  });
-  expect_done(ctx, st, 3);
-}
-
 std::string diag(const ExploreResult& r) {
   std::ostringstream oss;
   oss << "schedules=" << r.schedules << " decisions=" << r.decisions
@@ -498,44 +372,6 @@ TEST(ExploreExhaustiveTest, BiasedLazyPathSurvivesExploration) {
   o.check_invariants = false;
   o.name = "biased_holder_revoked_lazy";
   const ExploreResult r = explore(biased_holder_revoked, o);
-  EXPECT_FALSE(r.failed) << diag(r);
-  EXPECT_GE(r.schedules, 50u) << diag(r);
-}
-
-TEST(ExploreExhaustiveTest, DeflateVsBargeSpaceIsClean) {
-  ExploreOptions o;
-  o.mode = Mode::kExhaustive;
-  o.preemption_bound = 2;
-  o.max_schedules = 60000;
-  o.name = "deflate_vs_barge";
-  const ExploreResult r = explore(deflate_vs_barge, o);
-  EXPECT_FALSE(r.failed) << diag(r);
-  EXPECT_GE(r.schedules, 50u) << diag(r);
-  EXPECT_GT(r.checks, r.schedules) << diag(r);
-}
-
-TEST(ExploreExhaustiveTest, DeflateVsReservationSpaceIsClean) {
-  ExploreOptions o;
-  o.mode = Mode::kExhaustive;
-  o.preemption_bound = 2;
-  o.max_schedules = 60000;
-  o.name = "deflate_vs_reservation";
-  const ExploreResult r = explore(deflate_vs_reservation, o);
-  EXPECT_FALSE(r.failed) << diag(r);
-  EXPECT_GE(r.schedules, 50u) << diag(r);
-}
-
-TEST(ExploreExhaustiveTest, DeflateWhileFrameLazySpaceIsClean) {
-  // Invariant sweeps off, as in BiasedLazyPathSurvivesExploration: with no
-  // lifecycle hook installed the lazy fast path is live, which is the whole
-  // point of this scenario.
-  ExploreOptions o;
-  o.mode = Mode::kExhaustive;
-  o.preemption_bound = 2;
-  o.max_schedules = 60000;
-  o.check_invariants = false;
-  o.name = "deflate_while_frame_lazy";
-  const ExploreResult r = explore(deflate_while_frame_lazy, o);
   EXPECT_FALSE(r.failed) << diag(r);
   EXPECT_GE(r.schedules, 50u) << diag(r);
 }

@@ -1,12 +1,12 @@
 // Compact lock words + the MonitorTable side table (DESIGN.md §13):
-// encoding round-trips, inflation/deflation edges, generation staleness,
+// encoding round-trips, inflation and release edges, back-link matching,
 // slot reuse, and the quiescence predicate's refusal cases.
 //
 // The table under test is the PROCESS-WIDE MonitorTable::global() — other
-// suites in this binary touch it too.  Each case therefore inflates under
-// its own owner tag and deflates with scavenge(&tag), which sweeps only that
-// tag's slots, and every stats assertion is a delta against a snapshot
-// taken after the state it must not count.
+// suites in this binary touch it too.  A case that must collect a detached
+// slot inflates under its own owner tag and frees it with
+// release_slots_owned_by(&tag), and every stats assertion is a delta
+// against a snapshot taken after the state it must not count.
 #include <gtest/gtest.h>
 
 #include "monitor/lock_word.hpp"
@@ -25,16 +25,17 @@ TEST(LockWordTest, DefaultIsFree) {
 }
 
 TEST(LockWordTest, InflatedEncodingRoundTrips) {
-  LockWord w = LockWord::inflated(42, 9);
+  LockWord w = LockWord::inflated(42);
   EXPECT_TRUE(w.is_inflated());
   EXPECT_FALSE(w.is_free());
   EXPECT_EQ(w.index(), 42u);
-  EXPECT_EQ(w.generation(), 9u);
 
-  LockWord last =
-      LockWord::inflated(LockWord::kMaxIndex, LockWord::kMaxGeneration);
+  LockWord zero = LockWord::inflated(0);  // slot 0 is still not free
+  EXPECT_TRUE(zero.is_inflated());
+  EXPECT_EQ(zero.index(), 0u);
+
+  LockWord last = LockWord::inflated(LockWord::kMaxIndex);
   EXPECT_EQ(last.index(), LockWord::kMaxIndex);
-  EXPECT_EQ(last.generation(), LockWord::kMaxGeneration);
 }
 
 // ---- Table behaviour ----
@@ -53,49 +54,63 @@ TEST(MonitorTableTest, InflateFreeWordBuildsUnownedMonitor) {
 }
 
 TEST(MonitorTableTest, StaleWordReadsAsFree) {
+  // A word resolves only through the slot's back-link: a copy at another
+  // address, or the original after release, reads as free.
   MonitorTable& table = MonitorTable::global();
   LockWord word;
-  table.inflate(word, "t");
-  const LockWord stale = word;  // survives the slot
+  MonitorBase& m = table.inflate(word, "t");
+  const LockWord copy = word;
+  EXPECT_TRUE(copy.is_inflated());             // the bits say inflated
+  EXPECT_EQ(table.monitor_at(copy), nullptr);  // but the slot names `word`
+  EXPECT_EQ(table.monitor_at(word), &m);
   table.release_slot(word);
-  EXPECT_TRUE(stale.is_inflated());             // the bits still say inflated
-  EXPECT_EQ(table.monitor_at(stale), nullptr);  // but the generation moved on
-  LockWord gone = stale;
-  table.release_slot(gone);  // releasing a stale word is a harmless no-op
-  EXPECT_TRUE(gone.is_free());
+  EXPECT_TRUE(word.is_free());
+  LockWord gone = copy;
+  table.release_slot(gone);  // releasing a word the slot does not name
+  EXPECT_TRUE(gone.is_free());  // is a harmless no-op that clears it
+  EXPECT_EQ(table.monitor_at(copy), nullptr);
 }
 
 TEST(MonitorTableTest, DeflationRefusedWhileOwnedOrContended) {
+  // A word whose holder dies while its monitor is owned, or contended,
+  // must not destroy the slot: release_slot detaches it instead, and the
+  // monitor keeps serving the threads that still hold it.
   rt::SchedulerConfig cfg;
   cfg.quantum = 10;
   rt::Scheduler s(cfg);
   MonitorTable& table = MonitorTable::global();
   int tag = 0;
-  LockWord word;
+  LockWord owned_word, contended_word;
+  MonitorBase& owned = table.inflate(owned_word, "owned", {}, &tag);
+  MonitorBase& contended =
+      table.inflate(contended_word, "contended", {}, &tag);
+  const std::size_t live = table.live_slots();
   bool owner_checked = false, contender_checked = false;
   s.spawn("owner", rt::kNormPriority, [&] {
-    MonitorBase& m = table.inflate(word, "t", {}, &tag);
-    m.acquire();
-    EXPECT_EQ(table.scavenge(&tag), 0u);  // owned → not quiescent
+    owned.acquire();
+    contended.acquire();
+    table.release_slot(owned_word);  // owned → not quiescent
+    EXPECT_TRUE(owned_word.is_free());
+    EXPECT_EQ(table.live_slots(), live);  // detached, not destroyed
     owner_checked = true;
     for (int i = 0; i < 50; ++i) s.yield_point();
-    // The contender is queued (and in transit) by now: still refused.
-    EXPECT_EQ(table.scavenge(&tag), 0u);
+    // The contender is queued (and in transit) by now.
+    contended.release();
+    table.release_slot(contended_word);
+    EXPECT_EQ(table.live_slots(), live);
     contender_checked = true;
-    m.release();
+    owned.release();
   });
   s.spawn("contender", rt::kNormPriority, [&] {
-    MonitorBase* m = table.monitor_at(word);
-    ASSERT_NE(m, nullptr);
-    m->acquire();
-    m->release();
+    contended.acquire();
+    contended.release();
   });
   s.run();
   EXPECT_TRUE(owner_checked);
   EXPECT_TRUE(contender_checked);
-  // Everyone is gone: now it deflates.
-  EXPECT_EQ(table.scavenge(&tag), 1u);
-  EXPECT_TRUE(word.is_free());
+  // Everyone is gone, and the owner's teardown collects both slots.
+  table.release_slots_owned_by(&tag);
+  EXPECT_EQ(table.live_slots(), live - 2);
 }
 
 TEST(MonitorTableTest, DeflationRefusedWhileWaiterParked) {
@@ -103,9 +118,10 @@ TEST(MonitorTableTest, DeflationRefusedWhileWaiterParked) {
   MonitorTable& table = MonitorTable::global();
   int tag = 0;
   LockWord word;
+  MonitorBase& m = table.inflate(word, "t", {}, &tag);
+  const std::size_t live = table.live_slots();
   bool woken = false;
   s.spawn("waiter", rt::kNormPriority, [&] {
-    MonitorBase& m = table.inflate(word, "t", {}, &tag);
     m.acquire();
     m.wait();  // releases the monitor; sits in the wait set
     woken = true;
@@ -113,107 +129,40 @@ TEST(MonitorTableTest, DeflationRefusedWhileWaiterParked) {
   });
   s.spawn("prober", rt::kNormPriority, [&] {
     s.sleep_for(20);
-    // Unowned, empty entry queue — but the wait set is populated: refused.
-    EXPECT_EQ(table.scavenge(&tag), 0u);
-    MonitorBase* m = table.monitor_at(word);
-    ASSERT_NE(m, nullptr);
-    m->acquire();
-    m->notify_one();
-    m->release();
+    // Unowned, empty entry queue — but the wait set is populated.
+    EXPECT_FALSE(MonitorTable::quiescent(m));
+    table.release_slot(word);
+    EXPECT_EQ(table.live_slots(), live);  // detached, not destroyed
+    m.acquire();
+    m.notify_one();
+    m.release();
   });
   s.run();
   EXPECT_TRUE(woken);
-  EXPECT_EQ(table.scavenge(&tag), 1u);
-  EXPECT_TRUE(word.is_free());
+  EXPECT_TRUE(MonitorTable::quiescent(m));
+  table.release_slots_owned_by(&tag);
+  EXPECT_EQ(table.live_slots(), live - 1);
 }
 
-TEST(MonitorTableTest, ReleaseSlotDetachesBusySlotForLaterScavenge) {
-  rt::Scheduler s;
+TEST(MonitorTableTest, ReinflationReusesReleasedSlot) {
   MonitorTable& table = MonitorTable::global();
-  int tag = 0;
   LockWord word;
-  s.spawn("t", rt::kNormPriority, [&] {
-    MonitorBase& m = table.inflate(word, "t", {}, &tag);
-    m.acquire();
-    const std::size_t live = table.live_slots();
-    // The word's holder dies while the monitor is busy: quiesce-or-detach
-    // keeps the slot alive (destroying it under an owner would be a UAF).
-    table.release_slot(word);
-    EXPECT_TRUE(word.is_free());
-    EXPECT_EQ(table.live_slots(), live);  // detached, not destroyed
-    EXPECT_EQ(table.scavenge(&tag), 0u);  // still owned → still refused
-    m.release();
-    // Now quiescent: the sweep finds the detached slot and reclaims it.
-    EXPECT_EQ(table.scavenge(&tag), 1u);
-    EXPECT_EQ(table.live_slots(), live - 1);
-  });
-  s.run();
-}
-
-TEST(MonitorTableTest, ReinflationReusesScavengedSlot) {
-  MonitorTable& table = MonitorTable::global();
-  int tag = 0;
-  LockWord word;
-  table.inflate(word, "t", {}, &tag);
+  table.inflate(word, "t");
   // Snapshot AFTER the first inflation: it may itself have popped a slot an
   // earlier test used, which already counts as a re-inflation.
   const MonitorTableStats before = table.stats();
   const std::uint32_t first_index = word.index();
-  const std::uint64_t first_gen = word.generation();
-  ASSERT_EQ(table.scavenge(&tag), 1u);
+  table.release_slot(word);  // quiescent → destroyed
   EXPECT_TRUE(word.is_free());
-  EXPECT_EQ(table.stats().deflations, before.deflations + 1);
 
   LockWord word2;
-  table.inflate(word2, "t2", {}, &tag);
-  EXPECT_EQ(word2.index(), first_index);      // pooled: same slot returns
-  EXPECT_NE(word2.generation(), first_gen);   // ...at a new generation
+  MonitorBase& m2 = table.inflate(word2, "t2");
+  EXPECT_EQ(word2.index(), first_index);  // pooled: same slot returns
   EXPECT_EQ(table.stats().re_inflations, before.re_inflations + 1);
+  // The old word's bits may name the slot again; only word2 resolves.
+  EXPECT_EQ(table.monitor_at(LockWord::inflated(first_index)), nullptr);
+  EXPECT_EQ(table.monitor_at(word2), &m2);
   table.release_slot(word2);
-}
-
-TEST(MonitorTableTest, GenerationCeilingRetiresTheSlot) {
-  // Cycling ONE slot through its entire 12-bit generation budget must end
-  // with the slot retired (never recycled), so a stale word can never
-  // falsely match a re-tenanted slot — the invariant that keeps the narrow
-  // generation field sound.
-  MonitorTable& table = MonitorTable::global();
-  int tag = 0;
-  LockWord word;
-  table.inflate(word, "g", {}, &tag);
-  const std::uint32_t index = word.index();
-  LockWord stale_first = word;  // generation 1 word, held across the cycles
-  std::uint32_t cycles = 0;
-  while (true) {
-    ASSERT_EQ(table.scavenge(&tag), 1u);
-    ++cycles;
-    table.inflate(word, "g", {}, &tag);
-    if (word.index() != index) break;  // the slot retired; a fresh one opened
-    ASSERT_LT(cycles, 2u * LockWord::kMaxGeneration);  // must terminate
-    EXPECT_EQ(table.monitor_at(stale_first), nullptr);
-  }
-  // Earlier tests may have pre-aged the slot this test popped, so the exact
-  // cycle count is "whatever was left of the budget" — only its bound is
-  // deterministic.
-  EXPECT_LE(cycles, LockWord::kMaxGeneration);
-  EXPECT_EQ(table.monitor_at(stale_first), nullptr);  // retired forever
-  table.release_slot(word);
-}
-
-TEST(MonitorTableTest, VetoBlocksDeflation) {
-  // A veto is keyed by the owner tag its slots carry (an engine registers
-  // one for the monitors it inflates); this tag stands in for it.
-  MonitorTable& table = MonitorTable::global();
-  int owner = 0;
-  LockWord word;
-  table.inflate(word, "t", {}, &owner);
-  table.set_deflate_veto(&owner, [](const MonitorBase&) { return false; });
-  EXPECT_EQ(table.scavenge(&owner), 0u);  // quiescent, but vetoed
-  table.scavenge();  // the whole-table sweep consults the tag's veto too
-  EXPECT_NE(table.monitor_at(word), nullptr);
-  table.set_deflate_veto(&owner, {});
-  EXPECT_EQ(table.scavenge(&owner), 1u);
-  EXPECT_TRUE(word.is_free());
 }
 
 TEST(MonitorTableTest, StatsPublishToRegistry) {
@@ -227,7 +176,7 @@ TEST(MonitorTableTest, StatsPublishToRegistry) {
   const obs::Registry::Entry* inf = reg.find("montable.inflations");
   ASSERT_NE(inf, nullptr);
   EXPECT_GE(inf->value, 1u);
-  EXPECT_NE(reg.find("montable.deflations"), nullptr);
+  EXPECT_NE(reg.find("montable.re_inflations"), nullptr);
   EXPECT_NE(reg.find("montable.live_high_water"), nullptr);
 }
 

@@ -1,6 +1,6 @@
 // Engine-configuration matrix: the same contention scenario must satisfy
 // the same invariants under every combination of engine features —
-// detection mode × JMM guard × victim boost × backoff × scheduler policy.
+// detection mode × JMM guard × backoff × scheduler policy.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -17,7 +17,6 @@ namespace {
 struct MatrixParams {
   DetectionMode detection;
   bool jmm_guard;
-  bool boost;
   std::uint64_t backoff;
   bool strict_priority;
 };
@@ -36,7 +35,6 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   cfg.detection = mp.detection;
   cfg.background_period = 5;
   cfg.jmm_guard = mp.jmm_guard;
-  cfg.boost_victim = mp.boost;
   cfg.retry_backoff_ticks = mp.backoff;
   Engine engine(sched, cfg);
   heap::Heap heap;
@@ -100,8 +98,7 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParams>& info) {
     case DetectionMode::kBoth: os << "both"; break;
     case DetectionMode::kNone: os << "none"; break;
   }
-  os << (p.jmm_guard ? "_jmm" : "_nojmm") << (p.boost ? "_boost" : "")
-     << "_bk" << p.backoff
+  os << (p.jmm_guard ? "_jmm" : "_nojmm") << "_bk" << p.backoff
      << (p.strict_priority ? "_strict" : "_rr");
   return os.str();
 }
@@ -109,17 +106,16 @@ std::string matrix_name(const ::testing::TestParamInfo<MatrixParams>& info) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, ConfigMatrixTest,
     ::testing::Values(
-        MatrixParams{DetectionMode::kAtAcquire, true, true, 0, false},
-        MatrixParams{DetectionMode::kAtAcquire, false, true, 0, false},
-        MatrixParams{DetectionMode::kAtAcquire, true, true, 100, false},
-        MatrixParams{DetectionMode::kAtAcquire, true, true, 50, true},
-        MatrixParams{DetectionMode::kAtAcquire, true, false, 0, false},
-        MatrixParams{DetectionMode::kBackground, true, true, 0, false},
-        MatrixParams{DetectionMode::kBackground, true, true, 0, true},
-        MatrixParams{DetectionMode::kBoth, true, true, 0, false},
-        MatrixParams{DetectionMode::kBoth, false, true, 25, false},
-        MatrixParams{DetectionMode::kNone, true, true, 0, false},
-        MatrixParams{DetectionMode::kNone, false, false, 0, true}),
+        MatrixParams{DetectionMode::kAtAcquire, true, 0, false},
+        MatrixParams{DetectionMode::kAtAcquire, false, 0, false},
+        MatrixParams{DetectionMode::kAtAcquire, true, 100, false},
+        MatrixParams{DetectionMode::kAtAcquire, true, 50, true},
+        MatrixParams{DetectionMode::kBackground, true, 0, false},
+        MatrixParams{DetectionMode::kBackground, true, 0, true},
+        MatrixParams{DetectionMode::kBoth, true, 0, false},
+        MatrixParams{DetectionMode::kBoth, false, 25, false},
+        MatrixParams{DetectionMode::kNone, true, 0, false},
+        MatrixParams{DetectionMode::kNone, false, 0, true}),
     matrix_name);
 
 }  // namespace
