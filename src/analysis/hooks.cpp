@@ -10,7 +10,7 @@
 #include "common/check.hpp"
 #include "core/revocable_monitor.hpp"
 #include "log/undo_log.hpp"
-#include "obs/recorder.hpp"
+#include "obs/event.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::analysis {
@@ -76,11 +76,6 @@ Analyzer* Analyzer::install() {
     g_analyzer.reset(new Analyzer());
     heap::set_analysis_hook(&access_trampoline);
     rt::set_switch_probe(&switch_trampoline);
-    // The obs recorder self-reports through the same probe: an obs hook
-    // that could allocate (ring/profile registration) firing inside
-    // commit/abort or a release path is the same class of breach as a
-    // yield point there.
-    obs::set_breach_hook(&switch_trampoline);
     rt::set_region_marking(true);
   }
   return g_analyzer.get();
@@ -92,7 +87,6 @@ void Analyzer::uninstall() {
   if (--g_install_count > 0) return;  // peers still observing
   heap::set_analysis_hook(nullptr);
   rt::set_switch_probe(nullptr);
-  obs::set_breach_hook(nullptr);
   rt::set_region_marking(false);
   // Surface breaches even from binaries that never ask for the report
   // (fig/bench runs under RVK_ANALYZE=1).

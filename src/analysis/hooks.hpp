@@ -25,6 +25,9 @@
 // core/ links analysis/ and calls the Analyzer through the header-only
 // EngineObserver interface.  This keeps the library dependency graph
 // acyclic.
+//
+// The obs recorder is not a seam here: its monitor/engine handler never
+// allocates, which rvkcheck's forbidden-region rule checks statically.
 #pragma once
 
 #include <cstdint>

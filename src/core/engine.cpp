@@ -69,14 +69,15 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
   const char* bias_env = std::getenv("RVK_BIAS");
   if (bias_env != nullptr && bias_env[0] == '0') cfg_.bias = false;
 
-  // Multi-shard: the shared MonitorTable pool needs its mutex from here on
-  // (peer shards construct their engines concurrently), and a dying
-  // object's slot must wait for this engine, since a cross-shard message may
-  // still name its monitor.  Flipped before this shard runs a single
-  // vthread, and idempotent across shards.
+  // Multi-shard: the shared MonitorTable pool needs its mutex while this
+  // engine lives (peer shards construct their engines concurrently), and a
+  // dying object's slot must wait for this engine, since a cross-shard
+  // message may still name its monitor.  Entered before this shard runs a
+  // single vthread; the destructor leaves.
   if (domain_ != nullptr && domain_->set() != nullptr &&
       domain_->set()->size() > 1) {
-    monitor::MonitorTable::global().set_concurrent(true);
+    multi_shard_ = true;
+    monitor::MonitorTable::global().enter_multi_shard();
   }
 
   // Object monitors live behind compact lock words in the process-wide
@@ -153,6 +154,7 @@ Engine::~Engine() {
   // the RevocableMonitor destructors unregister from monitors_, which must
   // still be alive.
   monitor::MonitorTable::global().release_slots_owned_by(this);
+  if (multi_shard_) monitor::MonitorTable::global().leave_multi_shard();
   if (observing_) obs::Recorder::uninstall();
   if (analyzer_ != nullptr) {
     unsubscribe(analyzer_);
@@ -841,7 +843,8 @@ void Engine::on_alloc(heap::Heap* heap, heap::HeapObject* obj) {
 
 void Engine::publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
                      const RevocableMonitor* m, std::uint64_t aux) {
-  obs::on_engine(kind, t, frame, m, aux);
+  obs::on_event(kind, t,
+                frame != 0 ? frame : reinterpret_cast<std::uintptr_t>(m), aux);
   const auto* ts = static_cast<const ThreadSync*>(t->engine_state);
   const EngineEvent e{kind, t, frame, m, aux,
                       ts != nullptr ? &ts->frames : nullptr};

@@ -488,6 +488,7 @@ class Engine {
   std::uint64_t next_frame_id_ = 1;
   analysis::Analyzer* analyzer_ = nullptr;  // installed by this engine
   bool observing_ = false;  // this engine installed the obs recorder
+  bool multi_shard_ = false;  // entered the MonitorTable's multi-shard mode
   std::vector<EngineObserver*> observers_;  // publish's subscribers
 
   friend class RevocableMonitor;

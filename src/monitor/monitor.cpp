@@ -4,6 +4,13 @@
 
 namespace rvk::monitor {
 
+namespace {
+// A monitor's identity in obs events (EventKind: a = monitor identity).
+std::uint64_t obs_id(const MonitorBase* m) {
+  return reinterpret_cast<std::uintptr_t>(m);
+}
+}  // namespace
+
 void MonitorBase::acquire() { (void)enter(std::nullopt); }
 
 bool MonitorBase::try_enter(std::uint64_t ticks) { return enter(ticks); }
@@ -59,7 +66,8 @@ bool MonitorBase::enter(const std::optional<std::uint64_t>& ticks) {
       // blocking_priority() is only evaluated when a recorder is live
       // (zero-cost-when-off contract, DESIGN.md §10).
       if (obs::recording()) [[unlikely]] {
-        obs::on_monitor_contend(t, this, name_, blocking_priority(t));
+        obs::on_event(obs::EventKind::kMonitorContend, t, obs_id(this),
+                      static_cast<std::uint64_t>(blocking_priority(t)));
       }
     }
     on_block(t);
@@ -88,7 +96,8 @@ bool MonitorBase::enter(const std::optional<std::uint64_t>& ticks) {
       return false;
     }
   }
-  obs::on_monitor_acquired(t, this, name_, contended);
+  obs::on_event(obs::EventKind::kMonitorAcquire, t, obs_id(this),
+                contended ? 1 : 0);
   on_acquired(t);
   return true;
 }
@@ -108,7 +117,7 @@ bool MonitorBase::try_take(rt::VThread* t) {
   if (reserved_ != nullptr && reserved_ != t) {
     if (t->priority() <= reserved_->priority()) return false;
     ++stats_.steals;  // strictly higher priority displaces the reservation
-    obs::on_monitor_barge(t, this, name_);
+    obs::on_event(obs::EventKind::kMonitorBarge, t, obs_id(this));
   }
   set_reserved(nullptr);
   owner_ = t;
@@ -149,9 +158,10 @@ void MonitorBase::do_release(bool reserve) {
   // harness checks grants never exceed rollback releases (CLAUDE.md: only
   // rollback reserves; ordinary release must allow barging, §4).
   if (reserve && reserved_ != nullptr) ++stats_.reservations;
-  // Still inside the forbidden region: the obs release handler is one of
-  // the forbidden-safe ones (pre-reserved ring slot, no allocation).
-  obs::on_monitor_release(t, this, name_, reserve && reserved_ != nullptr);
+  // Still inside the forbidden region: the recorder's one handler is
+  // forbidden-safe (pre-reserved ring slot, no allocation).
+  obs::on_event(obs::EventKind::kMonitorRelease, t, obs_id(this),
+                reserve && reserved_ != nullptr ? 1 : 0);
 }
 
 void MonitorBase::handoff(bool reserve) {
@@ -187,7 +197,8 @@ void MonitorBase::abandon_acquire(rt::VThread* t, bool cancelled,
   } else {
     ++stats_.timeouts;
   }
-  obs::on_monitor_abandon(t, this, name_, cancelled, waited_ticks);
+  obs::on_event(obs::EventKind::kMonitorAbandon, t, obs_id(this),
+                cancelled ? 1 : 0, waited_ticks);
 }
 
 void MonitorBase::cancel(rt::VThread* t) {

@@ -82,18 +82,23 @@ class MonitorTable {
   // destroying the slot under it would be a use-after-free).
   static bool quiescent(const MonitorBase& m);
 
-  // Multi-shard switch (flipped by every engine that binds to a multi-shard
-  // DomainSet, before its first table access — shard threads construct
-  // their engines concurrently): guards the slot pool with a mutex, and
-  // makes release_slot detach rather than destroy.  Single-shard runs never
-  // take the mutex — the lookup fast path stays one branch.  Relaxed is
-  // enough: a shard only touches the table after its own engine's
-  // constructor flipped this in the same thread's program order.
-  void set_concurrent(bool on) {
-    concurrent_.store(on, std::memory_order_relaxed);
+  // Multi-shard mode: on while any engine bound to a multi-shard DomainSet
+  // is alive.  Each such engine enters before its first table access (shard
+  // threads construct their engines concurrently) and leaves after its
+  // teardown returned its slots.  While on, the slot pool is guarded by a
+  // mutex and release_slot detaches rather than destroys.  Single-shard
+  // runs never take the mutex — the lookup fast path stays one branch — and
+  // a later single-shard engine is back to destroying quiescent slots.
+  // Relaxed is enough: a shard only touches the table after its own
+  // engine's constructor entered, in the same thread's program order.
+  void enter_multi_shard() {
+    multi_shard_engines_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void leave_multi_shard() {
+    multi_shard_engines_.fetch_sub(1, std::memory_order_relaxed);
   }
   bool concurrent() const {
-    return concurrent_.load(std::memory_order_relaxed);
+    return multi_shard_engines_.load(std::memory_order_relaxed) != 0;
   }
 
   // Word-holder teardown: destroys the slot if quiescent() and not
@@ -143,7 +148,7 @@ class MonitorTable {
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;
   MonitorTableStats stats_;
-  std::atomic<bool> concurrent_{false};
+  std::atomic<int> multi_shard_engines_{0};
   mutable std::mutex mu_;
 };
 

@@ -21,12 +21,7 @@ namespace detail {
 thread_local Recorder* g_recorder = nullptr;
 std::atomic<int> g_obs_active{0};
 Recorder* current_recorder() { return g_recorder; }
-void (*g_breach_hook)(rt::VThread*, const char*) = nullptr;
 }  // namespace detail
-
-void set_breach_hook(void (*hook)(rt::VThread*, const char*)) {
-  detail::g_breach_hook = hook;
-}
 
 namespace {
 
@@ -123,16 +118,6 @@ Recorder* Recorder::active() { return detail::g_recorder; }
 
 void Recorder::absorb(const Recorder& other) {
   registry_.merge_from(other.registry_);
-  for (const auto& [name, p] : other.profiles_) {
-    MonitorProfile& mine = profile_of(name);
-    mine.acquires += p.acquires;
-    mine.contended += p.contended;
-    mine.releases += p.releases;
-    mine.reserving_releases += p.reserving_releases;
-    mine.barges += p.barges;
-    mine.wait_ticks += p.wait_ticks;
-    mine.aborts += p.aborts;
-  }
   orphan_events_ += other.orphan_events_;
   dropped_before_run_ += other.dropped_events();
   threads_observed_ += other.threads_observed_;
@@ -199,23 +184,10 @@ void Recorder::push(ThreadSide& side, rt::VThread* t, EventKind kind,
   side.ring.push(e);
 }
 
-void Recorder::check_not_forbidden(rt::VThread* t, const char* what) {
-  // The depth is maintained only while the analyzer marks regions, so this
-  // lint activates exactly when the analyzer is installed — satellites of
-  // the same zero-cost-off discipline.
-  if (t != nullptr && t->forbidden_region_depth != 0 &&
-      detail::g_breach_hook != nullptr) {
-    detail::g_breach_hook(t, what);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Recording handlers
 
-void Recorder::record_spawn(rt::VThread* t) {
-  check_not_forbidden(t, "obs spawn hook (ring registration)");
-  ensure_side(t);
-}
+void Recorder::record_spawn(rt::VThread* t) { ensure_side(t); }
 
 void Recorder::record_dispatch(rt::VThread* t) {
   // Dispatch runs in scheduler context, outside any forbidden region, so
@@ -244,145 +216,92 @@ void Recorder::record_switch_out(rt::VThread* t, rt::SwitchReason reason) {
   push(*s, t, kind, 0, 0);
 }
 
-MonitorProfile& Recorder::profile_of(std::string_view name) {
-  auto it = profiles_.find(name);
-  if (it == profiles_.end()) {
-    it = profiles_.emplace(std::string(name), MonitorProfile{}).first;
-  }
-  return it->second;
-}
-
-void Recorder::record_monitor_contend(rt::VThread* t, const void* m,
-                                      std::string_view name,
-                                      int deposited_priority) {
-  check_not_forbidden(t, "obs monitor-contend hook (profile registration)");
-  ThreadSide& s = ensure_side(t);
-  ++profile_of(name).contended;
-  const std::uint64_t w = wall_ns();
-  const std::uint64_t v = vclock_of(t);
-  if (!s.wait_pending) {
-    s.wait_pending = true;
-    s.wait_wall = w;
-    s.wait_vclock = v;
-  }
-  // A waiter that outranks the deposited owner priority is a priority
-  // inversion in the making (§2): stamp it so the acquire closes the
-  // paper's headline latency, blocked → holding.
-  if (t->priority() > deposited_priority && !s.inversion_pending) {
-    s.inversion_pending = true;
-    s.inv_wall = w;
-    s.inv_vclock = v;
-  }
-  push(s, t, EventKind::kMonitorContend,
-       reinterpret_cast<std::uintptr_t>(m),
-       static_cast<std::uint64_t>(deposited_priority));
-}
-
-void Recorder::record_monitor_acquired(rt::VThread* t, const void* m,
-                                       std::string_view name,
-                                       bool contended) {
-  check_not_forbidden(t, "obs monitor-acquire hook (profile registration)");
-  ThreadSide& s = ensure_side(t);
-  MonitorProfile& prof = profile_of(name);
-  ++prof.acquires;
-  const std::uint64_t w = wall_ns();
-  const std::uint64_t v = vclock_of(t);
-  if (contended && s.wait_pending) {
-    contention_wait_ticks_->record(v - s.wait_vclock);
-    contention_wait_ns_->record(w - s.wait_wall);
-    prof.wait_ticks += v - s.wait_vclock;
-  }
-  s.wait_pending = false;
-  if (contended && s.inversion_pending) {
-    inversion_ticks_->record(v - s.inv_vclock);
-    inversion_ns_->record(w - s.inv_wall);
-  }
-  s.inversion_pending = false;
-  push(s, t, EventKind::kMonitorAcquire,
-       reinterpret_cast<std::uintptr_t>(m), contended ? 1 : 0);
-}
-
-void Recorder::record_monitor_barge(rt::VThread* t, const void* m,
-                                    std::string_view name) {
-  check_not_forbidden(t, "obs monitor-barge hook (profile registration)");
-  ThreadSide& s = ensure_side(t);
-  ++profile_of(name).barges;
-  push(s, t, EventKind::kMonitorBarge, reinterpret_cast<std::uintptr_t>(m),
-       0);
-}
-
-void Recorder::record_monitor_release(rt::VThread* t, const void* m,
-                                      std::string_view name, bool reserving) {
-  // Forbidden-safe: heterogeneous map find (no key allocation), counter
-  // bumps, ring store.  Unknown monitors are skipped, not registered.
-  auto it = profiles_.find(name);
-  if (it != profiles_.end()) {
-    ++it->second.releases;
-    if (reserving) ++it->second.reserving_releases;
+void Recorder::record(EventKind kind, rt::VThread* t, std::uint64_t a,
+                      std::uint64_t b, std::uint64_t waited) {
+  // Forbidden-safe (see the header): pre-created metrics, a find-only ring
+  // lookup and a ring store.  These metrics count every thread, registered
+  // or not.
+  switch (kind) {
+    case EventKind::kMonitorAbandon:
+      abandon_wait_ticks_->record(waited);
+      break;
+    case EventKind::kUndoReplay:
+      ++*log_rollbacks_;
+      rollback_bytes_->record(b * sizeof(std::uint64_t));
+      break;
+    case EventKind::kSectionCommit:
+      // The outermost commit discards the thread's whole undo log.
+      if (t->sync_depth == 0) ++*log_commit_discards_;
+      break;
+    default:
+      break;
   }
   ThreadSide* s = side_of(t);
   if (s == nullptr) {
     ++orphan_events_;
     return;
   }
-  push(*s, t, EventKind::kMonitorRelease,
-       reinterpret_cast<std::uintptr_t>(m), reserving ? 1 : 0);
-}
-
-void Recorder::record_monitor_abandon(rt::VThread* t, const void* m,
-                                      std::string_view name, bool cancelled,
-                                      std::uint64_t waited_ticks) {
-  // Forbidden-safe: abandon_acquire fires this inside its forbidden region —
-  // find-only profile lookup, pre-sized histogram record, ring store.
-  auto it = profiles_.find(name);
-  if (it != profiles_.end()) ++it->second.aborts;
-  abandon_wait_ticks_->record(waited_ticks);
-  ThreadSide* s = side_of(t);
-  if (s == nullptr) {
-    ++orphan_events_;
-    return;
+  switch (kind) {
+    case EventKind::kMonitorContend: {
+      const std::uint64_t w = wall_ns();
+      const std::uint64_t v = vclock_of(t);
+      if (!s->wait_pending) {
+        s->wait_pending = true;
+        s->wait_wall = w;
+        s->wait_vclock = v;
+      }
+      // A waiter that outranks the deposited owner priority (b) is a
+      // priority inversion in the making (§2): stamp it so the acquire
+      // closes the paper's headline latency, blocked → holding.
+      if (t->priority() > static_cast<int>(b) && !s->inversion_pending) {
+        s->inversion_pending = true;
+        s->inv_wall = w;
+        s->inv_vclock = v;
+      }
+      break;
+    }
+    case EventKind::kMonitorAcquire: {
+      const std::uint64_t w = wall_ns();
+      const std::uint64_t v = vclock_of(t);
+      if (b != 0 && s->wait_pending) {
+        contention_wait_ticks_->record(v - s->wait_vclock);
+        contention_wait_ns_->record(w - s->wait_wall);
+      }
+      if (b != 0 && s->inversion_pending) {
+        inversion_ticks_->record(v - s->inv_vclock);
+        inversion_ns_->record(w - s->inv_wall);
+      }
+      s->wait_pending = false;
+      s->inversion_pending = false;
+      break;
+    }
+    case EventKind::kMonitorAbandon:
+      // The contention window closed without an acquisition: drop the
+      // pending contend→acquire stamps so a later, unrelated acquire cannot
+      // absorb this abandoned wait into the latency histograms.
+      s->wait_pending = false;
+      s->inversion_pending = false;
+      break;
+    case EventKind::kRevokeRequest:
+      // The first request against this thread opens the rollback-latency
+      // window; it closes when the victim restarts its section.
+      if (!s->rollback_pending) {
+        s->rollback_pending = true;
+        s->rb_wall = wall_ns();
+        s->rb_vclock = vclock_of(t);
+      }
+      break;
+    case EventKind::kSectionRetry:
+      if (s->rollback_pending) {
+        rollback_ticks_->record(vclock_of(t) - s->rb_vclock);
+        rollback_ns_->record(wall_ns() - s->rb_wall);
+        s->rollback_pending = false;
+      }
+      break;
+    default:
+      break;
   }
-  // The contention window closed without an acquisition: drop the pending
-  // contend→acquire stamps so a later, unrelated acquire cannot absorb this
-  // abandoned wait into the latency histograms.
-  s->wait_pending = false;
-  s->inversion_pending = false;
-  push(*s, t, EventKind::kMonitorAbandon, reinterpret_cast<std::uintptr_t>(m),
-       cancelled ? 1 : 0);
-}
-
-void Recorder::record_engine(EventKind kind, rt::VThread* t,
-                             std::uint64_t frame, const void* m,
-                             std::uint64_t aux) {
-  // Forbidden-safe: several of these fire from inside commit/abort.  The
-  // undo-log counters count every thread, registered or not.
-  if (kind == EventKind::kUndoReplay) {
-    ++*log_rollbacks_;
-    rollback_bytes_->record(aux * sizeof(std::uint64_t));
-  } else if (kind == EventKind::kSectionCommit && t->sync_depth == 0) {
-    ++*log_commit_discards_;
-  }
-  ThreadSide* s = side_of(t);
-  if (s == nullptr) {
-    ++orphan_events_;
-    return;
-  }
-  const std::uint64_t w = wall_ns();
-  const std::uint64_t v = vclock_of(t);
-  if (kind == EventKind::kRevokeRequest && !s->rollback_pending) {
-    // First request against this thread opens the rollback-latency window;
-    // it closes when the victim restarts its section (kSectionRetry).
-    s->rollback_pending = true;
-    s->rb_wall = w;
-    s->rb_vclock = v;
-  } else if (kind == EventKind::kSectionRetry && s->rollback_pending) {
-    rollback_ticks_->record(v - s->rb_vclock);
-    rollback_ns_->record(w - s->rb_wall);
-    s->rollback_pending = false;
-  }
-  const std::uint64_t a =
-      frame != 0 ? frame : reinterpret_cast<std::uintptr_t>(m);
-  push(*s, t, kind, a, aux);
+  push(*s, t, kind, a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -425,16 +344,6 @@ void Recorder::export_metrics(
   // Events recorded on absorbed peer shards: present in the merged metrics
   // above, absent from this (single-shard) trace.
   registry_.set("obs.foreign_shard_events", foreign_shard_events_);
-  for (const auto& [name, p] : profiles_) {
-    const std::string prefix = "monitor." + name + ".";
-    registry_.set(prefix + "acquires", p.acquires);
-    registry_.set(prefix + "contended", p.contended);
-    registry_.set(prefix + "releases", p.releases);
-    registry_.set(prefix + "reserving_releases", p.reserving_releases);
-    registry_.set(prefix + "barges", p.barges);
-    registry_.set(prefix + "wait_ticks", p.wait_ticks);
-    registry_.set(prefix + "aborts", p.aborts);
-  }
   registry_.write_json(os, context);
 }
 

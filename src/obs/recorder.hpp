@@ -3,32 +3,37 @@
 //
 // One Recorder may be installed per *shard* (per OS thread) at a time,
 // mirroring the one-Engine-per-shard invariant (DESIGN.md §16): the install
-// point is thread-local, every ring/profile/registry it owns is touched
-// only from its own shard's OS thread, and the recorders merge at the end —
-// the last uninstall absorbs its parked peers' registries and profiles
-// before exporting, so RVK_OBS=1 produces one merged metrics document under
-// any shard count (peer event *traces* are not merged; they are counted as
-// obs.foreign_shard_events so the loss is visible).  Instrumentation sites
-// across rt/, monitor/ and core/ call the inline on_*() dispatchers
-// below; when no recorder is installed anywhere they cost a single
+// point is thread-local, every ring/registry it owns is touched only from
+// its own shard's OS thread, and the recorders merge at the end — the last
+// uninstall absorbs its parked peers' registries before exporting, so
+// RVK_OBS=1 produces one merged metrics document under any shard count
+// (peer event *traces* are not merged; they are counted as
+// obs.foreign_shard_events so the loss is visible).  The scheduler calls
+// on_spawn/on_dispatch/on_switch_out; every monitor and engine event goes
+// through the one on_event() dispatcher into Recorder::record.  When no
+// recorder is installed anywhere a dispatcher costs a single
 // predicted-not-taken test of a plain global — the same zero-cost-off
-// discipline as the revocation-safety analyzer.  The yield
-// point itself carries NO obs hook: per-thread activity is reconstructed
-// from dispatch/switch events, which is exactly as precise (code between
-// yield points is atomic) and keeps the hottest path untouched.
+// discipline as the revocation-safety analyzer.  The yield point itself
+// carries NO obs hook: per-thread activity is reconstructed from
+// dispatch/switch events, which is exactly as precise (code between yield
+// points is atomic) and keeps the hottest path untouched.
 //
-// Forbidden-region contract (CLAUDE.md): handlers reachable from
-// commit/abort or monitor release paths — release, engine lifecycle, undo
-// replay — only store into pre-reserved ring slots, bump pre-created
-// registry counters, and record into pre-sized histograms.  They never
-// allocate.  Handlers that MAY allocate (spawn, contend, acquire: they
-// register rings and per-monitor profiles) run only on paths that may
-// already block, and each one first checks the forbidden-region depth and
-// reports through the analyzer's breach hook — the obs extension of the
-// forbidden-region lint.
+// Forbidden-region contract (DESIGN.md §10): record() fires inside
+// commit/abort, monitor release and abandon windows, so it only stores into
+// pre-reserved ring slots, bumps pre-created registry counters and records
+// into pre-sized histograms — it never allocates, and it only *finds* a
+// thread's ring (an unregistered thread counts as obs.orphan_events).  Ring
+// registration, the one allocating step, happens at spawn and dispatch, in
+// scheduler context.  rvkcheck's forbidden-region rule covers src/obs, so
+// an allocation reachable from record() fails the static check.  Per-monitor
+// counters are not kept here: MonitorStats holds them, and the figure
+// harness and the open-loop driver publish them as monitor.<name>.stats.*
+// (obs/metrics.hpp).
 //
 // Derived metrics, stamped on the recording path:
 //  * monitor.contention_wait_{ticks,ns}  — contend → acquire, any waiter;
+//  * monitor.abandon_wait_ticks          — ticks a try_enter waited before
+//    giving up (kMonitorAbandon; closes the contend window unfilled);
 //  * inversion.resolution_{ticks,ns}     — contend → acquire for waiters
 //    that outrank the deposited owner priority: the paper's headline
 //    quantity, time from a high-priority thread blocking on an inverted
@@ -46,7 +51,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -66,18 +70,6 @@ struct RecorderConfig {
   // Per-thread ring capacity (rounded up to a power of two); overridable
   // with RVK_OBS_RING.
   std::size_t ring_capacity = EventRing::kDefaultCapacity;
-};
-
-// Per-monitor contention profile, keyed by monitor *name* so profiles
-// accumulate across the harness's per-repetition monitor objects.
-struct MonitorProfile {
-  std::uint64_t acquires = 0;   // non-recursive acquisitions
-  std::uint64_t contended = 0;  // acquisitions that blocked at least once
-  std::uint64_t releases = 0;   // full releases
-  std::uint64_t reserving_releases = 0;  // rollback releases (reservations)
-  std::uint64_t barges = 0;     // reservation displacements
-  std::uint64_t wait_ticks = 0; // summed contend→acquire virtual ticks
-  std::uint64_t aborts = 0;     // abortable acquisitions that gave up (§14)
 };
 
 class Recorder {
@@ -105,9 +97,8 @@ class Recorder {
 
   // Starts a fresh run: clears every ring and per-thread registration so
   // thread ids and the virtual clock may restart (the harness constructs a
-  // fresh Scheduler per repetition).  Metrics — counters, histograms,
-  // monitor profiles — accumulate across runs; the event trace reflects the
-  // LAST run only.  Called by harness::run_workload; explicit callers
+  // fresh Scheduler per repetition).  Metrics — counters and histograms —
+  // accumulate across runs; the event trace reflects the LAST run only.  Called by harness::run_workload; explicit callers
   // (tests, exploration scenarios) invoke it per schedule.
   void begin_run();
 
@@ -128,17 +119,12 @@ class Recorder {
   std::uint64_t dropped_events() const;
   std::uint64_t orphan_events() const { return orphan_events_; }
 
-  const std::map<std::string, MonitorProfile, std::less<>>& profiles() const {
-    return profiles_;
-  }
-
   // Thread name registered for `tid` in the current run ("" if unknown).
   std::string_view thread_name(std::uint32_t tid) const;
 
-  // Writes the registry (plus ring/drop/profile summary counters) as
+  // Writes the registry (plus ring/drop summary counters) as
   // BENCH_*.json-shaped JSON.  `context` pairs are emitted verbatim.
-  // Non-const: folds the per-monitor profiles and ring totals into the
-  // registry before serialising.
+  // Non-const: folds the ring totals into the registry before serialising.
   void export_metrics(
       std::ostream& os,
       const std::vector<std::pair<std::string, std::string>>& context);
@@ -152,25 +138,11 @@ class Recorder {
   RVK_MAY_ALLOC void record_spawn(rt::VThread* t);         // may allocate
   void record_dispatch(rt::VThread* t);
   void record_switch_out(rt::VThread* t, rt::SwitchReason reason);
-  RVK_MAY_ALLOC void record_monitor_contend(rt::VThread* t, const void* m,
-                                            std::string_view name,
-                                            int deposited_priority);
-  RVK_MAY_ALLOC void record_monitor_acquired(rt::VThread* t, const void* m,
-                                             std::string_view name,
-                                             bool contended);
-  RVK_MAY_ALLOC void record_monitor_barge(rt::VThread* t, const void* m,
-                                          std::string_view name);
-  RVK_NO_YIELD void record_monitor_release(rt::VThread* t, const void* m,
-                                           std::string_view name,
-                                           bool reserving);  // forbidden-safe
-  RVK_NO_YIELD void record_monitor_abandon(rt::VThread* t, const void* m,
-                                           std::string_view name,
-                                           bool cancelled,
-                                           std::uint64_t waited_ticks);
-  // forbidden-safe: fires inside abandon_acquire's forbidden region
-  RVK_NO_YIELD void record_engine(EventKind kind, rt::VThread* t,
-                                  std::uint64_t frame, const void* m,
-                                  std::uint64_t aux);    // forbidden-safe
+  // Every monitor and engine event (a and b as EventKind documents them;
+  // `waited` is a kMonitorAbandon's waited ticks).  Forbidden-safe: fires
+  // inside commit/abort and monitor release/abandon windows.
+  RVK_NO_YIELD void record(EventKind kind, rt::VThread* t, std::uint64_t a,
+                           std::uint64_t b, std::uint64_t waited);
 
   const RecorderConfig& config() const { return cfg_; }
 
@@ -178,8 +150,7 @@ class Recorder {
   explicit Recorder(RecorderConfig cfg);
 
   // Folds a parked peer shard's recorder into this one: registries merge
-  // (counters add, histograms merge), monitor profiles sum field-wise,
-  // drop/orphan/thread totals add.  The peer's event rings are NOT merged —
+  // (counters add, histograms merge), drop/orphan/thread totals add.  The peer's event rings are NOT merged —
   // their retained/recorded events land in obs.foreign_shard_events.
   void absorb(const Recorder& other);
 
@@ -221,19 +192,11 @@ class Recorder {
   ThreadSide* side_of(rt::VThread* t);
 
   // Find-or-register.  Allocates on first sight of `t` — only legal from
-  // the allocation-capable handlers.
+  // spawn and dispatch, which run in scheduler context.
   ThreadSide& ensure_side(rt::VThread* t);
-
-  // Find-or-create a monitor profile by name.  May allocate.
-  MonitorProfile& profile_of(std::string_view name);
 
   void push(ThreadSide& side, rt::VThread* t, EventKind kind, std::uint64_t a,
             std::uint64_t b);
-
-  // Forbidden-region lint for the allocation-capable handlers: reports
-  // through the analyzer's breach hook when called with a nonzero
-  // forbidden-region depth (see set_breach_hook below).
-  void check_not_forbidden(rt::VThread* t, const char* what);
 
   RecorderConfig cfg_;
   std::chrono::steady_clock::time_point epoch_;
@@ -241,7 +204,6 @@ class Recorder {
 
   std::unordered_map<std::uint32_t, std::unique_ptr<ThreadSide>> threads_;
   ThreadSide* current_side_ = nullptr;  // side of the running thread
-  std::map<std::string, MonitorProfile, std::less<>> profiles_;
   std::uint64_t orphan_events_ = 0;
   std::uint64_t dropped_before_run_ = 0;  // drops in rings begin_run() cleared
   std::uint64_t threads_observed_ = 0;    // registrations across all runs
@@ -250,7 +212,7 @@ class Recorder {
   std::uint64_t foreign_shard_events_ = 0;
 
   Registry registry_;
-  // Pre-created histogram/counter references for the forbidden-safe paths.
+  // Pre-created histogram/counter references for record().
   Histogram* contention_wait_ticks_;
   Histogram* contention_wait_ns_;
   Histogram* abandon_wait_ticks_;
@@ -278,9 +240,6 @@ extern std::atomic<int> g_obs_active;
 // thread remapping.  The underlying thread_local lives in recorder.cpp and
 // is never named from a header.
 Recorder* current_recorder();
-// Analyzer breach hook: fired when an allocation-capable obs handler runs
-// inside a forbidden region (only meaningful while region marking is on).
-extern void (*g_breach_hook)(rt::VThread*, const char*);
 
 // Disabled-path gate shared by every dispatcher: one predicted-not-taken
 // relaxed load when no recorder is installed anywhere, and only then the
@@ -293,10 +252,6 @@ inline Recorder* active_or_null() {
   return current_recorder();
 }
 }  // namespace detail
-
-// Installs the forbidden-obs-hook breach reporter (analysis/ owns this,
-// pairing it with Analyzer install/uninstall); nullptr to uninstall.
-void set_breach_hook(void (*hook)(rt::VThread*, const char*));
 
 inline bool recording() { return detail::active_or_null() != nullptr; }
 
@@ -320,46 +275,12 @@ inline void on_switch_out(rt::VThread* t, rt::SwitchReason reason) {
   }
 }
 
-inline void on_monitor_contend(rt::VThread* t, const void* m,
-                               std::string_view name, int deposited_priority) {
+// The one monitor + engine dispatcher: the monitor layer's acquire,
+// release and abandon paths and Engine::publish all record through here.
+inline void on_event(EventKind kind, rt::VThread* t, std::uint64_t a,
+                     std::uint64_t b = 0, std::uint64_t waited = 0) {
   if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_monitor_contend(t, m, name, deposited_priority);
-  }
-}
-
-inline void on_monitor_acquired(rt::VThread* t, const void* m,
-                                std::string_view name, bool contended) {
-  if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_monitor_acquired(t, m, name, contended);
-  }
-}
-
-inline void on_monitor_barge(rt::VThread* t, const void* m,
-                             std::string_view name) {
-  if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_monitor_barge(t, m, name);
-  }
-}
-
-inline void on_monitor_release(rt::VThread* t, const void* m,
-                               std::string_view name, bool reserving) {
-  if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_monitor_release(t, m, name, reserving);
-  }
-}
-
-inline void on_monitor_abandon(rt::VThread* t, const void* m,
-                               std::string_view name, bool cancelled,
-                               std::uint64_t waited_ticks) {
-  if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_monitor_abandon(t, m, name, cancelled, waited_ticks);
-  }
-}
-
-inline void on_engine(EventKind kind, rt::VThread* t, std::uint64_t frame,
-                      const void* m, std::uint64_t aux = 0) {
-  if (Recorder* r = detail::active_or_null()) [[unlikely]] {
-    r->record_engine(kind, t, frame, m, aux);
+    r->record(kind, t, a, b, waited);
   }
 }
 

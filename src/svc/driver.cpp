@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "obs/recorder.hpp"
 
 namespace rvk::svc {
 
@@ -74,6 +75,11 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
 
   sched.run();
 
+  // A live recorder gets the run's per-monitor counters, as
+  // harness::run_workload publishes its own.
+  if (obs::Recorder* rec = obs::Recorder::active()) {
+    service.publish_metrics(rec->registry());
+  }
   res.total_ticks = sched.now();
   res.rollbacks = service.rollbacks();
   res.entry_giveups = service.entry_giveups();

@@ -97,6 +97,17 @@ std::uint64_t BankService::rollbacks() const {
   return engine_ ? engine_->stats().rollbacks_completed : 0;
 }
 
+void BankService::publish_metrics(obs::Registry& reg) {
+  if (engine_) {
+    engine_->publish_metrics(reg);
+    return;
+  }
+  for (const Shard& sh : shards_) {
+    obs::publish(reg, sh.baseline->stats(),
+                 "monitor." + sh.baseline->name() + ".stats.");
+  }
+}
+
 std::uint64_t BankService::entry_giveups() const {
   if (engine_) return engine_->stats().entry_aborts;
   std::uint64_t aborts = 0;

@@ -31,6 +31,7 @@
 #include "monitor/monitor.hpp"
 #include "monitor/priority_ceiling.hpp"
 #include "monitor/priority_inheritance.hpp"
+#include "obs/metrics.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::svc {
@@ -77,6 +78,11 @@ class BankService {
 
   std::uint64_t rollbacks() const;
   std::uint64_t entry_giveups() const;  // engine + monitor abort counts
+
+  // Publishes the shard monitors' MonitorStats (and, under revocation, the
+  // engine's counters) as monitor.<shard>.stats.* — the registry's only
+  // per-monitor counters.
+  void publish_metrics(obs::Registry& reg);
 
   core::Engine* engine() { return engine_.get(); }
   const ServiceConfig& config() const { return cfg_; }

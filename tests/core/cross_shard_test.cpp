@@ -418,6 +418,36 @@ TEST(CrossShardDeflationTest, DyingObjectDetachesUntilEngineTeardown) {
   });
 }
 
+TEST(CrossShardDeflationTest, MultiShardModeEndsWithItsEngines) {
+  // The table's multi-shard mode lasts exactly as long as a multi-shard
+  // engine: once the set's engines are gone, a classic single-shard engine
+  // destroys each dying object's quiescent slot again instead of detaching
+  // it until its own teardown.
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  {
+    rt::DomainSet set(two_shards());
+    std::unique_ptr<core::Engine> eng[2];
+    set.run(
+        [&](rt::Domain& d) {
+          eng[d.id()] = std::make_unique<core::Engine>(d.sched());
+          EXPECT_TRUE(table.concurrent());
+        },
+        [&](rt::Domain& d) { eng[d.id()].reset(); });
+  }
+  EXPECT_FALSE(table.concurrent());
+
+  rt::Scheduler sched;
+  core::Engine eng(sched);
+  heap::Heap heap;
+  const std::size_t live_before = table.live_slots();
+  for (int i = 0; i < 1000; ++i) {
+    heap::HeapObject* obj = heap.alloc("obj", 1);
+    ASSERT_NE(eng.monitor_of(obj), nullptr);
+    heap.free(obj);
+  }
+  EXPECT_EQ(table.live_slots(), live_before);
+}
+
 TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {
   // Both shard threads build their engines at once, with nothing
   // serialising them: each constructor switches the shared MonitorTable

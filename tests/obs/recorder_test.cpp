@@ -11,6 +11,7 @@
 
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
+#include "monitor/monitor.hpp"
 #include "obs/recorder.hpp"
 #include "rt/scheduler.hpp"
 
@@ -27,8 +28,9 @@ struct ScopedRecorder {
 
 // Figure 1's narrative (mirrors EngineTest.PriorityInversionTriggersRevocation):
 // low-priority Tl is preempted mid-section, revoked, and high-priority Th
-// enters first.  Runs against whatever recorder is active.
-void run_inversion_scenario() {
+// enters first.  Runs against whatever recorder is active; `stats`, when
+// given, receives the monitor's counters.
+void run_inversion_scenario(monitor::MonitorStats* stats = nullptr) {
   rt::Scheduler sched;
   core::Engine engine(sched);
   heap::Heap heap;
@@ -50,6 +52,7 @@ void run_inversion_scenario() {
     });
   });
   sched.run();
+  if (stats != nullptr) *stats = m->stats();
   ASSERT_EQ(engine.stats().rollbacks_completed, 1u);
 }
 
@@ -113,7 +116,8 @@ TEST(RecorderTest, EngineAdoptsAnExistingRecorder) {
 
 TEST(RecorderTest, InversionScenarioStampsDerivedLatencies) {
   ScopedRecorder sr;
-  run_inversion_scenario();
+  monitor::MonitorStats ms;
+  run_inversion_scenario(&ms);
   Registry& reg = sr.rec->registry();
 
   // Th outranked the deposited owner priority exactly once: one
@@ -144,14 +148,11 @@ TEST(RecorderTest, InversionScenarioStampsDerivedLatencies) {
   EXPECT_GE(bytes->hist->max(), 8u);
   EXPECT_EQ(reg.find("log.rollbacks_observed")->value, 1u);
 
-  // Contention profile, keyed by monitor name: Th contends once, and the
-  // revoked Tl contends again on retry (the monitor is reserved for Th).
-  auto it = sr.rec->profiles().find("m");
-  ASSERT_NE(it, sr.rec->profiles().end());
-  EXPECT_GE(it->second.acquires, 3u);
-  EXPECT_GE(it->second.contended, 2u);
-  EXPECT_GE(it->second.releases, 2u);
-  EXPECT_GE(it->second.reserving_releases, 1u);  // the rollback's release
+  // The monitor's own counters: Th contends once, and the revoked Tl
+  // contends again on retry (the monitor is reserved for Th).
+  EXPECT_GE(ms.acquires, 3u);
+  EXPECT_GE(ms.contended, 2u);
+  EXPECT_GE(ms.reservations, 1u);  // the rollback's release
 }
 
 TEST(RecorderTest, BiasedSectionsKeepZeroTickInversionResolution) {
@@ -251,6 +252,92 @@ TEST(RecorderTest, BeginRunClearsTraceKeepsMetricsAndDropCounts) {
   EXPECT_GE(sr.rec->registry().find("monitor.contention_wait_ticks")
                 ->hist->count(),
             samples + 1);
+}
+
+// An abortable entry that gives up (§14), then a blocking entry by the same
+// thread.  `cancel` selects how the first entry ends: a canceller at tick
+// 20, or its own 30-tick deadline.  Returns the waiter's ticks around both
+// entries: {start, gave_up, acquired}.
+struct AbandonTicks {
+  std::uint64_t start = 0, gave_up = 0, acquired = 0;
+  std::uint32_t tid = 0;
+  const void* monitor = nullptr;
+};
+
+AbandonTicks run_abandon_then_acquire(bool cancel) {
+  rt::Scheduler s;
+  monitor::BlockingMonitor m("m");
+  AbandonTicks out;
+  out.monitor = &m;
+  s.spawn("holder", rt::kNormPriority, [&] {
+    m.acquire();
+    s.sleep_for(100);  // held past both the deadline and the cancel
+    m.release();
+  });
+  rt::VThread* w = s.spawn("waiter", rt::kNormPriority, [&] {
+    out.start = s.now();
+    EXPECT_FALSE(m.try_enter(cancel ? 1000 : 30));
+    out.gave_up = s.now();
+    monitor::MonitorBase::clear_cancel(s.current_thread());
+    m.acquire();  // contended again, until the holder releases
+    out.acquired = s.now();
+    m.release();
+  });
+  out.tid = w->id();
+  if (cancel) {
+    s.spawn("canceller", rt::kNormPriority, [&s, w] {
+      s.sleep_for(20);
+      monitor::MonitorBase::cancel(w);
+    });
+  }
+  s.run();
+  EXPECT_EQ(m.stats().aborts, 1u);
+  EXPECT_EQ(m.stats().cancels, cancel ? 1u : 0u);
+  return out;
+}
+
+// The abandon path: one kMonitorAbandon ring event (b = 1 when cancelled),
+// one exact monitor.abandon_wait_ticks sample, and a closed contention
+// window — the later acquire's contention_wait sample spans only its own
+// wait, not the abandoned one before it.
+void expect_abandon_recorded(bool cancel) {
+  ScopedRecorder sr;
+  const AbandonTicks tk = run_abandon_then_acquire(cancel);
+  ASSERT_GT(tk.gave_up, tk.start);
+  ASSERT_GT(tk.acquired, tk.gave_up);
+  if (!cancel) {
+    EXPECT_EQ(tk.gave_up - tk.start, 30u);
+  }
+
+  int abandons = 0;
+  for (const Event& e : sr.rec->snapshot()) {
+    if (e.kind != EventKind::kMonitorAbandon) continue;
+    ++abandons;
+    EXPECT_EQ(e.tid, tk.tid);
+    EXPECT_EQ(e.a, reinterpret_cast<std::uintptr_t>(tk.monitor));
+    EXPECT_EQ(e.b, cancel ? 1u : 0u);
+    EXPECT_EQ(e.vclock, tk.gave_up);
+  }
+  EXPECT_EQ(abandons, 1);
+
+  const Registry& reg = sr.rec->registry();
+  const Registry::Entry* abandoned = reg.find("monitor.abandon_wait_ticks");
+  ASSERT_NE(abandoned, nullptr);
+  EXPECT_EQ(abandoned->hist->count(), 1u);
+  EXPECT_EQ(abandoned->hist->max(), tk.gave_up - tk.start);
+
+  const Registry::Entry* wait = reg.find("monitor.contention_wait_ticks");
+  ASSERT_NE(wait, nullptr);
+  EXPECT_EQ(wait->hist->count(), 1u);
+  EXPECT_EQ(wait->hist->max(), tk.acquired - tk.gave_up);
+}
+
+TEST(RecorderTest, TimedOutTryEnterRecordsAbandon) {
+  expect_abandon_recorded(/*cancel=*/false);
+}
+
+TEST(RecorderTest, CancelledTryEnterRecordsAbandon) {
+  expect_abandon_recorded(/*cancel=*/true);
 }
 
 TEST(RecorderTest, PublishMetricsConsolidatesLegacyStats) {
