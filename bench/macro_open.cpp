@@ -21,7 +21,9 @@
 // Knobs: RVK_SEED (schedule + workload seed), RVK_MACRO_SMOKE=1 (CI: one
 // rho=80 Poisson point per protocol, shorter window), RVK_MACRO_DURATION
 // (injection window in ticks), RVK_MACRO_JSON (registry export path,
-// default BENCH_macro_open.json).
+// default BENCH_macro_open.json).  With RVK_OBS / RVK_OBS_METRICS set, one
+// recorder spans the whole sweep, every protocol and load point, and writes
+// its metrics when it is uninstalled at the end.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +32,7 @@
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "svc/driver.hpp"
 
 namespace {
@@ -131,6 +134,11 @@ int main() {
       static_cast<unsigned long long>(duration),
       static_cast<unsigned long long>(seed), smoke ? " [smoke]" : "");
 
+  // Install here, not per load point: each revocation run's engine adopts
+  // this recorder instead of installing (and exporting) its own.
+  const bool obs_owned =
+      obs::Recorder::env_enabled() && obs::Recorder::active() == nullptr;
+  if (obs_owned) obs::Recorder::install();
   obs::Registry reg;
   for (const svc::Protocol proto : svc::kAllProtocols) {
     for (const Point& pt : points) {
@@ -153,6 +161,7 @@ int main() {
     }
     std::printf("\n");
   }
+  if (obs_owned) obs::Recorder::uninstall();
 
   {
     std::ofstream os(json_path);

@@ -853,7 +853,15 @@ void Engine::publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
 
 void Engine::publish_metrics(obs::Registry& reg) {
   obs::publish(reg, stats(), "engine.");
-  obs::publish(reg, monitor::MonitorTable::global().stats(), "montable.");
+  // The table is process-wide and its counters cumulative: engines that
+  // publish in turn into one registry each add only their own span.
+  const monitor::MonitorTableStats now =
+      monitor::MonitorTable::global().stats();
+  monitor::MonitorTableStats span = now;
+  span.inflations -= montable_published_.inflations;
+  span.re_inflations -= montable_published_.re_inflations;
+  obs::publish(reg, span, "montable.");
+  montable_published_ = now;
   for (const RevocableMonitor* m : monitors_) {
     obs::publish(reg, m->stats(), "monitor." + m->name() + ".stats.");
   }

@@ -292,7 +292,9 @@ class Engine {
 
   // Folds this engine's stats and every registered monitor's stats into an
   // obs registry ("engine.*", "monitor.<name>.stats.*") — the consolidated
-  // export surface for EngineStats/MonitorStats (obs/metrics.hpp).
+  // export surface for EngineStats/MonitorStats (obs/metrics.hpp) — plus
+  // what the process-wide MonitorTable counted since this engine was built
+  // or last published ("montable.*").
   void publish_metrics(obs::Registry& reg);
 
   // Monitors currently registered with this engine (for reports/sweeps).
@@ -489,6 +491,9 @@ class Engine {
   analysis::Analyzer* analyzer_ = nullptr;  // installed by this engine
   bool observing_ = false;  // this engine installed the obs recorder
   bool multi_shard_ = false;  // entered the MonitorTable's multi-shard mode
+  // The MonitorTable's stats when this engine was built or last published.
+  monitor::MonitorTableStats montable_published_ =
+      monitor::MonitorTable::global().stats();
   std::vector<EngineObserver*> observers_;  // publish's subscribers
 
   friend class RevocableMonitor;

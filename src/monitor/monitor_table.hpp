@@ -118,7 +118,12 @@ class MonitorTable {
   // themselves are priced by the caller — the table cannot know concrete
   // monitor sizes).
   std::size_t slot_bytes() const;
-  const MonitorTableStats& stats() const { return stats_; }
+  // A snapshot, taken under the pool mutex while multi-shard mode is on:
+  // an engine reads it at construction while other shards may inflate.
+  MonitorTableStats stats() const {
+    auto lk = lock();
+    return stats_;
+  }
 
  private:
   static constexpr std::uint32_t kNoFree = 0xffffffffu;

@@ -14,10 +14,13 @@
 //    no libm call whose last ulp could differ between platforms touches
 //    the schedule.  The per-tick draws are not made one at a time:
 //    SplitMix64 is counter-based (draw k is mix(state + k·γ)), so a
-//    kernel tests 32 positions per step and generate() skips to the first
-//    arrival, drawing its tier and seed exactly as a per-tick loop would.
-//    The kernel's AVX-512 build is chosen once per process by a CPU test
-//    on x86-64; other CPUs and targets use its base-ISA build.
+//    kernel tests 64 positions at once into a hit mask, and generate()
+//    walks its set bits, drawing each arrival's tier and seed from the two
+//    positions after the hit exactly as a per-tick loop would.  On x86-64
+//    a CPU test picks the kernel once per process: AVX-512 F/DQ with IFMA
+//    (the finalizer's second multiply as vpmadd52luq), AVX-512 F/DQ
+//    without it (vpmullq twice), or the base-ISA loop, which other CPUs and
+//    targets use.
 //  * Bursty traffic is a two-state Markov-modulated process (MMPP-2): the
 //    generator flips between a burst state and an idle state with
 //    geometric sojourn times (means burst_len / idle_len ticks), emitting
@@ -80,22 +83,30 @@ ArrivalSchedule generate(const ArrivalConfig& cfg, std::uint64_t duration,
 // Expected arrivals per tick (the offered load λ of the process).
 double offered_rate(const ArrivalConfig& cfg);
 
-// The Poisson path's skip kernel, exposed for its differential test only;
-// generate() picks the wrapper itself.  Returns the least j < limit such that
-// SplitMix64::mix(state + (j + 1) * kGamma) % kProbOne < rate, i.e. the
-// offset of the first arrival among the next `limit` draws of a stream whose
-// state is `state`, or `limit` if there is none.
+// The Poisson path's hit-mask kernels, exposed for their differential tests
+// only; generate() picks one itself.  Bit j of the result is set iff
+// SplitMix64::mix(state + (j + 1) * kGamma) % kProbOne < rate, i.e. iff the
+// j-th of the next 64 draws of a stream whose state is `state` is an
+// arrival.
 namespace detail {
 
-std::uint64_t first_arrival_base(std::uint64_t state, std::uint32_t rate,
-                                 std::uint64_t limit);
+using HitMaskFn = std::uint64_t (*)(std::uint64_t state, std::uint32_t rate);
+
+std::uint64_t hit_mask_base(std::uint64_t state, std::uint32_t rate);
 #if defined(__x86_64__)
-[[gnu::target("avx512f,avx512dq,avx512vl")]] std::uint64_t
-first_arrival_avx512(std::uint64_t state, std::uint32_t rate,
-                     std::uint64_t limit);
+[[gnu::target("avx512f,avx512dq")]] std::uint64_t hit_mask_avx512(
+    std::uint64_t state, std::uint32_t rate);
+[[gnu::target("avx512f,avx512dq,avx512ifma")]] std::uint64_t
+hit_mask_avx512_ifma(std::uint64_t state, std::uint32_t rate);
 #endif
-// True on x86-64 CPUs with AVX-512 F, DQ and VL; false on every other target.
+// True on x86-64 CPUs with AVX-512 F and DQ (and, for the second, IFMA);
+// false on every other target.
 bool avx512_usable();
+bool avx512_ifma_usable();
+
+// generate() with the Poisson path's kernel named by the caller.
+ArrivalSchedule generate(const ArrivalConfig& cfg, std::uint64_t duration,
+                         std::uint64_t seed, HitMaskFn hit_mask);
 
 }  // namespace detail
 

@@ -29,6 +29,9 @@ OpenLoopResult run_open_loop(const OpenLoopConfig& cfg) {
   // (the baseline-ablation setting; the engine's victim boost keeps
   // revocation live under strict priority too — Engine::begin_boost).
   scfg.strict_priority = true;
+  // A recorder that outlives this load point (a sweep's) starts a fresh
+  // run: the new scheduler restarts thread ids and the virtual clock.
+  obs::on_run_begin();
   rt::Scheduler sched(scfg);
   BankService service(sched, cfg.service);
 

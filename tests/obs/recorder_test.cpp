@@ -363,5 +363,26 @@ TEST(RecorderTest, PublishMetricsConsolidatesLegacyStats) {
             m->stats().acquires);
 }
 
+// The MonitorTable is process-wide and outlives engines: three engines in
+// turn, each inflating one object monitor and publishing into one registry,
+// must read as three inflations, not the running totals 1 + 2 + 3.
+TEST(RecorderTest, EnginesPublishingInTurnCountEachInflationOnce) {
+  ScopedRecorder sr;
+  heap::Heap heap;
+  for (const char* name : {"a", "b", "c"}) {
+    rt::Scheduler sched;
+    core::Engine engine(sched);
+    heap::HeapObject* o = heap.alloc(name, 1);
+    sched.spawn("t", rt::kNormPriority, [&] {
+      engine.synchronized(o, [&] { o->set<int>(0, 1); });
+    });
+    sched.run();
+    engine.publish_metrics(sr.rec->registry());
+  }
+  const Registry& reg = sr.rec->registry();
+  EXPECT_EQ(reg.find("montable.inflations")->value, 3u);
+  EXPECT_EQ(reg.find("engine.sections_committed")->value, 3u);
+}
+
 }  // namespace
 }  // namespace rvk::obs

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "svc/arrivals.hpp"
@@ -26,11 +28,27 @@ std::uint64_t digest(const ArrivalSchedule& s) {
   return h;
 }
 
+// The Poisson kernels this CPU can run, base first: generate() uses the last.
+std::vector<std::pair<const char*, detail::HitMaskFn>> usable_kernels() {
+  std::vector<std::pair<const char*, detail::HitMaskFn>> k = {
+      {"base", detail::hit_mask_base}};
+#if defined(__x86_64__)
+  if (detail::avx512_usable()) {
+    k.emplace_back("avx512", detail::hit_mask_avx512);
+  }
+  if (detail::avx512_ifma_usable()) {
+    k.emplace_back("avx512_ifma", detail::hit_mask_avx512_ifma);
+  }
+#endif
+  return k;
+}
+
 // Pinned schedules: every (config, duration) must keep the digest a
-// one-draw-per-tick loop produces, so skipping quiet draws in bulk can never
-// move an arrival, tier or request seed.  Durations straddle the kernel's
-// 32-draw step; the rates cover never, almost never, the benchmark's rho=50
-// point, the default, and the saturated edges around kProbOne.
+// one-draw-per-tick loop produces, so testing draws 64 at a time can never
+// move an arrival, tier or request seed, whichever kernel runs.  Durations
+// straddle 32- and 64-draw windows; the rates cover never, almost never,
+// the benchmark's rho=50 point, the default, and the saturated edges around
+// kProbOne.
 TEST(ArrivalsTest, GoldenScheduleDigests) {
   constexpr std::array<std::uint64_t, 6> kDurations = {0,  1,  31,
                                                        32, 33, 250'000};
@@ -73,31 +91,33 @@ TEST(ArrivalsTest, GoldenScheduleDigests) {
   };
   for (std::size_t c = 0; c < configs.size(); ++c) {
     for (std::size_t d = 0; d < kDurations.size(); ++d) {
-      const std::uint64_t got =
-          digest(generate(configs[c], kDurations[d], 0x5EED0000 + c));
-      EXPECT_EQ(got, kGolden[c][d]) << "config " << c << " duration "
-                                    << kDurations[d];
+      EXPECT_EQ(digest(generate(configs[c], kDurations[d], 0x5EED0000 + c)),
+                kGolden[c][d])
+          << "config " << c << " duration " << kDurations[d];
+      for (const auto& [name, kernel] : usable_kernels()) {
+        EXPECT_EQ(digest(detail::generate(configs[c], kDurations[d],
+                                          0x5EED0000 + c, kernel)),
+                  kGolden[c][d])
+            << name << " config " << c << " duration " << kDurations[d];
+      }
     }
   }
 }
 
-// The skip kernel's contract, spelled as the one-draw-per-tick loop.
-std::uint64_t scalar_first_arrival(std::uint64_t state, std::uint32_t rate,
-                                   std::uint64_t limit) {
+// The kernel contract, spelled as the one-draw-per-tick loop.
+std::uint64_t scalar_hit_mask(std::uint64_t state, std::uint32_t rate) {
   SplitMix64 rng(state);
-  for (std::uint64_t j = 0; j < limit; ++j) {
-    if (rng.next_below(kProbOne) < rate) return j;
+  std::uint64_t mask = 0;
+  for (unsigned j = 0; j < 64; ++j) {
+    if (rng.next_below(kProbOne) < rate) mask |= std::uint64_t{1} << j;
   }
-  return limit;
+  return mask;
 }
 
-using FirstArrivalFn = std::uint64_t (*)(std::uint64_t, std::uint32_t,
-                                         std::uint64_t);
-
-// 2,000 seeded (rate, limit, state) triples: rates log-uniform over
-// [0, kProbOne) plus the saturated edges, limits mostly short (hit and miss
-// both common) with some spanning many 32-draw steps, states anywhere.
-void expect_matches_scalar(FirstArrivalFn kernel) {
+// 2,000 seeded (rate, state) pairs: rates log-uniform over [0, kProbOne),
+// every fifth one an edge (never, almost never, the saturated edges around
+// kProbOne), states anywhere.
+void expect_matches_scalar(detail::HitMaskFn kernel) {
   constexpr std::array<std::uint32_t, 5> kEdgeRates = {
       0, 1, kProbOne - 1, kProbOne, kProbOne + 1};
   SplitMix64 pick(2004);
@@ -106,26 +126,81 @@ void expect_matches_scalar(FirstArrivalFn kernel) {
         i % 5 == 0 ? kEdgeRates[pick.next_below(kEdgeRates.size())]
                    : static_cast<std::uint32_t>(
                          pick.next_below(kProbOne >> pick.next_below(16)));
-    const std::uint64_t limit =
-        i % 8 == 0 ? pick.next_below(4096) : pick.next_below(100);
     const std::uint64_t state = pick.next();
-    ASSERT_EQ(kernel(state, rate, limit),
-              scalar_first_arrival(state, rate, limit))
-        << "rate " << rate << " limit " << limit << " state " << state;
+    ASSERT_EQ(kernel(state, rate), scalar_hit_mask(state, rate))
+        << "rate " << rate << " state " << state;
   }
 }
 
 TEST(ArrivalsTest, BaseKernelMatchesScalarLoop) {
-  expect_matches_scalar(detail::first_arrival_base);
+  expect_matches_scalar(detail::hit_mask_base);
 }
 
 TEST(ArrivalsTest, Avx512KernelMatchesScalarLoop) {
 #if defined(__x86_64__)
-  if (!detail::avx512_usable()) GTEST_SKIP() << "CPU lacks AVX-512 F/DQ/VL";
-  expect_matches_scalar(detail::first_arrival_avx512);
+  if (!detail::avx512_usable()) GTEST_SKIP() << "CPU lacks AVX-512 F/DQ";
+  expect_matches_scalar(detail::hit_mask_avx512);
 #else
-  GTEST_SKIP() << "the AVX-512 kernel exists on x86-64 only";
+  GTEST_SKIP() << "the AVX-512 kernels exist on x86-64 only";
 #endif
+}
+
+TEST(ArrivalsTest, Avx512IfmaKernelMatchesScalarLoop) {
+#if defined(__x86_64__)
+  if (!detail::avx512_ifma_usable()) {
+    GTEST_SKIP() << "CPU lacks AVX-512 F/DQ/IFMA";
+  }
+  expect_matches_scalar(detail::hit_mask_avx512_ifma);
+#else
+  GTEST_SKIP() << "the AVX-512 kernels exist on x86-64 only";
+#endif
+}
+
+// The per-tick loop itself, for schedules the golden digests do not cover.
+ArrivalSchedule scalar_generate(std::uint32_t rate, std::uint64_t duration,
+                                std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  ArrivalSchedule out;
+  out.duration = duration;
+  for (std::uint64_t tick = 0; tick < duration; ++tick) {
+    if (rng.next_below(kProbOne) < rate) {
+      rng.next();  // the tier draw: one tier, so always tier 0
+      out.arrivals.push_back({tick, 0, rng.next()});
+    }
+  }
+  return out;
+}
+
+// A hit at window position 62 or 63 draws its tier and seed from the
+// window's end and the next window, and the walk must resume after them.
+// Seeds are searched until the first window's first hit is there and both
+// of its draws would pass the arrival test, so reading either as a tick
+// adds an arrival.
+TEST(ArrivalsTest, HitAtWindowEndDrawsIntoNextWindow) {
+  constexpr std::uint32_t kRate = kProbOne / 16;
+  auto hit_at = [](std::uint64_t seed, std::uint64_t pos) {
+    return SplitMix64::mix(seed + (pos + 1) * SplitMix64::kGamma) % kProbOne <
+           kRate;
+  };
+  ArrivalConfig cfg;
+  cfg.rate = kRate;
+  for (const unsigned last : {62u, 63u}) {
+    const std::uint64_t first_window = (std::uint64_t{2} << last) - 1;
+    std::uint64_t seed = 0;
+    while ((scalar_hit_mask(seed, kRate) & first_window) !=
+               std::uint64_t{1} << last ||
+           !hit_at(seed, last + 1) || !hit_at(seed, last + 2)) {
+      ++seed;
+    }
+    const ArrivalSchedule want = scalar_generate(kRate, 512, seed);
+    ASSERT_GE(want.arrivals.size(), 2u);
+    ASSERT_EQ(want.arrivals[0].tick, last);
+    for (const auto& [name, kernel] : usable_kernels()) {
+      EXPECT_TRUE(detail::generate(cfg, 512, seed, kernel).arrivals ==
+                  want.arrivals)
+          << name << " hit at " << last << " seed " << seed;
+    }
+  }
 }
 
 TEST(ArrivalsTest, SameSeedIsByteIdentical) {
