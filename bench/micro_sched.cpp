@@ -43,7 +43,8 @@ struct Payload {
     threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       threads.push_back(std::make_unique<rt::VThread>(
-          &sched, static_cast<rt::ThreadId>(i + 1), "p" + std::to_string(i),
+          &sched, static_cast<rt::ThreadId>(i + 1),
+          std::string("p").append(std::to_string(i)),
           static_cast<int>(i % 10) + 1, [] {}, /*stack_size=*/4096));
     }
   }
@@ -123,7 +124,8 @@ void BM_SchedulerDispatch(benchmark::State& state) {
     cfg.stack_size = 16 * 1024;
     rt::Scheduler sched(cfg);
     for (int i = 0; i < n; ++i) {
-      sched.spawn("t" + std::to_string(i), rt::kNormPriority, [&sched] {
+      sched.spawn(std::string("t").append(std::to_string(i)),
+                  rt::kNormPriority, [&sched] {
         for (int k = 0; k < kYieldsPerThread; ++k) sched.yield_point();
       });
     }
@@ -156,7 +158,8 @@ void BM_SchedulerDispatchObs(benchmark::State& state) {
     // harness does per repetition.
     obs::on_run_begin();
     for (int i = 0; i < n; ++i) {
-      sched.spawn("t" + std::to_string(i), rt::kNormPriority, [&sched] {
+      sched.spawn(std::string("t").append(std::to_string(i)),
+                  rt::kNormPriority, [&sched] {
         for (int k = 0; k < kYieldsPerThread; ++k) sched.yield_point();
       });
     }

@@ -37,7 +37,8 @@ Outcome run(int nthreads) {
   cfg.stack_size = 16 * 1024; // 10k threads => ~160MB of stacks, fine
   rt::Scheduler sched(cfg);
   for (int i = 0; i < nthreads; ++i) {
-    sched.spawn("t" + std::to_string(i), rt::kNormPriority, [&sched, yields_each] {
+    sched.spawn(std::string("t").append(std::to_string(i)), rt::kNormPriority,
+                [&sched, yields_each] {
       for (std::uint64_t k = 0; k < yields_each; ++k) sched.yield_point();
     });
   }
@@ -53,7 +54,8 @@ Outcome run(int nthreads) {
   constexpr int kSleepRounds = 8;
   rt::Scheduler sched2(cfg);
   for (int i = 0; i < nthreads; ++i) {
-    sched2.spawn("s" + std::to_string(i), rt::kNormPriority, [&sched2] {
+    sched2.spawn(std::string("s").append(std::to_string(i)), rt::kNormPriority,
+                 [&sched2] {
       for (int r = 0; r < kSleepRounds; ++r) sched2.sleep_for(100);
     });
   }

@@ -13,14 +13,16 @@
 //    analogue of exponential gaps.  All sampling is integer fixed-point;
 //    no libm call whose last ulp could differ between platforms touches
 //    the schedule.  The per-tick draws are not made one at a time:
-//    SplitMix64 is counter-based (draw k is mix(state + k·γ)), so a
-//    kernel tests 64 positions at once into a hit mask, and generate()
-//    walks its set bits, drawing each arrival's tier and seed from the two
-//    positions after the hit exactly as a per-tick loop would.  On x86-64
-//    a CPU test picks the kernel once per process: AVX-512 F/DQ with IFMA
-//    (the finalizer's second multiply as vpmadd52luq), AVX-512 F/DQ
-//    without it (vpmullq twice), or the base-ISA loop, which other CPUs and
-//    targets use.
+//    SplitMix64 is counter-based (draw k is mix(state + k·γ)), so
+//    generate() runs a block pipeline.  A kernel fills a block of hit
+//    words, one bit per stream position; a walk turns the block's bits
+//    into arrival positions, masking off the two positions after each
+//    arrival, across word and block edges; and each arrival's tier and
+//    seed are drawn from those two positions exactly as a per-tick loop
+//    would.  On x86-64 a CPU test picks the kernel once per process:
+//    AVX-512 F/DQ with IFMA (the finalizer's second multiply as
+//    vpmadd52luq), AVX-512 F/DQ without it (vpmullq twice), or the
+//    base-ISA loop, which other CPUs and targets use.
 //  * Bursty traffic is a two-state Markov-modulated process (MMPP-2): the
 //    generator flips between a burst state and an idle state with
 //    geometric sojourn times (means burst_len / idle_len ticks), emitting
@@ -34,7 +36,9 @@
 // depend on the execution order of the requests around it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rvk::svc {
@@ -83,21 +87,26 @@ ArrivalSchedule generate(const ArrivalConfig& cfg, std::uint64_t duration,
 // Expected arrivals per tick (the offered load λ of the process).
 double offered_rate(const ArrivalConfig& cfg);
 
-// The Poisson path's hit-mask kernels, exposed for their differential tests
-// only; generate() picks one itself.  Bit j of the result is set iff
-// SplitMix64::mix(state + (j + 1) * kGamma) % kProbOne < rate, i.e. iff the
-// j-th of the next 64 draws of a stream whose state is `state` is an
-// arrival.
+// The Poisson path's hit-block kernels, exposed for their differential
+// tests only; generate() picks one itself.  A kernel fills every word it is
+// given: bit j of words[w] is set iff
+// SplitMix64::mix(state + (64w + j + 1) * kGamma) % kProbOne < rate, i.e.
+// iff position 64w + j of the draws that follow `state` (counting from 0) is
+// an arrival.  generate() passes kBlockWords words a call.
 namespace detail {
 
-using HitMaskFn = std::uint64_t (*)(std::uint64_t state, std::uint32_t rate);
+inline constexpr std::size_t kBlockWords = 16;
 
-std::uint64_t hit_mask_base(std::uint64_t state, std::uint32_t rate);
+using HitBlockFn = void (*)(std::uint64_t state, std::uint32_t rate,
+                            std::span<std::uint64_t> words);
+
+void hit_block_base(std::uint64_t state, std::uint32_t rate,
+                    std::span<std::uint64_t> words);
 #if defined(__x86_64__)
-[[gnu::target("avx512f,avx512dq")]] std::uint64_t hit_mask_avx512(
-    std::uint64_t state, std::uint32_t rate);
-[[gnu::target("avx512f,avx512dq,avx512ifma")]] std::uint64_t
-hit_mask_avx512_ifma(std::uint64_t state, std::uint32_t rate);
+[[gnu::target("avx512f,avx512dq")]] void hit_block_avx512(
+    std::uint64_t state, std::uint32_t rate, std::span<std::uint64_t> words);
+[[gnu::target("avx512f,avx512dq,avx512ifma")]] void hit_block_avx512_ifma(
+    std::uint64_t state, std::uint32_t rate, std::span<std::uint64_t> words);
 #endif
 // True on x86-64 CPUs with AVX-512 F and DQ (and, for the second, IFMA);
 // false on every other target.
@@ -106,7 +115,7 @@ bool avx512_ifma_usable();
 
 // generate() with the Poisson path's kernel named by the caller.
 ArrivalSchedule generate(const ArrivalConfig& cfg, std::uint64_t duration,
-                         std::uint64_t seed, HitMaskFn hit_mask);
+                         std::uint64_t seed, HitBlockFn hit_block);
 
 }  // namespace detail
 

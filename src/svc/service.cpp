@@ -35,7 +35,11 @@ BankService::BankService(rt::Scheduler& sched, const ServiceConfig& cfg)
     for (int i = 0; i < cfg.accounts_per_shard; ++i) {
       sh.accounts->set_unlogged(static_cast<std::size_t>(i), kInitialBalance);
     }
-    const std::string name = "shard-" + std::to_string(s);
+    // Named for the protocol too: one recorder can span runs of several
+    // protocols (bench/macro_open), and each keys its counters by name.
+    const std::string name = std::string(protocol_name(cfg.protocol))
+                                 .append("/shard-")
+                                 .append(std::to_string(s));
     switch (cfg.protocol) {
       case Protocol::kRevocation:
         sh.revocable = engine_->make_monitor(name);

@@ -90,8 +90,8 @@ TEST(LocksetTest, DistinctFieldsUnderDistinctMonitorsAreClean) {
   core::RevocableMonitor* l2 = fx.engine.make_monitor("L2");
   heap::HeapObject* o = fx.heap.alloc("split", 2);
   for (int i = 0; i < 2; ++i) {
-    fx.sched.spawn("w" + std::to_string(i), rt::kNormPriority, [&fx, l1, l2,
-                                                                o] {
+    fx.sched.spawn(std::string("w").append(std::to_string(i)),
+                   rt::kNormPriority, [&fx, l1, l2, o] {
       fx.engine.synchronized(*l1, [&] { o->set<int>(0, 1); });
       fx.sched.yield_now();
       fx.engine.synchronized(*l2, [&] { o->set<int>(1, 1); });

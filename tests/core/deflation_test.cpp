@@ -77,10 +77,15 @@ TEST(DeflationTest, ObjectMonitorChurnKeepsSlotCountFlat) {
   const std::uint64_t inflations_before = table.stats().inflations;
   std::size_t live_max = live_before;
   for (int t = 0; t < kThreads; ++t) {
-    sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&, t] {
+    sched.spawn(std::string("t").append(std::to_string(t)), rt::kNormPriority,
+                [&, t] {
       for (int i = 0; i < kObjectsPerThread; ++i) {
         heap::HeapObject* obj =
-            heap.alloc("o" + std::to_string(t) + "." + std::to_string(i), 1);
+            heap.alloc(std::string("o")
+                           .append(std::to_string(t))
+                           .append(".")
+                           .append(std::to_string(i)),
+                       1);
         for (int round = 0; round < 3; ++round) {
           engine.synchronized(obj, [&] { sched.yield_point(); });
         }

@@ -134,7 +134,7 @@ TEST(InteractionTest, VictimBoostUnderStrictPriority) {
     });
   });
   for (int k = 0; k < 2; ++k) {
-    fx.sched.spawn("mid" + std::to_string(k), 5, [&] {
+    fx.sched.spawn(std::string("mid").append(std::to_string(k)), 5, [&] {
       fx.sched.sleep_for(10);
       for (int i = 0; i < 5000; ++i) fx.sched.yield_point();
     });
@@ -200,7 +200,8 @@ TEST(InteractionTest, StatsInvariants) {
   RevocableMonitor* m = fx.engine.make_monitor("m");
   heap::HeapObject* o = fx.heap.alloc("o", 4);
   for (int t = 0; t < 6; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), t < 2 ? 8 : 2, [&, t] {
+    fx.sched.spawn(std::string("t").append(std::to_string(t)), t < 2 ? 8 : 2,
+                   [&, t] {
       for (int s = 0; s < 4; ++s) {
         fx.sched.sleep_for(static_cast<std::uint64_t>(37 * (t + s + 1)));
         fx.engine.synchronized(*m, [&] {

@@ -30,7 +30,8 @@ TEST(ObjectMonitorTest, SynchronizedOnObjectExcludes) {
   heap::HeapObject* account = fx.heap.alloc("account", 1);
   int max_inside = 0, inside = 0;
   for (int t = 0; t < 4; ++t) {
-    fx.sched.spawn("t" + std::to_string(t), rt::kNormPriority, [&] {
+    fx.sched.spawn(std::string("t").append(std::to_string(t)),
+                   rt::kNormPriority, [&] {
       for (int s = 0; s < 10; ++s) {
         fx.engine.synchronized(account, [&] {
           max_inside = std::max(max_inside, ++inside);

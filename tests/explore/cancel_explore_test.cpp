@@ -205,7 +205,8 @@ void timeout_cancel_churn(ScenarioContext& ctx) {
   static constexpr std::uint64_t kTicks[3] = {0, 3, 40};
   for (int i = 0; i < 3; ++i) {
     st->workers[i] =
-        s.spawn("w" + std::to_string(i), 3 + i, [&s, &e, a, b, st, i] {
+        s.spawn(std::string("w").append(std::to_string(i)), 3 + i,
+                [&s, &e, a, b, st, i] {
           for (int r = 0; r < 2; ++r) {
             core::RevocableMonitor* mon = (i + r) % 2 == 0 ? a : b;
             const int slot = (i + r) % 2;

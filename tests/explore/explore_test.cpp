@@ -467,7 +467,7 @@ void broken_barging(ScenarioContext& ctx) {
   core::Engine& e = ctx.engine();
   auto* bad = ctx.make<AlwaysReservingMonitor>("bad", e);
   for (int i = 0; i < 2; ++i) {
-    s.spawn("t" + std::to_string(i), 5, [&s, &e, bad] {
+    s.spawn(std::string("t").append(std::to_string(i)), 5, [&s, &e, bad] {
       e.synchronized(*bad, [&] {
         s.yield_point();
         s.yield_point();

@@ -61,7 +61,10 @@ TEST(MonitorTest, MutualExclusion) {
       s.yield_point();
     }
   };
-  for (int i = 0; i < 4; ++i) s.spawn("t" + std::to_string(i), rt::kNormPriority, body);
+  for (int i = 0; i < 4; ++i) {
+    s.spawn(std::string("t").append(std::to_string(i)), rt::kNormPriority,
+            body);
+  }
   s.run();
   EXPECT_EQ(max_inside, 1);
   EXPECT_GT(m.stats().contended, 0u);
@@ -214,7 +217,7 @@ TEST(MonitorTest, NotifyAllWakesEveryWaiter) {
   BlockingMonitor m("m");
   int woken = 0;
   for (int i = 0; i < 3; ++i) {
-    s.spawn("w" + std::to_string(i), rt::kNormPriority, [&] {
+    s.spawn(std::string("w").append(std::to_string(i)), rt::kNormPriority, [&] {
       m.acquire();
       m.wait();
       ++woken;
@@ -238,7 +241,7 @@ TEST(MonitorTest, NotifyOneWakesExactlyOne) {
   BlockingMonitor m("m");
   int woken = 0;
   for (int i = 0; i < 2; ++i) {
-    s.spawn("w" + std::to_string(i), rt::kNormPriority, [&] {
+    s.spawn(std::string("w").append(std::to_string(i)), rt::kNormPriority, [&] {
       m.acquire();
       m.wait();
       ++woken;

@@ -48,7 +48,7 @@ TEST_P(ConfigMatrixTest, ContentionScenarioInvariants) {
   jmm::Trace trace(engine);
   for (int t = 0; t < 4; ++t) {
     const int prio = (t < 2) ? 2 : (t == 2 ? 5 : 9);
-    sched.spawn("t" + std::to_string(t), prio, [&, t, prio] {
+    sched.spawn(std::string("t").append(std::to_string(t)), prio, [&, t, prio] {
       for (int s = 0; s < 4; ++s) {
         sched.sleep_for(static_cast<std::uint64_t>(50 + 70 * t + 30 * s));
         const std::uint64_t t0 = sched.now();

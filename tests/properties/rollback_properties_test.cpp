@@ -166,7 +166,8 @@ TEST(DeterminismTest, SameSeedSameExecution) {
     heap::HeapArray<std::uint64_t>* arr = h.alloc_array<std::uint64_t>(8);
     RevocableMonitor* m = engine.make_monitor("m");
     for (int t = 0; t < 4; ++t) {
-      sched.spawn("t" + std::to_string(t), t < 2 ? 8 : 2, [&, t] {
+      sched.spawn(std::string("t").append(std::to_string(t)), t < 2 ? 8 : 2,
+                  [&, t] {
         SplitMix64 rng(0xD15EA5E ^ (t * 7919));
         for (int s = 0; s < 3; ++s) {
           sched.sleep_for(rng.next_below(30));

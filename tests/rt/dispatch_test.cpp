@@ -20,7 +20,8 @@ TEST(DispatchTest, StrictPriorityRunsStrictlyHigherFirst) {
   Scheduler s(cfg);
   std::vector<int> order;
   for (int prio : {3, 9, 1, 5, 7}) {
-    s.spawn("p" + std::to_string(prio), prio, [&s, &order, prio] {
+    s.spawn(std::string("p").append(std::to_string(prio)), prio,
+            [&s, &order, prio] {
       for (int i = 0; i < 4; ++i) s.yield_point();
       order.push_back(prio);
     });
@@ -122,7 +123,8 @@ TEST(DispatchTest, EqualSleepDeadlinesWakeInArmOrder) {
   Scheduler s;
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
-    s.spawn("s" + std::to_string(i), kNormPriority, [&s, &order, i] {
+    s.spawn(std::string("s").append(std::to_string(i)), kNormPriority,
+            [&s, &order, i] {
       s.sleep_for(100);  // all four share one deadline tick
       order.push_back(i);
     });

@@ -221,7 +221,7 @@ RunShape run_cooperative_workload() {
         const std::uint16_t me = d.id();
         const std::uint16_t peer = static_cast<std::uint16_t>(1 - me);
         for (int w = 0; w < 2; ++w) {
-          d.sched().spawn("w" + std::to_string(w), 3 + w,
+          d.sched().spawn(std::string("w").append(std::to_string(w)), 3 + w,
                           [&set, &shape, me, peer, w] {
                             for (int i = 0; i < 2 + w; ++i) {
                               set.remote_call(peer, 3 + w, "bump",

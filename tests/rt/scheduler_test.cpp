@@ -316,7 +316,7 @@ TEST(SchedulerTest, FinishedThreadStacksAreReclaimed) {
   Scheduler s;
   constexpr int kThreads = 50;
   for (int i = 0; i < kThreads; ++i) {
-    s.spawn("t" + std::to_string(i), kNormPriority, [&] {
+    s.spawn(std::string("t").append(std::to_string(i)), kNormPriority, [&] {
       for (int j = 0; j < 3; ++j) s.yield_point();
     });
   }

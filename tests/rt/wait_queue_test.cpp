@@ -21,8 +21,9 @@ class WaitQueueTest : public ::testing::Test {
   VThread* make_thread(int priority) {
     ++n_;
     threads_.push_back(std::make_unique<VThread>(
-        &sched_, static_cast<ThreadId>(n_), "t" + std::to_string(n_),
-        priority, [] {}, /*stack_size=*/4096));
+        &sched_, static_cast<ThreadId>(n_),
+        std::string("t").append(std::to_string(n_)), priority, [] {},
+        /*stack_size=*/4096));
     return threads_.back().get();
   }
 

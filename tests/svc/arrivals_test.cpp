@@ -29,24 +29,24 @@ std::uint64_t digest(const ArrivalSchedule& s) {
 }
 
 // The Poisson kernels this CPU can run, base first: generate() uses the last.
-std::vector<std::pair<const char*, detail::HitMaskFn>> usable_kernels() {
-  std::vector<std::pair<const char*, detail::HitMaskFn>> k = {
-      {"base", detail::hit_mask_base}};
+std::vector<std::pair<const char*, detail::HitBlockFn>> usable_kernels() {
+  std::vector<std::pair<const char*, detail::HitBlockFn>> k = {
+      {"base", detail::hit_block_base}};
 #if defined(__x86_64__)
   if (detail::avx512_usable()) {
-    k.emplace_back("avx512", detail::hit_mask_avx512);
+    k.emplace_back("avx512", detail::hit_block_avx512);
   }
   if (detail::avx512_ifma_usable()) {
-    k.emplace_back("avx512_ifma", detail::hit_mask_avx512_ifma);
+    k.emplace_back("avx512_ifma", detail::hit_block_avx512_ifma);
   }
 #endif
   return k;
 }
 
 // Pinned schedules: every (config, duration) must keep the digest a
-// one-draw-per-tick loop produces, so testing draws 64 at a time can never
-// move an arrival, tier or request seed, whichever kernel runs.  Durations
-// straddle 32- and 64-draw windows; the rates cover never, almost never,
+// one-draw-per-tick loop produces, so testing draws a block at a time can
+// never move an arrival, tier or request seed, whichever kernel runs.
+// Durations straddle 32 and 64 draws; the rates cover never, almost never,
 // the benchmark's rho=50 point, the default, and the saturated edges around
 // kProbOne.
 TEST(ArrivalsTest, GoldenScheduleDigests) {
@@ -105,19 +105,25 @@ TEST(ArrivalsTest, GoldenScheduleDigests) {
 }
 
 // The kernel contract, spelled as the one-draw-per-tick loop.
-std::uint64_t scalar_hit_mask(std::uint64_t state, std::uint32_t rate) {
+std::vector<std::uint64_t> scalar_hit_words(std::uint64_t state,
+                                            std::uint32_t rate,
+                                            std::size_t words) {
   SplitMix64 rng(state);
-  std::uint64_t mask = 0;
-  for (unsigned j = 0; j < 64; ++j) {
-    if (rng.next_below(kProbOne) < rate) mask |= std::uint64_t{1} << j;
+  std::vector<std::uint64_t> out(words, 0);
+  for (std::size_t p = 0; p < 64 * words; ++p) {
+    if (rng.next_below(kProbOne) < rate) {
+      out[p / 64] |= std::uint64_t{1} << (p % 64);
+    }
   }
-  return mask;
+  return out;
 }
 
-// 2,000 seeded (rate, state) pairs: rates log-uniform over [0, kProbOne),
-// every fifth one an edge (never, almost never, the saturated edges around
-// kProbOne), states anywhere.
-void expect_matches_scalar(detail::HitMaskFn kernel) {
+// 2,000 seeded (rate, state, word count) triples: rates log-uniform over
+// [0, kProbOne), every fifth one an edge (never, almost never, the saturated
+// edges around kProbOne), states anywhere, and odd word counts up to past a
+// block, so no word of a fill is tested only at one offset.  The words start
+// as garbage: a kernel must write every word it is given.
+void expect_matches_scalar(detail::HitBlockFn kernel) {
   constexpr std::array<std::uint32_t, 5> kEdgeRates = {
       0, 1, kProbOne - 1, kProbOne, kProbOne + 1};
   SplitMix64 pick(2004);
@@ -127,19 +133,22 @@ void expect_matches_scalar(detail::HitMaskFn kernel) {
                    : static_cast<std::uint32_t>(
                          pick.next_below(kProbOne >> pick.next_below(16)));
     const std::uint64_t state = pick.next();
-    ASSERT_EQ(kernel(state, rate), scalar_hit_mask(state, rate))
-        << "rate " << rate << " state " << state;
+    const std::size_t words = 1 + 2 * pick.next_below(detail::kBlockWords + 1);
+    std::vector<std::uint64_t> got(words, 0xA5A5A5A5A5A5A5A5ULL);
+    kernel(state, rate, got);
+    ASSERT_EQ(got, scalar_hit_words(state, rate, words))
+        << "rate " << rate << " state " << state << " words " << words;
   }
 }
 
 TEST(ArrivalsTest, BaseKernelMatchesScalarLoop) {
-  expect_matches_scalar(detail::hit_mask_base);
+  expect_matches_scalar(detail::hit_block_base);
 }
 
 TEST(ArrivalsTest, Avx512KernelMatchesScalarLoop) {
 #if defined(__x86_64__)
   if (!detail::avx512_usable()) GTEST_SKIP() << "CPU lacks AVX-512 F/DQ";
-  expect_matches_scalar(detail::hit_mask_avx512);
+  expect_matches_scalar(detail::hit_block_avx512);
 #else
   GTEST_SKIP() << "the AVX-512 kernels exist on x86-64 only";
 #endif
@@ -150,53 +159,94 @@ TEST(ArrivalsTest, Avx512IfmaKernelMatchesScalarLoop) {
   if (!detail::avx512_ifma_usable()) {
     GTEST_SKIP() << "CPU lacks AVX-512 F/DQ/IFMA";
   }
-  expect_matches_scalar(detail::hit_mask_avx512_ifma);
+  expect_matches_scalar(detail::hit_block_avx512_ifma);
 #else
   GTEST_SKIP() << "the AVX-512 kernels exist on x86-64 only";
 #endif
 }
 
-// The per-tick loop itself, for schedules the golden digests do not cover.
-ArrivalSchedule scalar_generate(std::uint32_t rate, std::uint64_t duration,
-                                std::uint64_t seed) {
+// The per-tick loop itself, tier walk included, for schedules the golden
+// digests do not cover.
+ArrivalSchedule scalar_generate(std::uint32_t rate,
+                                const std::vector<std::uint32_t>& weights,
+                                std::uint64_t duration, std::uint64_t seed) {
+  std::uint64_t total = 0;
+  for (std::uint32_t w : weights) total += w;
   SplitMix64 rng(seed);
   ArrivalSchedule out;
   out.duration = duration;
   for (std::uint64_t tick = 0; tick < duration; ++tick) {
-    if (rng.next_below(kProbOne) < rate) {
-      rng.next();  // the tier draw: one tier, so always tier 0
-      out.arrivals.push_back({tick, 0, rng.next()});
-    }
+    if (rng.next_below(kProbOne) >= rate) continue;
+    std::uint64_t r = rng.next_below(total);
+    std::uint32_t tier = 0;
+    while (r >= weights[tier]) r -= weights[tier++];
+    out.arrivals.push_back({tick, tier, rng.next()});
   }
   return out;
 }
 
-// A hit at window position 62 or 63 draws its tier and seed from the
-// window's end and the next window, and the walk must resume after them.
-// Seeds are searched until the first window's first hit is there and both
+// Every usable kernel against the per-tick loop, over durations around the
+// word and block edges and rates from never to saturated.  The zero weight
+// is a tier no arrival may get.
+TEST(ArrivalsTest, KernelsMatchPerTickLoop) {
+  constexpr std::array<std::uint64_t, 9> kDurations = {
+      0, 1, 63, 64, 65, 1023, 1024, 1025, 3000};
+  constexpr std::array<std::uint32_t, 7> kRates = {
+      0, 1, 372, kProbOne / 16, kProbOne - 1, kProbOne, kProbOne + 1};
+  ArrivalConfig cfg;
+  cfg.tier_weights = {2, 0, 3, 5};
+  for (std::uint32_t rate : kRates) {
+    cfg.rate = rate;
+    for (std::uint64_t duration : kDurations) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        const ArrivalSchedule want =
+            scalar_generate(rate, cfg.tier_weights, duration, seed);
+        for (const auto& [name, kernel] : usable_kernels()) {
+          EXPECT_TRUE(detail::generate(cfg, duration, seed, kernel).arrivals ==
+                      want.arrivals)
+              << name << " rate " << rate << " duration " << duration
+              << " seed " << seed;
+        }
+      }
+    }
+  }
+}
+
+// An arrival at word position 62 or 63, or at block position 1022 or 1023,
+// draws its tier and seed from past its word's end (and, for the last two,
+// its block's), and the walk must skip those positions in the next word.
+// Seeds are searched until the per-tick loop puts an arrival there and both
 // of its draws would pass the arrival test, so reading either as a tick
 // adds an arrival.
 TEST(ArrivalsTest, HitAtWindowEndDrawsIntoNextWindow) {
   constexpr std::uint32_t kRate = kProbOne / 16;
+  constexpr std::uint64_t kDuration = 3 * 64 * detail::kBlockWords;
+  const std::vector<std::uint32_t> one_tier{1};
   auto hit_at = [](std::uint64_t seed, std::uint64_t pos) {
     return SplitMix64::mix(seed + (pos + 1) * SplitMix64::kGamma) % kProbOne <
            kRate;
   };
+  // Arrival i sits at stream position tick + 2i.
+  auto arrival_at = [](const ArrivalSchedule& s, std::uint64_t pos) {
+    for (std::size_t i = 0; i < s.arrivals.size(); ++i) {
+      if (s.arrivals[i].tick + 2 * i == pos) return true;
+    }
+    return false;
+  };
   ArrivalConfig cfg;
   cfg.rate = kRate;
-  for (const unsigned last : {62u, 63u}) {
-    const std::uint64_t first_window = (std::uint64_t{2} << last) - 1;
+  const std::uint64_t block_end = 64 * detail::kBlockWords;
+  for (const std::uint64_t last :
+       {std::uint64_t{62}, std::uint64_t{63}, block_end - 2, block_end - 1}) {
     std::uint64_t seed = 0;
-    while ((scalar_hit_mask(seed, kRate) & first_window) !=
-               std::uint64_t{1} << last ||
-           !hit_at(seed, last + 1) || !hit_at(seed, last + 2)) {
-      ++seed;
+    ArrivalSchedule want;
+    for (;; ++seed) {
+      if (!hit_at(seed, last + 1) || !hit_at(seed, last + 2)) continue;
+      want = scalar_generate(kRate, one_tier, kDuration, seed);
+      if (arrival_at(want, last)) break;
     }
-    const ArrivalSchedule want = scalar_generate(kRate, 512, seed);
-    ASSERT_GE(want.arrivals.size(), 2u);
-    ASSERT_EQ(want.arrivals[0].tick, last);
     for (const auto& [name, kernel] : usable_kernels()) {
-      EXPECT_TRUE(detail::generate(cfg, 512, seed, kernel).arrivals ==
+      EXPECT_TRUE(detail::generate(cfg, kDuration, seed, kernel).arrivals ==
                   want.arrivals)
           << name << " hit at " << last << " seed " << seed;
     }

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
 
+#include "obs/recorder.hpp"
 #include "svc/driver.hpp"
 
 namespace rvk::svc {
@@ -118,6 +121,45 @@ TEST(OpenLoopDriverTest, LatencyChargedFromScheduledArrival) {
   ASSERT_GT(r.recorder.completed(0), 10u);
   // Mean latency must exceed the bare section cost: the backlog is charged.
   EXPECT_GT(r.recorder.latency(0).mean(), 50.0);
+}
+
+// The per-monitor counters a run publishes into the active recorder.
+std::map<std::string, std::uint64_t> monitor_counters(obs::Recorder& rec) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& e : rec.registry().entries()) {
+    if (e->name.starts_with("monitor.") && !e->is_histogram()) {
+      out[e->name] = e->value;
+    }
+  }
+  return out;
+}
+
+// One recorder spanning runs of two protocols, as bench/macro_open's does:
+// each protocol's monitors publish under keys of their own, so the second
+// run adds keys and leaves the first run's counters as they were.
+TEST(OpenLoopDriverTest, ProtocolsPublishDisjointMonitorKeys) {
+  obs::Recorder* rec = obs::Recorder::install();
+  run_open_loop(small_config(Protocol::kBlocking));
+  const auto blocking = monitor_counters(*rec);
+  run_open_loop(small_config(Protocol::kRevocation));
+  const auto both = monitor_counters(*rec);
+  obs::Recorder::uninstall();
+
+  ASSERT_FALSE(blocking.empty());
+  std::size_t revocation_keys = 0;
+  for (const auto& [name, value] : both) {
+    const auto it = blocking.find(name);
+    if (it == blocking.end()) {
+      EXPECT_TRUE(name.starts_with("monitor.revocation/shard-")) << name;
+      ++revocation_keys;
+    } else {
+      EXPECT_TRUE(name.starts_with("monitor.blocking/shard-")) << name;
+      EXPECT_EQ(value, it->second) << name;
+    }
+  }
+  EXPECT_GT(revocation_keys, 0u);
+  EXPECT_TRUE(both.contains("monitor.blocking/shard-0.stats.contended"));
+  EXPECT_TRUE(both.contains("monitor.revocation/shard-0.stats.contended"));
 }
 
 }  // namespace
