@@ -136,7 +136,7 @@ void Analyzer::on_access(const heap::TraceAccess& a) {
   if (a.kind == K::kVolatileRead || a.kind == K::kVolatileWrite) {
     // Volatiles are synchronization, not data (JLS); feeding them to the
     // lockset would flag every §2.2 / Figure-3 volatile handshake.  Undo-log
-    // coverage still applies to volatile stores (EntryKind::kVolatileSlot).
+    // coverage still applies to volatile stores: the barrier logs them too.
     if (a.kind == K::kVolatileWrite) check_logged_store(t, a);
     return;
   }
@@ -178,16 +178,14 @@ void Analyzer::check_logged_store(rt::VThread* t, const heap::TraceAccess& a) {
   if (t->sync_depth == 0) return;  // outside a section stores are permanent
   ++report_.bypass_checks;
   // Accessors trace immediately after the barrier, so a store that appended
-  // has its entry at the log tail, under the same (base, offset) identity.
-  // A store the write filter skipped (log/write_filter.hpp) is covered by
-  // an earlier entry in the current frame's segment [log_mark, size).  A
+  // has its entry at the log tail.  A store the write filter skipped
+  // (log/write_filter.hpp) is covered by an earlier entry in the current
+  // frame's segment [log_mark, size).  Both tests compare slot addresses,
+  // the identity the filter keys on, so coverage and filtering agree.  A
   // section no engine announced (tests drive sync_depth by hand) has no
   // known frame; its segment is the whole log.
   const log::UndoLog& ul = t->undo_log;
-  const auto covers = [&](std::size_t i) {
-    const log::Entry& e = ul.entry(i);
-    return e.base == a.base && e.offset == a.offset;
-  };
+  const auto covers = [&](std::size_t i) { return ul.entry(i).addr == a.addr; };
   if (!ul.empty() && covers(ul.size() - 1)) return;
   std::size_t mark = 0;
   auto it = frames_of_.find(t->id());

@@ -36,8 +36,8 @@
 
 namespace rvk::analysis {
 
-// Lockset location identity; mirrors the (base, offset) contract of
-// heap::TraceAccess and the undo log.
+// Lockset location identity: heap::TraceAccess's (base, offset) pair, which
+// also names the location in violation messages.
 struct LocKey {
   const void* base = nullptr;
   std::uint32_t offset = 0;

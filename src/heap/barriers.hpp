@@ -67,9 +67,9 @@ struct ObjectMeta {
 // always compiled; with no consumer installed it costs one predicted
 // pointer-null test per access.
 //
-// (base, offset) is the location's identity and MUST match the identity the
-// undo log records for the same slot — jmm/ correlates undo events with
-// write events by it, and analysis/ checks barrier coverage with it.
+// `addr` is the slot, the location identity the undo log records: analysis/
+// checks barrier coverage by it, and jmm/ maps undo entries back to the
+// (base, offset) pair — the paper's (reference, offset) — traced with it.
 struct TraceAccess {
   enum class Kind : std::uint8_t {
     kRead,
@@ -83,6 +83,7 @@ struct TraceAccess {
     kUnloggedWrite,
   };
   Kind kind;
+  const Word* addr;
   const void* base;
   std::uint32_t offset;
   Word value;      // value read, or new value written
@@ -107,13 +108,16 @@ void set_trace_hook(void (*hook)(const TraceAccess&));
 // Installs the analyzer's access hook (nullptr to uninstall).
 void set_analysis_hook(void (*hook)(const TraceAccess&));
 
-inline void trace_access(TraceAccess::Kind kind, const void* base,
-                         std::uint32_t offset, Word value, Word old_value) {
+inline void trace_access(TraceAccess::Kind kind, const Word* addr,
+                         const void* base, std::uint32_t offset, Word value,
+                         Word old_value) {
   if (detail::g_trace_access != nullptr) [[unlikely]] {
-    detail::g_trace_access(TraceAccess{kind, base, offset, value, old_value});
+    detail::g_trace_access(
+        TraceAccess{kind, addr, base, offset, value, old_value});
   }
   if (detail::g_analysis_access != nullptr) [[unlikely]] {
-    detail::g_analysis_access(TraceAccess{kind, base, offset, value, old_value});
+    detail::g_analysis_access(
+        TraceAccess{kind, addr, base, offset, value, old_value});
   }
 }
 
@@ -125,8 +129,7 @@ bool dependency_tracking();
 // Installs the engine hook (nullptr to uninstall).
 void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
 
-// The write barrier.  `addr` is the slot being stored to; `base`/`offset`
-// identify it in paper terms (reference + offset).  The fast path is the
+// The write barrier.  `addr` is the slot being stored to.  The fast path is the
 // paper's single test (§1.1), here one TLS load plus a null compare:
 // rt::section_vthread() caches "the running thread, iff it is inside a
 // synchronized section" (maintained at section entry/exit and across fiber
@@ -134,9 +137,7 @@ void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
 // common in-section store is one predicted branch, one probe of the
 // thread's write filter (log/write_filter.hpp) and, on a miss, the log's
 // bump-pointer append.
-RVK_MAY_ALLOC inline void write_barrier(log::EntryKind kind, ObjectMeta& meta,
-                                        Word* addr, const void* base,
-                                        std::uint32_t offset) {
+RVK_MAY_ALLOC inline void write_barrier(ObjectMeta& meta, Word* addr) {
   rt::VThread* t = rt::section_vthread();
   if (t == nullptr) [[likely]] {
     return;  // fast path: not in a section
@@ -145,7 +146,7 @@ RVK_MAY_ALLOC inline void write_barrier(log::EntryKind kind, ObjectMeta& meta,
   // log grows past its watermark (DESIGN.md §11).
   if (t->lazy_frame) [[unlikely]] rt::materialize_lazy_frame(t);
   if (t->write_filter.first_store(addr, t->current_frame_id)) {
-    t->undo_log.record(kind, addr, *addr, base, offset);
+    t->undo_log.record(addr, *addr);
   }
   if (detail::g_track_dependencies) {
     meta.writer_tid = t->id();

@@ -61,7 +61,7 @@ class HeapObject {
     RVK_DCHECK(slot < slots_.size());
     read_barrier(meta_, this);
     Word v = slots_[slot];
-    trace_access(TraceAccess::Kind::kRead, this,
+    trace_access(TraceAccess::Kind::kRead, &slots_[slot], this,
                  static_cast<std::uint32_t>(slot), v, 0);
     return v;
   }
@@ -70,9 +70,8 @@ class HeapObject {
   // thread executes inside a synchronized section) + word store.
   void set_word(std::size_t slot, Word value) {
     RVK_DCHECK(slot < slots_.size());
-    write_barrier(log::EntryKind::kObjectField, meta_, &slots_[slot], this,
-                  static_cast<std::uint32_t>(slot));
-    trace_access(TraceAccess::Kind::kWrite, this,
+    write_barrier(meta_, &slots_[slot]);
+    trace_access(TraceAccess::Kind::kWrite, &slots_[slot], this,
                  static_cast<std::uint32_t>(slot), value, slots_[slot]);
     slots_[slot] = value;
   }
@@ -84,7 +83,7 @@ class HeapObject {
   // elides.
   void set_word_unlogged(std::size_t slot, Word value) {
     RVK_DCHECK(slot < slots_.size());
-    trace_access(TraceAccess::Kind::kUnloggedWrite, this,
+    trace_access(TraceAccess::Kind::kUnloggedWrite, &slots_[slot], this,
                  static_cast<std::uint32_t>(slot), value, slots_[slot]);
     slots_[slot] = value;
   }
@@ -130,17 +129,16 @@ class HeapArray {
     RVK_DCHECK(index < slots_.size());
     read_barrier(meta_, this);
     Word v = slots_[index];
-    trace_access(TraceAccess::Kind::kRead, this,
+    trace_access(TraceAccess::Kind::kRead, &slots_[index], this,
                  static_cast<std::uint32_t>(index), v, 0);
     return detail::from_word<T>(v);
   }
 
   void set(std::size_t index, T value) {
     RVK_DCHECK(index < slots_.size());
-    write_barrier(log::EntryKind::kArrayElement, meta_, &slots_[index], this,
-                  static_cast<std::uint32_t>(index));
+    write_barrier(meta_, &slots_[index]);
     Word w = detail::to_word(value);
-    trace_access(TraceAccess::Kind::kWrite, this,
+    trace_access(TraceAccess::Kind::kWrite, &slots_[index], this,
                  static_cast<std::uint32_t>(index), w, slots_[index]);
     slots_[index] = w;
   }
@@ -148,7 +146,7 @@ class HeapArray {
   void set_unlogged(std::size_t index, T value) {
     RVK_DCHECK(index < slots_.size());
     Word w = detail::to_word(value);
-    trace_access(TraceAccess::Kind::kUnloggedWrite, this,
+    trace_access(TraceAccess::Kind::kUnloggedWrite, &slots_[index], this,
                  static_cast<std::uint32_t>(index), w, slots_[index]);
     slots_[index] = w;
   }

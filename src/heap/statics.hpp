@@ -3,10 +3,10 @@
 // Paper §3.1.2: "For static variable stores two values are recorded: the
 // offset of the static variable in the global symbol table and the old value
 // of the static variable."  StaticsTable is that global symbol table: slots
-// are defined by name, addressed by offset, and stores log EntryKind::
-// kStaticField.  Unlike objects, statics carry a writer mark *per slot*
-// (distinct globals are unrelated; sharing one mark would create false
-// non-revocability couplings between them).
+// are defined by name and addressed by offset; a store logs the slot's
+// address, as a field store does.  Unlike objects, statics carry a writer
+// mark *per slot* (distinct globals are unrelated; sharing one mark would
+// create false non-revocability couplings between them).
 #pragma once
 
 #include <cstdint>
@@ -44,20 +44,19 @@ class StaticsTable {
     RVK_DCHECK(offset < slots_.size());
     Slot& s = *slots_[offset];
     read_barrier(s.meta, &s);
-    trace_access(TraceAccess::Kind::kRead, &s, offset, s.value, 0);
+    trace_access(TraceAccess::Kind::kRead, &s.value, &s, offset, s.value, 0);
     return s.value;
   }
 
   void set_word(std::uint32_t offset, Word value) {
     RVK_DCHECK(offset < slots_.size());
     Slot& s = *slots_[offset];
-    // The log and the trace dispatch must agree on the location's identity:
-    // jmm/ correlates a rollback's undo events (built from log entries) with
-    // the write events it traced here.  Both use (&slot, offset) — logging
-    // the table as the base would make every undone static store an
-    // orphaned location for the checker.
-    write_barrier(log::EntryKind::kStaticField, s.meta, &s.value, &s, offset);
-    trace_access(TraceAccess::Kind::kWrite, &s, offset, value, s.value);
+    // The log and the trace dispatch share one identity, the slot address:
+    // jmm/ resolves a rollback's undo events (built from log entries)
+    // through the write events it traced here.
+    write_barrier(s.meta, &s.value);
+    trace_access(TraceAccess::Kind::kWrite, &s.value, &s, offset, value,
+                 s.value);
     s.value = value;
   }
 

@@ -36,14 +36,15 @@ class VolatileVar {
 
   T load() {
     read_barrier(meta_, this);
-    trace_access(TraceAccess::Kind::kVolatileRead, this, 0, value_, 0);
+    trace_access(TraceAccess::Kind::kVolatileRead, &value_, this, 0, value_, 0);
     return detail::from_word<T>(value_);
   }
 
   void store(T v) {
-    write_barrier(log::EntryKind::kVolatileSlot, meta_, &value_, this, 0);
+    write_barrier(meta_, &value_);
     Word w = detail::to_word(v);
-    trace_access(TraceAccess::Kind::kVolatileWrite, this, 0, w, value_);
+    trace_access(TraceAccess::Kind::kVolatileWrite, &value_, this, 0, w,
+                 value_);
     value_ = w;
   }
 

@@ -57,6 +57,7 @@ void Trace::record_access(const heap::TraceAccess& a) {
   if (e.kind == EventKind::kWrite || e.kind == EventKind::kVolatileWrite) {
     // A write's frame is meaningful only when performed inside a section.
     e.frame = (t != nullptr && t->sync_depth > 0) ? t->current_frame_id : 0;
+    loc_of_.insert_or_assign(a.addr, e.loc);
   }
   events_.push_back(e);
 }
@@ -95,14 +96,16 @@ void Trace::on_engine_event(const core::EngineEvent& e) {
       break;
     case K::kUndoReplay: {
       // Published just before the replay: the aux newest entries are the
-      // ones about to be restored, in replay order.
+      // ones about to be restored, in replay order.  A slot no traced write
+      // touched resolves to the null Loc, an orphan the checker reports.
       const log::UndoLog& undo = e.thread->undo_log;
       const std::size_t mark = undo.size() - e.aux;
       undo.for_each_above_reverse(mark, [&](const log::Entry& u) {
         Event ev;
         ev.kind = EventKind::kUndo;
         ev.tid = tid;
-        ev.loc = Loc{u.base, u.offset};
+        const auto it = loc_of_.find(u.addr);
+        ev.loc = it != loc_of_.end() ? it->second : Loc{};
         ev.value = u.old_value;
         events_.push_back(ev);
       });

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/frame.hpp"
@@ -42,8 +43,8 @@ enum class EventKind : std::uint8_t {
   kPin,            // frame(s) up to `frame` were marked non-revocable
 };
 
-// Location identity: (base pointer, offset) — matches the paper's
-// (reference, offset) store records.
+// Location identity: (base pointer, offset) — the paper's (reference,
+// offset) store records.
 struct Loc {
   const void* base = nullptr;
   std::uint32_t offset = 0;
@@ -94,6 +95,9 @@ class Trace final : public core::EngineObserver {
 
   core::Engine& engine_;
   std::vector<Event> events_;
+  // Slot address -> Loc of the latest write traced there, which names an
+  // undo's slot even where a freed object's address was reused.
+  std::unordered_map<const heap::Word*, Loc> loc_of_;
 };
 
 }  // namespace rvk::jmm

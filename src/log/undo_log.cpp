@@ -140,13 +140,4 @@ void UndoLog::discard_all() {
   ++stats_.commits;
 }
 
-std::size_t UndoLog::count_kind(EntryKind kind, std::size_t from) const {
-  std::size_t n = 0;
-  const std::size_t end = size();
-  for (std::size_t i = from; i < end; ++i) {
-    if (entry(i).kind == kind) ++n;
-  }
-  return n;
-}
-
 }  // namespace rvk::log

@@ -7,13 +7,17 @@
 // static variable stores two values are recorded: the offset of the static
 // variable in the global symbol table and the old value."
 //
-// This module reproduces that structure.  Each green thread owns one
-// UndoLog.  Monitor frames remember the log size at entry (a *watermark*);
-// rollback of a frame replays the suffix above its watermark in reverse
-// ("the log is processed in reverse to restore modified locations to their
-// original values", §3.1.2) and truncates it.  Committing a *nested* frame
-// leaves its entries in place: they remain speculative until the outermost
-// frame commits, at which point the whole log is discarded.
+// This module reproduces that structure, except that every heap slot here is
+// a Word: an entry is (slot address, old value) for every store kind, and
+// replay needs no kind (DESIGN.md §1).
+//
+// Each green thread owns one UndoLog.  Monitor frames remember the log size
+// at entry (a *watermark*); rollback of a frame replays the suffix above its
+// watermark in reverse ("the log is processed in reverse to restore modified
+// locations to their original values", §3.1.2) and truncates it.
+// Committing a *nested* frame leaves its entries in place: they remain
+// speculative until the outermost frame commits, at which point the whole
+// log is discarded.
 //
 // Storage is a chunked-segment arena (DESIGN.md §8): fixed-size entry
 // chunks, allocated on demand.  Growth never copies — an append into a full
@@ -44,24 +48,13 @@ namespace rvk::log {
 // values into words), so one entry layout covers every store kind.
 using Word = std::uint64_t;
 
-enum class EntryKind : std::uint8_t {
-  kObjectField,   // putfield
-  kArrayElement,  // Xastore
-  kStaticField,   // putstatic
-  kVolatileSlot,  // volatile variable store (extension for jmm/ tracking)
-};
-
-// One logged store.  `addr` is the resolved location so replay is a single
-// word write; `base`/`offset` retain the paper's (reference, offset) pair for
-// diagnostics, statistics and tests.
+// One logged store: the slot and the value it held before the store.  Replay
+// is a single word write.
 struct Entry {
   Word* addr;
   Word old_value;
-  const void* base;   // object/array reference, or statics-table slot
-  std::uint32_t offset;
-  EntryKind kind;
 };
-static_assert(sizeof(Entry) == 32, "UndoLog's chunk sizing assumes 32 B");
+static_assert(sizeof(Entry) == 16, "UndoLog's chunk sizing assumes 16 B");
 
 namespace detail {
 // Chunks currently parked on the calling OS thread's free list
@@ -85,10 +78,10 @@ struct LogStats {
 
 class UndoLog {
  public:
-  // Entries per chunk.  4096 × 32 B = 128 KiB, exactly glibc's default mmap
+  // Entries per chunk.  8192 × 16 B = 128 KiB, exactly glibc's default mmap
   // threshold, so a chunk the per-thread pool cannot supply is an mmap; the
-  // grow branch fires once per 4096 appends.
-  static constexpr std::size_t kChunkShift = 12;
+  // grow branch fires once per 8192 appends.
+  static constexpr std::size_t kChunkShift = 13;
   static constexpr std::size_t kChunkEntries = std::size_t{1} << kChunkShift;
   static constexpr std::size_t kChunkMask = kChunkEntries - 1;
 
@@ -96,8 +89,9 @@ class UndoLog {
   // chunks; the chunks themselves come from the per-thread pool (or the
   // allocator) on first use, and truncation returns retired ones there, so a
   // steady-state section never allocates.  An idle thread's log therefore
-  // costs a few dozen bytes, not a pre-sized buffer.
-  explicit UndoLog(std::size_t initial_capacity = 1 << 16) {
+  // costs a few dozen bytes, not a pre-sized buffer.  The default reserves
+  // 16 slots (2 MiB of entries).
+  explicit UndoLog(std::size_t initial_capacity = 1 << 17) {
     chunks_.reserve((initial_capacity + kChunkEntries - 1) >> kChunkShift);
   }
 
@@ -112,10 +106,9 @@ class UndoLog {
   // thread, so it stays minimal: one predicted-not-taken chunk-full test,
   // one bump-pointer store, one counter.  Growth never moves existing
   // entries.
-  RVK_MAY_ALLOC void record(EntryKind kind, Word* addr, Word old_value,
-                            const void* base, std::uint32_t offset) {
+  RVK_MAY_ALLOC void record(Word* addr, Word old_value) {
     if (cursor_ == chunk_end_) [[unlikely]] next_chunk();
-    *cursor_++ = Entry{addr, old_value, base, offset, kind};
+    *cursor_++ = Entry{addr, old_value};
     ++stats_.appends;
   }
 
@@ -181,10 +174,6 @@ class UndoLog {
 
   // Allocated entry slots across all chunks (diagnostics).
   std::size_t capacity() const { return chunks_.size() << kChunkShift; }
-
-  // Counts entries of `kind` in [from, end) — used by tests asserting which
-  // store kinds a workload logged.
-  std::size_t count_kind(EntryKind kind, std::size_t from = 0) const;
 
  private:
   // Cold path of record(): opens the next chunk (pool, then allocator) and

@@ -138,15 +138,17 @@ TEST(LocksetTest, UnloggedStoreInsideSectionIsBarrierBypass) {
 }
 
 TEST(LocksetTest, TracedStoreWithNoLogEntryIsBarrierBypass) {
-  // A store traced as barriered whose location has no entry in the frame's
-  // log segment — what a barrier that skipped its append would produce.
+  // A store traced as barriered whose slot has no entry in the frame's log
+  // segment — what a barrier that skipped its append would produce.
   Fixture fx;
   core::RevocableMonitor* m = fx.engine.make_monitor("m");
   heap::HeapObject* o = fx.heap.alloc("obj", 2);
   fx.sched.spawn("T", rt::kNormPriority, [&fx, m, o] {
+    heap::Word never_logged = 0;
     fx.engine.synchronized(*m, [&] {
       o->set<int>(0, 1);  // logged: covers slot 0 only
-      heap::trace_access(heap::TraceAccess::Kind::kWrite, o, 1, 5, 0);
+      heap::trace_access(heap::TraceAccess::Kind::kWrite, &never_logged, o, 1,
+                         5, 0);
     });
   });
   fx.sched.run();

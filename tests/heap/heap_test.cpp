@@ -82,31 +82,42 @@ TEST(HeapTest, LoggingOnlyInsideSynchronizedSection) {
   EXPECT_EQ(logged_inside, 2u);
 }
 
-TEST(HeapTest, LogEntryKindsMatchStoreKinds) {
+TEST(HeapTest, EachStoreKindLogsOneEntryAndRollsBack) {
+  // putfield, Xastore, putstatic and a volatile store each append exactly
+  // one entry naming the slot they wrote, and replay restores all four.
   rt::Scheduler s;
   Heap h;
   HeapObject* o = h.alloc("o", 1);
   HeapArray<int>* arr = h.alloc_array<int>(4);
-  const std::uint32_t sv = h.statics().define("sv");
-  VolatileVar<int> vol("vol");
+  const std::uint32_t sv = h.statics().define("sv", 3);
+  VolatileVar<int> vol("vol", 4);
+  o->set<int>(0, 1);
+  arr->set(2, 2);
   s.spawn("t", rt::kNormPriority, [&] {
     rt::VThread* t = s.current_thread();
     t->sync_depth = 1;
     rt::enter_section(t);
-    o->set<int>(0, 1);
-    arr->set(2, 7);
-    h.statics().set<int>(sv, 9);
-    vol.store(5);
-    using log::EntryKind;
-    EXPECT_EQ(t->undo_log.count_kind(EntryKind::kObjectField), 1u);
-    EXPECT_EQ(t->undo_log.count_kind(EntryKind::kArrayElement), 1u);
-    EXPECT_EQ(t->undo_log.count_kind(EntryKind::kStaticField), 1u);
-    EXPECT_EQ(t->undo_log.count_kind(EntryKind::kVolatileSlot), 1u);
+    const log::UndoLog& ul = t->undo_log;
+    o->set<int>(0, 10);
+    EXPECT_EQ(ul.size(), 1u);
+    arr->set(2, 20);
+    EXPECT_EQ(ul.size(), 2u);
+    h.statics().set<int>(sv, 30);
+    EXPECT_EQ(ul.size(), 3u);
+    vol.store(40);
+    EXPECT_EQ(ul.size(), 4u);
+    for (std::size_t i = 0; i < ul.size(); ++i) {
+      EXPECT_EQ(*ul.entry(i).addr, 10u * (i + 1)) << "entry " << i;
+    }
+    t->undo_log.rollback_to(0);
     t->sync_depth = 0;
     rt::exit_section();
-    t->undo_log.discard_all();
   });
   s.run();
+  EXPECT_EQ(o->get<int>(0), 1);
+  EXPECT_EQ(arr->get(2), 2);
+  EXPECT_EQ(h.statics().get<int>(sv), 3);
+  EXPECT_EQ(vol.load(), 4);
 }
 
 TEST(HeapTest, UnloggedStoresSkipTheBarrier) {

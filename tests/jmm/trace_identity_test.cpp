@@ -1,17 +1,20 @@
 // Trace/undo-log identity contract regression tests.
 //
 // The checker correlates Undo events with Write events by Loc (base,
-// offset), so every accessor must trace the SAME identity the write barrier
-// logs.  Statics historically logged the table as the base while tracing
-// the slot — a rolled-back static store became an orphaned undo for the
-// checker.  These tests pin the contract for statics and for volatile
-// variables (whose accesses must surface as kVolatileRead/kVolatileWrite on
-// both the unmarked fast path and the writer-marked slow path).
+// offset).  Undo-log entries carry only the slot address, which the Trace
+// maps back to the Loc of the write it traced at that slot, so every
+// accessor must trace the slot it logs.  Statics historically logged one
+// identity and traced another — a rolled-back static store became an
+// orphaned undo for the checker.  These tests pin the contract for statics,
+// object fields, array elements and volatile variables (whose accesses must
+// surface as kVolatileRead/kVolatileWrite on both the unmarked fast path
+// and the writer-marked slow path).
 #include <gtest/gtest.h>
 
 #include <cstddef>
 
 #include "core/engine.hpp"
+#include "heap/heap.hpp"
 #include "heap/statics.hpp"
 #include "heap/volatile_var.hpp"
 #include "jmm/checker.hpp"
@@ -93,6 +96,75 @@ TEST(TraceIdentityTest, VolatileKindsConsistentOnFastAndSlowPaths) {
   EXPECT_EQ(count_kind(ev, EventKind::kRead, loc), 0u);
   CheckResult r = check_consistency(ev);
   EXPECT_TRUE(r.ok()) << r.report();
+}
+
+TEST(TraceIdentityTest, FieldArrayAndVolatileRollbackCorrelateUndoWithWrite) {
+  rt::Scheduler sched;
+  core::Engine engine(sched);
+  heap::Heap h;
+  heap::HeapObject* o = h.alloc("o", 2);
+  heap::HeapArray<int>* arr = h.alloc_array<int>(4);
+  heap::VolatileVar<int> v("v", 3);
+  core::RevocableMonitor* m = engine.make_monitor("m");
+  const auto stores = [&] {
+    o->set<int>(1, 10);
+    arr->set(2, 20);
+    v.store(30);
+  };
+
+  // An untraced run of the same section yields the three slot addresses.
+  std::vector<const heap::Word*> slots;
+  sched.spawn("probe", rt::kNormPriority, [&] {
+    engine.section_enter(*m);
+    stores();
+    const log::UndoLog& ul = sched.current_thread()->undo_log;
+    for (std::size_t i = 0; i < ul.size(); ++i) {
+      slots.push_back(ul.entry(i).addr);
+    }
+    engine.section_abort();
+  });
+  sched.run();
+  ASSERT_EQ(slots.size(), 3u);
+
+  Trace trace(engine);
+  // Writes traced at the same slots under other Locs, as when a freed
+  // object's memory is reused: an undo must resolve through the latest
+  // write to its slot, never an earlier one.
+  int gone = 0;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    heap::trace_access(heap::TraceAccess::Kind::kWrite, slots[i], &gone, i,
+                       0, 0);
+  }
+  sched.spawn("T", rt::kNormPriority, [&] {
+    engine.section_enter(*m);
+    stores();
+    engine.section_abort();  // each undo must name this section's write
+  });
+  sched.run();
+
+  const std::vector<Event>& ev = trace.events();
+  std::vector<Loc> written;
+  for (const Event& e : ev) {
+    if ((e.kind == EventKind::kWrite || e.kind == EventKind::kVolatileWrite) &&
+        e.frame != 0) {
+      written.push_back(e.loc);
+    }
+  }
+  ASSERT_EQ(written.size(), 3u);
+  EXPECT_EQ(written[0], (Loc{o, 1}));
+  EXPECT_EQ(written[1], (Loc{arr, 2}));
+  EXPECT_EQ(written[2], (Loc{&v, 0}));
+  for (const Loc& loc : written) {
+    EXPECT_EQ(count_kind(ev, EventKind::kUndo, loc), 1u)
+        << loc.base << ", " << loc.offset;
+  }
+  CheckResult r = check_consistency(ev);
+  EXPECT_TRUE(r.ok()) << r.report();
+  EXPECT_EQ(r.undos_seen, 3u);
+  // Checked last: the trace is still live and records these reads.
+  EXPECT_EQ(o->get<int>(1), 0);
+  EXPECT_EQ(arr->get(2), 0);
+  EXPECT_EQ(v.load(), 3);
 }
 
 }  // namespace

@@ -19,7 +19,7 @@ TEST(UndoLogTest, StartsEmpty) {
 TEST(UndoLogTest, RecordAndRollbackSingleEntry) {
   UndoLog log;
   Word slot = 10;
-  log.record(EntryKind::kObjectField, &slot, slot, nullptr, 0);
+  log.record(&slot, slot);
   slot = 99;
   log.rollback_to(0);
   EXPECT_EQ(slot, 10u);
@@ -31,11 +31,11 @@ TEST(UndoLogTest, ReverseReplayRestoresOldestValue) {
   // (it is replayed last).
   UndoLog log;
   Word slot = 1;
-  log.record(EntryKind::kObjectField, &slot, slot, nullptr, 0);
+  log.record(&slot, slot);
   slot = 2;
-  log.record(EntryKind::kObjectField, &slot, slot, nullptr, 0);
+  log.record(&slot, slot);
   slot = 3;
-  log.record(EntryKind::kObjectField, &slot, slot, nullptr, 0);
+  log.record(&slot, slot);
   slot = 4;
   log.rollback_to(0);
   EXPECT_EQ(slot, 1u);
@@ -45,10 +45,10 @@ TEST(UndoLogTest, WatermarkRollbackIsPartial) {
   // Nested frames: inner frame's rollback must not disturb outer entries.
   UndoLog log;
   Word a = 100, b = 200;
-  log.record(EntryKind::kObjectField, &a, a, nullptr, 0);  // outer write
+  log.record(&a, a);  // outer write
   a = 111;
   const std::size_t inner_mark = log.watermark();
-  log.record(EntryKind::kObjectField, &b, b, nullptr, 1);  // inner write
+  log.record(&b, b);  // inner write
   b = 222;
   log.rollback_to(inner_mark);
   EXPECT_EQ(b, 200u);   // inner undone
@@ -63,10 +63,10 @@ TEST(UndoLogTest, NestedCommitLeavesEntriesForOuterRollback) {
   // rollback of the outer frame undoes them too.
   UndoLog log;
   Word a = 1, b = 2;
-  log.record(EntryKind::kObjectField, &a, a, nullptr, 0);
+  log.record(&a, a);
   a = 10;
   // inner frame: record, then "commit" = do nothing to the log
-  log.record(EntryKind::kObjectField, &b, b, nullptr, 0);
+  log.record(&b, b);
   b = 20;
   // outer rollback
   log.rollback_to(0);
@@ -77,46 +77,29 @@ TEST(UndoLogTest, NestedCommitLeavesEntriesForOuterRollback) {
 TEST(UndoLogTest, DiscardAllCommits) {
   UndoLog log;
   Word slot = 5;
-  log.record(EntryKind::kObjectField, &slot, slot, nullptr, 0);
+  log.record(&slot, slot);
   slot = 6;
   log.discard_all();
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(slot, 6u);  // value untouched
 }
 
-TEST(UndoLogTest, EntriesCarryPaperTriple) {
-  // §3.1.2: object/array stores record (reference, offset, old value);
-  // static stores record (offset, old value).
+TEST(UndoLogTest, EntriesCarrySlotAndOldValue) {
+  // §3.1.2 records (reference, offset, old value); every slot here is a
+  // Word, so the slot address stands for (reference, offset).
   UndoLog log;
   Word field = 7;
-  int dummy_object;
-  log.record(EntryKind::kObjectField, &field, field, &dummy_object, 3);
+  log.record(&field, field);
   const Entry& e = log.entry(0);
-  EXPECT_EQ(e.base, &dummy_object);
-  EXPECT_EQ(e.offset, 3u);
+  EXPECT_EQ(e.addr, &field);
   EXPECT_EQ(e.old_value, 7u);
-  EXPECT_EQ(e.kind, EntryKind::kObjectField);
-}
-
-TEST(UndoLogTest, CountKind) {
-  UndoLog log;
-  Word s = 0;
-  log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
-  log.record(EntryKind::kArrayElement, &s, 0, nullptr, 0);
-  log.record(EntryKind::kArrayElement, &s, 0, nullptr, 0);
-  log.record(EntryKind::kStaticField, &s, 0, nullptr, 0);
-  EXPECT_EQ(log.count_kind(EntryKind::kObjectField), 1u);
-  EXPECT_EQ(log.count_kind(EntryKind::kArrayElement), 2u);
-  EXPECT_EQ(log.count_kind(EntryKind::kStaticField), 1u);
-  EXPECT_EQ(log.count_kind(EntryKind::kVolatileSlot), 0u);
-  EXPECT_EQ(log.count_kind(EntryKind::kArrayElement, 2), 1u);
 }
 
 TEST(UndoLogTest, StatsTrackTraffic) {
   UndoLog log;
   Word s = 0;
   for (int i = 0; i < 10; ++i) {
-    log.record(EntryKind::kObjectField, &s, s, nullptr, 0);
+    log.record(&s, s);
     s = static_cast<Word>(i);
   }
   log.rollback_to(4);
@@ -133,8 +116,7 @@ TEST(UndoLogTest, GrowsBeyondInitialCapacity) {
   UndoLog log(4);
   std::array<Word, 1000> slots{};
   for (std::size_t i = 0; i < slots.size(); ++i) {
-    log.record(EntryKind::kArrayElement, &slots[i], i, nullptr,
-               static_cast<std::uint32_t>(i));
+    log.record(&slots[i], i);
     slots[i] = 12345;
   }
   EXPECT_EQ(log.size(), 1000u);
@@ -150,14 +132,14 @@ TEST(UndoLogTest, EntryAddressesStableAcrossGrowth) {
   // never copies old ones).
   UndoLog log(4);  // reserve almost nothing up front
   Word s = 0;
-  log.record(EntryKind::kObjectField, &s, 42, nullptr, 7);
+  log.record(&s, 42);
   const Entry* first = &log.entry(0);
   for (std::size_t i = 0; i < 3 * UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kArrayElement, &s, i, nullptr, 0);
+    log.record(&s, i);
   }
   EXPECT_EQ(first, &log.entry(0));
+  EXPECT_EQ(first->addr, &s);
   EXPECT_EQ(first->old_value, 42u);
-  EXPECT_EQ(first->offset, 7u);
 }
 
 TEST(UndoLogTest, RollbackAcrossChunkBoundary) {
@@ -166,8 +148,7 @@ TEST(UndoLogTest, RollbackAcrossChunkBoundary) {
   std::vector<Word> slots(n);
   for (std::size_t i = 0; i < n; ++i) {
     slots[i] = i;
-    log.record(EntryKind::kArrayElement, &slots[i], slots[i], nullptr,
-               static_cast<std::uint32_t>(i));
+    log.record(&slots[i], slots[i]);
     slots[i] = 0;
   }
   EXPECT_EQ(log.size(), n);
@@ -182,13 +163,13 @@ TEST(UndoLogTest, WatermarkAtExactChunkBoundary) {
   UndoLog log;
   std::vector<Word> slots(UndoLog::kChunkEntries + 50);
   for (std::size_t i = 0; i < UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kObjectField, &slots[i], 1, nullptr, 0);
+    log.record(&slots[i], 1);
     slots[i] = 9;
   }
   const std::size_t mark = log.watermark();
   ASSERT_EQ(mark, UndoLog::kChunkEntries);
   for (std::size_t i = 0; i < 50; ++i) {
-    log.record(EntryKind::kObjectField, &slots[mark + i], 2, nullptr, 0);
+    log.record(&slots[mark + i], 2);
     slots[mark + i] = 9;
   }
   log.rollback_to(mark);
@@ -196,7 +177,7 @@ TEST(UndoLogTest, WatermarkAtExactChunkBoundary) {
   EXPECT_EQ(slots[mark], 2u);      // inner frame undone
   EXPECT_EQ(slots[mark - 1], 9u);  // outer frame untouched
   // The log must keep working past the boundary cursor.
-  log.record(EntryKind::kObjectField, &slots[mark], slots[mark], nullptr, 0);
+  log.record(&slots[mark], slots[mark]);
   EXPECT_EQ(log.size(), mark + 1);
   EXPECT_EQ(log.entry(mark).old_value, 2u);
 }
@@ -208,7 +189,7 @@ TEST(UndoLogTest, ChunksReleasedToPoolAcrossCommit) {
   UndoLog log(4);
   Word s = 0;
   for (std::size_t i = 0; i < 2 * UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+    log.record(&s, 0);
   }
   const std::size_t cap = log.capacity();
   EXPECT_GE(cap, 2 * UndoLog::kChunkEntries);
@@ -219,7 +200,7 @@ TEST(UndoLogTest, ChunksReleasedToPoolAcrossCommit) {
   EXPECT_GT(detail::pooled_chunk_count(), pooled_before);
   const std::size_t pooled_full = detail::pooled_chunk_count();
   for (std::size_t i = 0; i < 2 * UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+    log.record(&s, 0);
   }
   EXPECT_EQ(log.capacity(), cap);  // regrown from the pool
   EXPECT_LT(detail::pooled_chunk_count(), pooled_full);
@@ -237,7 +218,7 @@ TEST(UndoLogTest, DestructorReturnsChunksToPool) {
     UndoLog log(4);
     Word s = 0;
     for (std::size_t i = 0; i < UndoLog::kChunkEntries + 1; ++i) {
-      log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+      log.record(&s, 0);
     }
     log.discard_all();  // still holds the active chunk
     ASSERT_EQ(log.capacity(), UndoLog::kChunkEntries);
@@ -250,7 +231,7 @@ TEST(UndoLogTest, RollbackReleasesRetiredChunks) {
   UndoLog log(4);
   Word s = 0;
   for (std::size_t i = 0; i < 3 * UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+    log.record(&s, 0);
   }
   EXPECT_GE(log.capacity(), 3 * UndoLog::kChunkEntries);
   log.rollback_to(1);  // keeps one live entry in chunk 0
@@ -258,7 +239,7 @@ TEST(UndoLogTest, RollbackReleasesRetiredChunks) {
   EXPECT_EQ(log.capacity(), UndoLog::kChunkEntries);
   // The log keeps working past the trim: refill across the boundary.
   for (std::size_t i = 0; i < UndoLog::kChunkEntries; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+    log.record(&s, 0);
   }
   EXPECT_EQ(log.size(), UndoLog::kChunkEntries + 1);
   EXPECT_EQ(log.entry(UndoLog::kChunkEntries).old_value, 0u);
@@ -268,7 +249,7 @@ TEST(UndoLogTest, StatsIsConstAndFoldsLiveHighWater) {
   UndoLog log;
   Word s = 0;
   for (int i = 0; i < 7; ++i) {
-    log.record(EntryKind::kObjectField, &s, 0, nullptr, 0);
+    log.record(&s, 0);
   }
   // No cold path (growth/rollback/commit) has run since the appends: the
   // snapshot must still report the live size as the high water.
@@ -282,7 +263,7 @@ TEST(UndoLogTest, ForEachAboveReverseVisitsNewestFirst) {
   UndoLog log;
   Word s = 0;
   for (Word v = 0; v < 5; ++v) {
-    log.record(EntryKind::kObjectField, &s, v, nullptr, 0);
+    log.record(&s, v);
   }
   std::vector<Word> seen;
   log.for_each_above_reverse(2, [&](const Entry& e) {
@@ -294,7 +275,7 @@ TEST(UndoLogTest, ForEachAboveReverseVisitsNewestFirst) {
 TEST(UndoLogTest, RollbackToCurrentWatermarkIsNoop) {
   UndoLog log;
   Word s = 1;
-  log.record(EntryKind::kObjectField, &s, s, nullptr, 0);
+  log.record(&s, s);
   s = 2;
   log.rollback_to(log.watermark());
   EXPECT_EQ(s, 2u);
@@ -304,15 +285,15 @@ TEST(UndoLogTest, RollbackToCurrentWatermarkIsNoop) {
 TEST(UndoLogTest, ReleaseStorageKeepsStatsAndLeavesAReusableLog) {
   UndoLog log;
   Word x = 1;
-  log.record(EntryKind::kStaticField, &x, x, &x, 0);
-  log.record(EntryKind::kStaticField, &x, x, &x, 0);
+  log.record(&x, x);
+  log.record(&x, x);
   log.release_storage();
   EXPECT_EQ(log.capacity(), 0u);
   EXPECT_TRUE(log.empty());
   EXPECT_EQ(log.stats().appends, 2u);
   EXPECT_EQ(log.stats().high_water, 2u);
   // The next store reopens a chunk.
-  log.record(EntryKind::kStaticField, &x, 7, &x, 0);
+  log.record(&x, 7);
   EXPECT_EQ(log.capacity(), UndoLog::kChunkEntries);
   log.rollback_to(0);
   EXPECT_EQ(x, 7u);

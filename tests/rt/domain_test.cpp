@@ -402,8 +402,7 @@ TEST(DomainSetTest, OsThreadsShardsRecycleFromTheirOwnPools) {
           for (int i = 0; i < kWidth; ++i) {
             VThread* c = s.spawn("c", 5, [] {
               log::Word x = 0;
-              current_vthread()->undo_log.record(log::EntryKind::kStaticField,
-                                                 &x, x, &x, 0);
+              current_vthread()->undo_log.record(&x, x);
             });
             bases[me].push_back(c->stack()->base());
             wave.push_back(c);

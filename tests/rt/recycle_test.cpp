@@ -16,8 +16,7 @@ namespace {
 
 // Logs one store the way the write barrier does, so the thread owns a chunk.
 void log_one_store(log::Word* slot) {
-  current_vthread()->undo_log.record(log::EntryKind::kStaticField, slot, *slot,
-                                     slot, 0);
+  current_vthread()->undo_log.record(slot, *slot);
   ++*slot;
 }
 
