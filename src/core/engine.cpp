@@ -138,12 +138,6 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
 
   if (domain_ != nullptr) {
     domain_->set_engine_ctx(this);
-    domain_->set_revoker(
-        [this](rt::VThread* owner, void* monitor, int boost_to) {
-          return request_revocation(
-              owner, *static_cast<RevocableMonitor*>(monitor),
-              /*deadlock=*/false, boost_to);
-        });
   } else {
     t_active_engine = this;
   }
@@ -180,7 +174,6 @@ Engine::~Engine() {
   sched_.set_background_hook(nullptr);
   sched_.set_background_period(0);
   if (domain_ != nullptr) {
-    domain_->set_revoker({});
     domain_->set_engine_ctx(nullptr);
   } else {
     t_active_engine = nullptr;

@@ -24,9 +24,9 @@
 //
 // One Engine may be active per *shard* at a time: constructed with a
 // rt::Domain current (DomainSet setup runs there), the engine binds to that
-// shard — its scheduler, its mailbox revoker, the object-monitor slots it
-// inflates — and the process-global barrier hooks become a refcounted shared
-// install whose trampolines resolve the acting engine per shard.  In the
+// shard — its scheduler, the object-monitor slots it inflates — and the
+// process-global barrier hooks become a refcounted shared install whose
+// trampolines resolve the acting engine per shard.  In the
 // classic unsharded runtime (no domain entered) this degenerates to the old
 // rule: one engine per OS thread, stored in a thread-local.  Either way,
 // construct the engine after its Scheduler and destroy it before, and keep
@@ -188,9 +188,8 @@ class Engine {
   // Java: "every object can act as a monitor" (§2).  Resolves the monitor
   // behind `obj`'s compact lock word (DESIGN.md §13), inflating a
   // RevocableMonitor into the process-wide MonitorTable on first use.  The
-  // slot lives until the object dies (a busy slot, or any slot under a
-  // multi-shard set, then detaches and lives on) or this engine is
-  // destroyed, whichever comes first.
+  // slot lives until the object dies (a busy slot then detaches and lives
+  // on) or this engine is destroyed, whichever comes first.
   RevocableMonitor* monitor_of(const heap::HeapObject* obj);
 
   // Runs `body` as a speculative synchronized section guarded by `m`
@@ -312,17 +311,6 @@ class Engine {
   void on_unblocked(rt::VThread* t, RevocableMonitor& m);
   void on_wait_pin(rt::VThread* t);
 
-  // Posts a revocation request for the oldest frame of `m` held by `owner`.
-  // Returns false (and records why) if the frame is non-revocable or over
-  // budget.  `deadlock` marks deadlock-breaking requests (victim backoff);
-  // `boost_to` is the priority of the thread being cleared a path (the
-  // victim is transiently raised to it until its rollback completes: under
-  // the strict-priority scheduler medium-priority threads would otherwise
-  // starve the victim of the CPU it needs to reach a yield point, recreating
-  // the inversion inside the mechanism; under round-robin it is a no-op).
-  bool request_revocation(rt::VThread* owner, RevocableMonitor& m,
-                          bool deadlock = false, int boost_to = 0);
-
   RVK_MAY_ALLOC ThreadSync& sync_of(rt::VThread* t);
 
   // sync_of for threads the engine has already registered (any thread that
@@ -349,6 +337,17 @@ class Engine {
   }
 
  private:
+  // Posts a revocation request for the oldest frame of `m` held by `owner`.
+  // Returns false (and records why) if the frame is non-revocable or over
+  // budget.  `deadlock` marks deadlock-breaking requests (victim backoff);
+  // `boost_to` is the priority of the thread being cleared a path (the
+  // victim is transiently raised to it until its rollback completes: under
+  // the strict-priority scheduler medium-priority threads would otherwise
+  // starve the victim of the CPU it needs to reach a yield point, recreating
+  // the inversion inside the mechanism; under round-robin it is a no-op).
+  bool request_revocation(rt::VThread* owner, RevocableMonitor& m,
+                          bool deadlock = false, int boost_to = 0);
+
   // The one retry loop behind synchronized/try_synchronized: enters a frame
   // on `resolve()` (called afresh on every retry), runs `body`, commits; a
   // rollback targeting this frame retries, one targeting an enclosing frame

@@ -68,9 +68,9 @@ static_assert(sizeof(LockWord) == 4, "the lock word is one header word");
 
 // Returns `word`'s MonitorTable slot to the global table when the word's
 // holder (ObjectMeta) dies, and clears the word.  A quiescent slot is
-// destroyed at once; a busy one (or any slot under a multi-shard set) is
-// *detached* — the back-link is severed and the slot lives until its
-// engine's teardown.  No-op for free words.  Defined in monitor_table.cpp.
+// destroyed at once; a busy one is *detached* — the back-link is severed
+// and the slot lives until its engine's teardown.  No-op for free words.
+// Defined in monitor_table.cpp.
 void release_inflated_slot(LockWord& word) noexcept;
 
 }  // namespace rvk::monitor

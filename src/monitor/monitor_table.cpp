@@ -87,10 +87,7 @@ void MonitorTable::release_slot(LockWord& word) noexcept {
   const std::uint32_t index = word.index();
   word = LockWord();
   if (slot == nullptr) return;
-  // A multi-shard set may have a message in flight that names this monitor
-  // (a kRevoke carries it raw, DESIGN.md §16), which quiescent() cannot
-  // see: there the slot always waits for its engine.
-  if (quiescent(*slot->monitor) && !concurrent()) {
+  if (quiescent(*slot->monitor)) {
     destroy_slot(index);
   } else {
     slot->word = nullptr;  // detached: engine teardown collects it

@@ -12,12 +12,11 @@
 // commit/abort/release forbidden regions:
 //
 //  * release_slot, when the word's holder (an ObjectMeta) dies.  The slot is
-//    destroyed only if its monitor is quiescent() and the table is not in
-//    multi-shard mode; otherwise it is *detached* (the word is cleared, the
-//    back-link severed) and lives on until its engine dies.  quiescent()
-//    covers every frame — a frame, lazy or not, holds owner() — and every
-//    waiter; what it cannot see is a cross-shard message naming the monitor
-//    (DESIGN.md §16), hence the multi-shard rule.
+//    destroyed if its monitor is quiescent(); otherwise it is *detached*
+//    (the word is cleared, the back-link severed) and lives on until its
+//    engine dies.  quiescent() covers every frame — a frame, lazy or not,
+//    holds owner() — and every waiter.  No cross-shard message names a
+//    monitor (DESIGN.md §16), so the rule is the same at any shard count.
 //  * release_slots_owned_by, when the engine that created the slot dies.
 //
 // Every free clears the word that names the slot, so a live word never
@@ -86,9 +85,8 @@ class MonitorTable {
   // is alive.  Each such engine enters before its first table access (shard
   // threads construct their engines concurrently) and leaves after its
   // teardown returned its slots.  While on, the slot pool is guarded by a
-  // mutex and release_slot detaches rather than destroys.  Single-shard
-  // runs never take the mutex — the lookup fast path stays one branch — and
-  // a later single-shard engine is back to destroying quiescent slots.
+  // mutex; that is the mode's one job.  Single-shard runs never take the
+  // mutex — the lookup fast path stays one branch.
   // Relaxed is enough: a shard only touches the table after its own
   // engine's constructor entered, in the same thread's program order.
   void enter_multi_shard() {
@@ -101,10 +99,9 @@ class MonitorTable {
     return multi_shard_engines_.load(std::memory_order_relaxed) != 0;
   }
 
-  // Word-holder teardown: destroys the slot if quiescent() and not
-  // concurrent(), else detaches it; clears `word` either way (see
-  // release_inflated_slot in lock_word.hpp, which forwards here on the
-  // global table).
+  // Word-holder teardown: destroys the slot if quiescent(), else detaches
+  // it; clears `word` either way (see release_inflated_slot in
+  // lock_word.hpp, which forwards here on the global table).
   void release_slot(LockWord& word) noexcept;
 
   // Destroys every slot created with `owner_tag`, detached ones included,

@@ -31,6 +31,11 @@ class DomainScope {
 
 Domain* current_domain() { return g_current_domain; }
 
+// Thread-id stride between shards: shard d's ids start at 1 + d * stride,
+// keeping ids process-unique (lock words embed them) while shard 0 keeps
+// the classic 1,2,3,... numbering.
+constexpr std::uint32_t kThreadIdStride = 1u << 20;
+
 // ---------------------------------------------------------------------------
 // Domain
 
@@ -69,7 +74,7 @@ void Domain::post(const Message& m) {
       s->yield_now();
     } while (!ring.try_push(m));
   }
-  if (set_ != nullptr) set_->poke(*this);
+  set_->poke();
 }
 
 std::size_t Domain::drain() {
@@ -88,68 +93,31 @@ std::size_t Domain::drain() {
 }
 
 void Domain::handle_message(const Message& m) {
-  switch (m.kind) {
-    case Message::Kind::kSectionDone: {
-      // The remote section finished; its results (and failed/error) were
-      // published by the ring's release/acquire pair.  `done` is only ever
-      // written here — on the requester's own shard — so the requester's
-      // re-check after wakeup is single-shard code.
-      RemoteCall* call = m.call;
-      call->done = true;
-      if (call->requester != nullptr) {
-        sched_->wake_specific(remote_waiters_, call->requester);
-      }
-      finish_inbound();
-      break;
-    }
-    case Message::Kind::kBoost:
-      // §4 boost for a remote owner: priority is scheduler state of the
-      // owner's home shard, so the write happens here.
-      m.thread->set_priority(m.priority);
-      finish_inbound();
-      break;
-    case Message::Kind::kRunSection:
-    case Message::Kind::kRevoke:
-      // Heavy: spawning a helper / walking engine state allocates, which
-      // this handler must not.  Park for service_pending(); capacity was
-      // checked by drain().
-      pending_[pending_n_++] = m;
-      break;
+  if (m.kind == Message::Kind::kRunSection) {
+    // Spawning a helper allocates, which this handler must not.  Park for
+    // service_pending(); capacity was checked by drain().
+    pending_[pending_n_++] = m;
+    return;
   }
+  // kSectionDone: the remote section finished; its results (and
+  // failed/error) were published by the ring's release/acquire pair.
+  // `done` is only ever written here — on the requester's own shard — so
+  // the requester's re-check after wakeup is single-shard code.
+  RemoteCall* call = m.call;
+  call->done = true;
+  sched_->wake_specific(remote_waiters_, call->requester);
+  finish_inbound();
 }
 
 void Domain::service_pending() {
   const std::size_t n = pending_n_;
   pending_n_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const Message m = pending_[i];
-    switch (m.kind) {
-      case Message::Kind::kRunSection: {
-        RemoteCall* call = m.call;
-        sched_->spawn(call->name, call->priority,
-                      [this, call] { run_remote_section(call); });
-        // inbound_work_ stays raised until the helper completes: the
-        // shard is not idle while the shipped body still has to run.
-        break;
-      }
-      case Message::Kind::kRevoke: {
-        // Mailbox-delivered revocation: re-enters the home engine's
-        // request_revocation, so oldest-frame targeting, the pin closure
-        // and the budget pin behave exactly as for a local request.  A
-        // refusal (owner no longer holds the monitor, pinned frame, spent
-        // budget) is a counted drop, never an error — the requester raced
-        // a commit, which is a legal outcome the explore scenario pins.
-        if (revoker_ && revoker_(m.thread, m.monitor, m.priority)) {
-          ++revokes_executed_;
-        } else {
-          ++dropped_;
-        }
-        finish_inbound();
-        break;
-      }
-      default:
-        RVK_UNREACHABLE("light message kind in the pending list");
-    }
+    RemoteCall* call = pending_[i].call;
+    sched_->spawn(call->name, call->priority,
+                  [this, call] { run_remote_section(call); });
+    // inbound_work_ stays raised until the helper completes: the shard is
+    // not idle while the shipped body still has to run.
   }
 }
 
@@ -165,15 +133,11 @@ void Domain::run_remote_section(RemoteCall* call) {
                  sizeof(call->error) - 1);
   }
   call->body = nullptr;  // release captures before the requester resumes
-  if (call->requester != nullptr) {
-    Message done;
-    done.kind = Message::Kind::kSectionDone;
-    done.from = id_;
-    done.call = call;
-    set_->domain(call->from).post(done);
-  } else {
-    delete call;  // fire-and-forget (remote_spawn) — home shard owns it
-  }
+  Message done;
+  done.kind = Message::Kind::kSectionDone;
+  done.from = id_;
+  done.call = call;
+  set_->domain(call->from).post(done);
   finish_inbound();
 }
 
@@ -204,15 +168,13 @@ DomainSet::DomainSet() : DomainSet(Config{}) {}
 DomainSet::DomainSet(Config cfg) : cfg_(cfg) {
   RVK_CHECK_MSG(cfg_.shards >= 1 && cfg_.shards <= Domain::kMaxShards,
                 "shard count out of range");
-  RVK_CHECK_MSG(cfg_.thread_id_stride > 0, "thread id stride must be > 0");
   states_.assign(cfg_.shards, ShardState::kBusy);
   domains_.reserve(cfg_.shards);
   for (std::size_t d = 0; d < cfg_.shards; ++d) {
     SchedulerConfig sc = cfg_.sched;
     // Process-unique thread ids (lock words embed them); shard 0 keeps the
     // classic numbering so RVK_SHARDS=1 is bit-for-bit today's runtime.
-    sc.first_thread_id =
-        1 + static_cast<std::uint32_t>(d) * cfg_.thread_id_stride;
+    sc.first_thread_id = 1 + static_cast<std::uint32_t>(d) * kThreadIdStride;
     domains_.push_back(std::make_unique<Domain>(
         this, static_cast<std::uint16_t>(d), cfg_.shards, sc));
   }
@@ -364,13 +326,17 @@ void DomainSet::join() {
   }
 }
 
-void DomainSet::poke(Domain& to) {
+void DomainSet::poke() {
   // started_ is written only while no shard threads exist (start() before
   // creating them, join() after joining them), so this unsynchronized read
   // is ordered by thread creation/join.
   if (!started_) return;  // cooperative loops drain explicitly
+  // Only the notify: a shard's state is written by its own thread alone.
+  // The receiver may already have drained this message and parked, so
+  // marking it busy here could leave a parked shard reading kBusy, and the
+  // set would never see global quiescence.  The message's inbound_work
+  // count keeps termination from firing while it is in flight.
   std::lock_guard<std::mutex> lk(mu_);
-  states_[to.id()] = ShardState::kBusy;
   cv_.notify_all();
 }
 
@@ -414,70 +380,6 @@ void DomainSet::remote_call(std::uint16_t target, int priority,
   // interrupt just re-checks and re-parks.
   while (!call.done) sched->block_current_on(self->remote_waiters());
   if (call.failed) throw std::runtime_error(call.error);
-}
-
-void DomainSet::remote_spawn(std::uint16_t target, const char* name,
-                             int priority, std::function<void()> body) {
-  RVK_CHECK_MSG(target < size(), "remote_spawn: no such shard");
-  Domain* self = g_current_domain;
-  RVK_CHECK_MSG(self != nullptr && self->set() == this,
-                "remote_spawn outside this set's shards");
-  if (target == self->id()) {
-    self->sched().spawn(name, priority, std::move(body));
-    return;
-  }
-  auto* call = new RemoteCall;
-  call->body = std::move(body);
-  call->name = name;
-  call->priority = priority;
-  call->from = self->id();
-  call->requester = nullptr;
-  Message m;
-  m.kind = Message::Kind::kRunSection;
-  m.from = self->id();
-  m.call = call;
-  domain(target).post(m);
-}
-
-void DomainSet::remote_revoke(std::uint16_t target, VThread* owner,
-                              void* monitor, int boost_to) {
-  RVK_CHECK_MSG(target < size(), "remote_revoke: no such shard");
-  Domain* self = g_current_domain;
-  RVK_CHECK_MSG(self != nullptr && self->set() == this,
-                "remote_revoke outside this set's shards");
-  Domain& home = domain(target);
-  if (target == self->id()) {
-    if (home.revoker_ && home.revoker_(owner, monitor, boost_to)) {
-      ++home.revokes_executed_;
-    } else {
-      ++home.dropped_;
-    }
-    return;
-  }
-  Message m;
-  m.kind = Message::Kind::kRevoke;
-  m.from = self->id();
-  m.thread = owner;
-  m.monitor = monitor;
-  m.priority = boost_to;
-  home.post(m);
-}
-
-void DomainSet::remote_boost(std::uint16_t target, VThread* t, int prio) {
-  RVK_CHECK_MSG(target < size(), "remote_boost: no such shard");
-  Domain* self = g_current_domain;
-  RVK_CHECK_MSG(self != nullptr && self->set() == this,
-                "remote_boost outside this set's shards");
-  if (target == self->id()) {
-    t->set_priority(prio);
-    return;
-  }
-  Message m;
-  m.kind = Message::Kind::kBoost;
-  m.from = self->id();
-  m.thread = t;
-  m.priority = prio;
-  domain(target).post(m);
 }
 
 }  // namespace rvk::rt

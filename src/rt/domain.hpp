@@ -19,14 +19,13 @@
 // classic "code between yield points is atomic" contract keeps holding, per
 // shard, for every piece of state the revocation engine mutates — frames,
 // undo logs, lock words, monitors.  Cross-shard operations never touch
-// remote state directly; they enqueue a Message on the owner shard's SPSC
-// mailbox (mailbox.hpp) and the owner executes it between its own yield
-// points.  A remote synchronized section ships as a closure and runs in a
-// helper vthread at the requester's priority; cross-shard notify is just
-// such a section; cross-shard revocation
-// (kRevoke) re-enters Engine::request_revocation on the owner shard, so
-// oldest-frame targeting and upward pin closure (§2.2) apply exactly as if
-// the request were local.
+// remote state directly.  The one cross-shard operation is a shipped
+// synchronized section (remote_call): a Message on the owner shard's SPSC
+// mailbox (mailbox.hpp) makes the owner run the closure in a helper vthread
+// at the requester's priority, between its own yield points.  Cross-shard
+// notify is just such a section, and a cross-shard inversion is a local one
+// on the owner shard: the helper contends there, so detection, oldest-frame
+// targeting and upward pin closure (§2.2) apply unchanged.
 //
 // With one shard a DomainSet degenerates to today's runtime: remote calls
 // to the caller's own shard execute inline, the mailboxes stay empty, and
@@ -74,16 +73,11 @@ class Domain {
 
   // ---- Engine attachment (installed by core::Engine when constructed
   // with this domain current; rt/ stays below core/ by holding the engine
-  // as an opaque context plus closures) ----
+  // as an opaque context) ----
 
   // The shard's engine, type-erased (core::Engine*); null when none.
   void* engine_ctx() const { return engine_ctx_; }
   void set_engine_ctx(void* e) { engine_ctx_ = e; }
-
-  // Executes a kRevoke message on the home shard: (owner, monitor,
-  // boost_to) -> whether a revocation was posted.
-  using Revoker = std::function<bool(VThread*, void*, int)>;
-  void set_revoker(Revoker r) { revoker_ = std::move(r); }
 
   // ---- Cross-shard producer side (called from OTHER shards, or from the
   // set-owning thread before the shards run) ----
@@ -106,12 +100,12 @@ class Domain {
   // ---- Home-shard consumer side (its OS thread only) ----
 
   // Pops every deliverable message and dispatches it through
-  // handle_message(); heavy kinds are deferred to service_pending().
+  // handle_message(); shipped sections are deferred to service_pending().
   // Returns the number of messages popped.
   std::size_t drain();
 
-  // Runs the deferred heavy work: spawns helper vthreads for remote
-  // sections, posts revocation requests.  Scheduler context; may allocate.
+  // Spawns one helper vthread per pending shipped section.  Scheduler
+  // context; may allocate.
   void service_pending();
 
   std::size_t drain_and_service() {
@@ -128,12 +122,6 @@ class Domain {
   // Requesters parked in DomainSet::remote_call; woken by kSectionDone.
   WaitQueue& remote_waiters() { return remote_waiters_; }
 
-  // Messages dropped because their target could not serve them (no engine
-  // attached for kRevoke, or a revocation the engine refused).  Tests use
-  // this to pin down "refused cleanly" outcomes.
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t revokes_executed() const { return revokes_executed_; }
-
  private:
   friend class DomainSet;
 
@@ -141,10 +129,9 @@ class Domain {
   // owner shard's dispatch loop — concretely, it can sit between a
   // monitor's release and the next dispatch, i.e. inside the shard's
   // commit/abort/release windows — so it is a forbidden root for rvkcheck:
-  // no yield, no blocking, no allocation.  Light kinds (kSectionDone,
-  // kBoost) execute inline via NO_YIELD wakeup primitives; heavy kinds
-  // (kRunSection, kRevoke — they spawn or walk engine state) are parked in
-  // the fixed-capacity pending_ array for service_pending().
+  // no yield, no blocking, no allocation.  kSectionDone executes inline
+  // via a NO_YIELD wakeup primitive; kRunSection (spawning allocates) is
+  // parked in the fixed-capacity pending_ array for service_pending().
   RVK_NO_YIELD void handle_message(const Message& m);
 
   // Helper-vthread body for one shipped section (green-thread context).
@@ -160,7 +147,6 @@ class Domain {
   std::uint16_t id_;
   std::unique_ptr<Scheduler> sched_;
   void* engine_ctx_ = nullptr;
-  Revoker revoker_;
   // inbox_[s]: messages from shard s, one ring per sender of the set.
   std::unique_ptr<Mailbox[]> inbox_;
   std::size_t senders_;
@@ -168,8 +154,6 @@ class Domain {
   std::size_t pending_n_ = 0;
   WaitQueue remote_waiters_;
   std::atomic<std::uint64_t> inbound_work_{0};
-  std::uint64_t dropped_ = 0;
-  std::uint64_t revokes_executed_ = 0;
 };
 
 // The shard currently entered on this OS thread (set by the DomainSet run
@@ -190,10 +174,6 @@ class DomainSet {
     // set's run loops own stall handling: a stalled shard may just be
     // waiting for a message) and first_thread_id is derived per shard.
     SchedulerConfig sched;
-    // Thread-id stride between shards: shard d's ids start at
-    // 1 + d * stride, keeping ids process-unique (lock words embed them)
-    // while shard 0 keeps the classic 1,2,3,... numbering.
-    std::uint32_t thread_id_stride = 1u << 20;
   };
 
   // RVK_SHARDS env knob; default 1, clamped to [1, kMaxShards].
@@ -211,7 +191,6 @@ class DomainSet {
 
   std::size_t size() const { return domains_.size(); }
   Domain& domain(std::size_t i) { return *domains_[i]; }
-  Mode mode() const { return cfg_.mode; }
 
   // ---- Lifecycle ----
   //
@@ -248,21 +227,6 @@ class DomainSet {
       std::uint16_t target, int priority, const char* name,
       std::function<void()> body);
 
-  // Fire-and-forget: spawn a vthread running `body` on `target`.
-  RVK_MAY_YIELD RVK_MAY_ALLOC void remote_spawn(std::uint16_t target,
-                                                const char* name, int priority,
-                                                std::function<void()> body);
-
-  // Posts a revocation request for `owner` (which holds `monitor`, a
-  // core::RevocableMonitor of `target`'s engine) to the owner's shard.
-  RVK_MAY_YIELD RVK_MAY_ALLOC void remote_revoke(std::uint16_t target,
-                                                 VThread* owner, void* monitor,
-                                                 int boost_to);
-
-  // Posts a priority boost for `t` to its home shard.
-  RVK_MAY_YIELD RVK_MAY_ALLOC void remote_boost(std::uint16_t target,
-                                                VThread* t, int prio);
-
   bool deadlocked() const { return deadlocked_; }
 
  private:
@@ -270,9 +234,9 @@ class DomainSet {
 
   enum class ShardState : std::uint8_t { kBusy, kIdle, kStalled };
 
-  // Producer-side notify for kOsThreads: mark the target busy and wake its
-  // thread if it idles.
-  void poke(Domain& to);
+  // Producer-side notify for kOsThreads: wakes the shard threads that idle,
+  // so the target re-checks its inbox.
+  void poke();
   void thread_main(Domain& d, const std::function<void(Domain&)>& setup,
                    const std::function<void(Domain&)>& teardown);
   void shard_loop(Domain& d, const std::function<void(Domain&)>& setup,

@@ -2,12 +2,13 @@
 //
 // Shard-local atomicity is the sharded form of the green-thread invariant:
 // a vthread's frames, lock words and owned monitors are only ever mutated
-// from their home shard.  Everything that crosses shards — revocation of a
-// remote owner, a priority boost, a remote synchronized section (which is
-// how cross-shard notify travels) — is a
-// Message placed in the owner shard's mailbox and executed over there, so
-// the engine's undo-then-release sequence (§3.1.2) never runs concurrently
-// with the state it mutates.
+// from their home shard.  The one thing that crosses shards is a shipped
+// synchronized section (DomainSet::remote_call): it is a Message placed in
+// the owner shard's mailbox and run over there in a helper vthread at the
+// requester's priority, so any inversion it meets is detected and revoked
+// on the owner shard like a local one, and the engine's
+// undo-then-release sequence (§3.1.2) never runs concurrently with the
+// state it mutates.  Cross-shard notify is such a section.
 //
 // One Mailbox is a bounded single-producer/single-consumer ring: a Domain
 // keeps one inbox per sender shard, so each ring has exactly one producer
@@ -28,16 +29,15 @@ namespace rvk::rt {
 
 class VThread;
 
-// A shipped critical section: the unit of cross-shard work.  For a blocking
-// remote call the struct lives on the requester's fiber stack (the
-// requester parks until `done`, so the storage is stable); fire-and-forget
-// spawns heap-allocate it and the home shard deletes it after running.
+// A shipped critical section: the unit of cross-shard work.  It lives on
+// the requester's fiber stack; the requester parks until `done`, so the
+// storage is stable until the home shard's kSectionDone has been drained.
 struct RemoteCall {
   std::function<void()> body;   // runs in a helper vthread on the home shard
   const char* name = "remote";  // helper vthread name (static storage)
   int priority = 5;             // helper priority: the requester's, usually
   std::uint16_t from = 0;       // requester shard (kSectionDone routing)
-  VThread* requester = nullptr; // parked caller; nullptr = fire-and-forget
+  VThread* requester = nullptr; // the parked caller
   // Completion state: written by the home shard's helper, then shipped back
   // inside a kSectionDone message, so the requester's shard only reads it
   // after the ring's acquire fence.  `done` itself is flipped by the
@@ -47,24 +47,19 @@ struct RemoteCall {
   char error[120] = {0};
 };
 
-// POD-ish envelope; pointer fields are only dereferenced on the shard that
-// owns the pointed-to state.
+// The envelope: `call` is only dereferenced on the shard that the message
+// kind names (the home shard for kRunSection, the requester's shard for
+// kSectionDone).
 struct Message {
   enum class Kind : std::uint8_t {
-    kRunSection,   // call: spawn a helper on the home shard and run it
-    kSectionDone,  // call: remote section finished; unpark call->requester
-    kRevoke,       // thread owns `monitor` on the receiving shard: request
-                   // revocation there (oldest frame / pin closure apply as
-                   // if the request were local, §2.2)
-    kBoost,        // set `thread`'s priority to `priority` (§4 boost)
+    kRunSection,   // spawn a helper on the home shard and run call->body
+    kSectionDone,  // remote section finished; unpark call->requester
   };
   Kind kind = Kind::kRunSection;
   std::uint16_t from = 0;        // sender shard id
-  RemoteCall* call = nullptr;    // kRunSection / kSectionDone
-  VThread* thread = nullptr;     // kRevoke: owner; kBoost: target
-  void* monitor = nullptr;       // kRevoke: core::RevocableMonitor*
-  int priority = 0;              // kRevoke: boost_to; kBoost: new priority
+  RemoteCall* call = nullptr;
 };
+static_assert(sizeof(Message) == 16, "a message is {kind, from, call}");
 
 // Bounded SPSC ring.  Capacity is deliberately small: cross-shard traffic
 // is the control plane, not the data path, and a full ring simply makes the

@@ -504,16 +504,15 @@ void Scheduler::run() {
   detail::g_current_scheduler = nullptr;
   detail::g_section_vthread = nullptr;
 
-  if (cfg_.rethrow_uncaught) {
-    // Only the first captured exception can propagate; others (rare — they
-    // require several threads to die in one run) stay attached to their
-    // threads and surface on a subsequent run() call.
-    for (const auto& t : threads_) {
-      if (t->uncaught_) {
-        std::exception_ptr e = t->uncaught_;
-        t->uncaught_ = nullptr;
-        std::rethrow_exception(e);
-      }
+  // Rethrow the first exception that escaped a thread body (surfaces test
+  // failures from inside green threads).  Only the first can propagate;
+  // others (rare — they require several threads to die in one run) stay
+  // attached to their threads and surface on a subsequent run() call.
+  for (const auto& t : threads_) {
+    if (t->uncaught_) {
+      std::exception_ptr e = t->uncaught_;
+      t->uncaught_ = nullptr;
+      std::rethrow_exception(e);
     }
   }
 }

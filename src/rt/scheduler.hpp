@@ -64,10 +64,6 @@ struct SchedulerConfig {
   // alternative, §1.1).
   std::uint64_t background_period = 0;
 
-  // Rethrow the first exception that escaped a thread body once run()
-  // finishes (surfaces test failures from inside green threads).
-  bool rethrow_uncaught = true;
-
   // First thread id this scheduler hands out.  Lock words embed thread ids,
   // so under sharding (rt/domain.hpp) every shard gets a disjoint id range;
   // the default keeps the classic 1,2,3,... numbering.

@@ -1,11 +1,12 @@
 // Cross-shard engine behaviour (DESIGN.md §16), on the deterministic
-// cooperative DomainSet and the virtual clock: mailbox-delivered revocation
-// lands on the owner shard with the classic semantics (oldest-frame
-// targeting, upward pin closure §2.2, refusal-as-counted-drop), cross-shard
-// notify wakes a remote waiter, a remote boost repositions the target in
-// its home shard's queues, and under a multi-shard set a dying object's
-// monitor slot waits for its engine.  The remote revocation also runs on
-// kOsThreads shards, where only its counts (not its ticks) are
+// cooperative DomainSet and the virtual clock.  The one thing that crosses
+// a shard is a shipped synchronized section, so a cross-shard inversion is a
+// local one on the owner shard: a shipped contender revokes with the
+// classic semantics (oldest-frame targeting, upward pin closure §2.2), and
+// cross-shard notify wakes a remote waiter.  A dying object's quiescent
+// monitor slot is freed at once under a multi-shard set too, including
+// while OS-thread shards inflate concurrently.  The shipped revocation also
+// runs on kOsThreads shards, where only its counts (not its ticks) are
 // deterministic.
 //
 // All scenarios run with strict_priority=true: sequencing below is argued
@@ -35,38 +36,32 @@ rt::DomainSet::Config two_shards() {
 }
 
 // ---------------------------------------------------------------------------
-// Remote revocation executes on the owner shard with oldest-frame targeting.
+// A shipped contender revokes on the owner shard, targeting the oldest frame.
 //
 // Shard 1: W(5) holds m2 and waits on m3 (wait pins W, who is never a
 // target).  owner(2) nests synchronized(m){ synchronized(n){ enter m2 }} and
 // parks on m2's entry queue.  S(1) — lowest, so it runs only after both
-// blocked — remote-spawns the requester onto shard 0, which posts a kRevoke
-// against `m` and then ships a notifier section that releases the chain.
-// The revocation targets owner's OLDEST frame of m, so the rollback unwinds
-// both the m and the nested n frame (frames_aborted == 2) even though the
-// contended entry sat below them.
+// blocked — ships a kick to shard 0, whose helper ships a priority-8
+// synchronized(m) back to shard 1 and then a notifier section that releases
+// the chain.  The contender meets the inversion on shard 1 like a local
+// one, and the revocation targets owner's OLDEST frame of m, so the
+// rollback unwinds both the m and the nested n frame (frames_aborted == 2)
+// even though the contended entry sat below them.
 
 struct RevokeRunShape {
-  std::uint64_t revokes_executed = 0;
-  std::uint64_t dropped = 0;
   std::uint64_t rollbacks = 0;
   std::uint64_t frames_aborted = 0;
   std::uint64_t requested = 0;
   int owner_attempts = 0;
   std::vector<std::string> events;  // "tick label", shard 1 clock
-  bool operator==(const RevokeRunShape& o) const {
-    return revokes_executed == o.revokes_executed && dropped == o.dropped &&
-           rollbacks == o.rollbacks && frames_aborted == o.frames_aborted &&
-           requested == o.requested && owner_attempts == o.owner_attempts &&
-           events == o.events;
-  }
+  bool operator==(const RevokeRunShape&) const = default;
 };
 
 // Under kOsThreads the same scenario runs with one OS thread per shard: the
-// counts still hold, because the kRevoke reaches the owner while it is parked
-// on m2, but ticks and event order follow OS timing, so nothing is marked
-// (shard 0 and shard 1 would race on `events` and on s1's clock).
-RevokeRunShape run_remote_revoke_scenario(
+// counts still hold, because the contender reaches shard 1 while the owner
+// is parked on m2, but ticks and event order follow OS timing, so nothing
+// is marked (shard 0 and shard 1 would race on `events` and on s1's clock).
+RevokeRunShape run_shipped_revoke_scenario(
     rt::DomainSet::Mode mode = rt::DomainSet::Mode::kCooperative) {
   rt::DomainSet::Config cfg = two_shards();
   cfg.mode = mode;
@@ -78,7 +73,6 @@ RevokeRunShape run_remote_revoke_scenario(
   core::RevocableMonitor* n = nullptr;
   core::RevocableMonitor* m2 = nullptr;
   core::RevocableMonitor* m3 = nullptr;
-  rt::VThread* owner_vt = nullptr;
   rt::Scheduler* s1 = nullptr;
 
   auto mark = [&](const char* label) {
@@ -100,7 +94,7 @@ RevokeRunShape run_remote_revoke_scenario(
       });
       mark("w-done");
     });
-    owner_vt = d.sched().spawn("owner", 2, [&] {
+    d.sched().spawn("owner", 2, [&] {
       eng[1]->synchronized(*m, [&] {
         ++shape.owner_attempts;  // host-side: survives the rollback
         s1->yield_point();
@@ -112,8 +106,9 @@ RevokeRunShape run_remote_revoke_scenario(
       mark("owner-done");
     });
     d.sched().spawn("S", 1, [&] {
-      set.remote_spawn(0, "req", 5, [&] {
-        set.remote_revoke(1, owner_vt, m, 8);
+      set.remote_call(0, 5, "kick", [&] {
+        set.remote_call(1, 8, "contender",
+                        [&] { eng[1]->synchronized(*m, [] {}); });
         set.remote_call(1, 6, "m3-notify", [&] {
           eng[1]->synchronized(*m3, [&] { m3->notify_one(); });
         });
@@ -123,8 +118,6 @@ RevokeRunShape run_remote_revoke_scenario(
   };
   auto teardown = [&](rt::Domain& d) {
     if (d.id() == 1) {
-      shape.revokes_executed = d.revokes_executed();
-      shape.dropped = d.dropped();
       const core::EngineStats& st = eng[1]->stats();
       shape.rollbacks = st.rollbacks_completed;
       shape.frames_aborted = st.frames_aborted;
@@ -142,14 +135,12 @@ RevokeRunShape run_remote_revoke_scenario(
   return shape;
 }
 
-TEST(CrossShardRevokeTest, ExecutesOnOwnerShardTargetingOldestFrame) {
-  const RevokeRunShape r = run_remote_revoke_scenario();
-  EXPECT_EQ(r.revokes_executed, 1u);
-  EXPECT_EQ(r.dropped, 0u);
+TEST(CrossShardRevokeTest, ShippedSectionRevokesOldestFrame) {
+  const RevokeRunShape r = run_shipped_revoke_scenario();
   EXPECT_EQ(r.requested, 1u);
   EXPECT_EQ(r.rollbacks, 1u);
-  // Oldest-frame targeting: the request named `m`, and both the m frame and
-  // the nested n frame unwound.  A request against the innermost frame
+  // Oldest-frame targeting: the contender wanted `m`, and both the m frame
+  // and the nested n frame unwound.  A request against the innermost frame
   // would have aborted one.
   EXPECT_EQ(r.frames_aborted, 2u);
   EXPECT_EQ(r.owner_attempts, 2);  // rolled back once, retried, committed
@@ -158,7 +149,7 @@ TEST(CrossShardRevokeTest, ExecutesOnOwnerShardTargetingOldestFrame) {
   ASSERT_EQ(r.events.size(), 3u) << all;
   // Shard 1 unwinds the whole chain (W first — it outranks the retrying
   // owner) before shard 0 gets its next round-robin turn to drain the
-  // kSectionDone that resumes the requester.
+  // kSectionDone that resumes the kick.
   EXPECT_NE(r.events[0].find("w-done"), std::string::npos) << all;
   EXPECT_NE(r.events[1].find("owner-done"), std::string::npos) << all;
   EXPECT_NE(r.events[2].find("req-done"), std::string::npos) << all;
@@ -168,21 +159,19 @@ TEST(CrossShardRevokeTest, DeterministicTickForTick) {
   // The cooperative mode's promise, on the full engine path: identical
   // construction replays the identical interleaving, including every
   // tick-stamped event of the revocation chain.
-  const RevokeRunShape a = run_remote_revoke_scenario();
-  const RevokeRunShape b = run_remote_revoke_scenario();
+  const RevokeRunShape a = run_shipped_revoke_scenario();
+  const RevokeRunShape b = run_shipped_revoke_scenario();
   EXPECT_TRUE(a == b);
 }
 
-TEST(CrossShardRevokeTest, OsThreadsRemoteRevokeRollsBackAndRetries) {
-  // The same revocation with one OS thread per shard: the only revocation
-  // path across native threads.  The counts hold under any OS timing; ticks
-  // and event order do not, so neither is asserted.
+TEST(CrossShardRevokeTest, OsThreadsShippedSectionRollsBackAndRetries) {
+  // The same revocation with one OS thread per shard.  The counts hold
+  // under any OS timing; ticks and event order do not, so neither is
+  // asserted.
   for (int run = 0; run < 20; ++run) {
     SCOPED_TRACE(run);
     const RevokeRunShape r =
-        run_remote_revoke_scenario(rt::DomainSet::Mode::kOsThreads);
-    EXPECT_EQ(r.revokes_executed, 1u);
-    EXPECT_EQ(r.dropped, 0u);
+        run_shipped_revoke_scenario(rt::DomainSet::Mode::kOsThreads);
     EXPECT_EQ(r.requested, 1u);
     EXPECT_EQ(r.rollbacks, 1u);
     EXPECT_EQ(r.frames_aborted, 2u);
@@ -190,64 +179,12 @@ TEST(CrossShardRevokeTest, OsThreadsRemoteRevokeRollsBackAndRetries) {
   }
 }
 
-TEST(CrossShardRevokeTest, RacingACommitIsACountedDropNotAnError) {
-  // The requester's view of the owner is stale by construction (a mailbox
-  // hop old).  Here the owner commits before the kRevoke arrives: the
-  // refusal must be a counted drop on the owner shard, with no rollback.
-  rt::DomainSet set(two_shards());
-  std::unique_ptr<core::Engine> eng[2];
-  core::RevocableMonitor* m = nullptr;
-  rt::VThread* owner_vt = nullptr;
-  rt::Scheduler* s1 = nullptr;
-  rt::WaitQueue gate;
-  int owner_attempts = 0;
-  bool owner_done = false;
-  RevokeRunShape shape;
-
-  set.run(
-      [&](rt::Domain& d) {
-        eng[d.id()] = std::make_unique<core::Engine>(d.sched());
-        if (d.id() != 1) return;
-        s1 = &d.sched();
-        m = eng[1]->make_monitor("m");
-        owner_vt = d.sched().spawn("owner", 5, [&] {
-          eng[1]->synchronized(*m, [&] {
-            ++owner_attempts;
-            s1->yield_point();
-          });
-          // Committed.  Stay alive (parked on a test gate) so the stale
-          // kRevoke dereferences a live thread, not a freed one.
-          s1->block_current_on(gate);
-          owner_done = true;
-        });
-        d.sched().spawn("S", 1, [&] {
-          set.remote_spawn(0, "req", 5, [&] {
-            set.remote_revoke(1, owner_vt, m, 8);
-            set.remote_call(1, 6, "waker",
-                            [&] { s1->wake_specific(gate, owner_vt); });
-          });
-        });
-      },
-      [&](rt::Domain& d) {
-        if (d.id() == 1) {
-          shape.revokes_executed = d.revokes_executed();
-          shape.dropped = d.dropped();
-          shape.rollbacks = eng[1]->stats().rollbacks_completed;
-        }
-        eng[d.id()].reset();
-      });
-  EXPECT_TRUE(owner_done);
-  EXPECT_EQ(owner_attempts, 1);  // never rolled back
-  EXPECT_EQ(shape.dropped, 1u);
-  EXPECT_EQ(shape.revokes_executed, 0u);
-  EXPECT_EQ(shape.rollbacks, 0u);
-}
-
-TEST(CrossShardRevokeTest, PinClosureRefusesRemoteRevocation) {
-  // §2.2 upward closure across the mailbox: the pin is taken in the INNER
-  // n frame (a native-call scope), the remote request targets the OUTER m
-  // frame — and must still be refused, as a counted drop plus a
-  // revocations_denied_pinned tick, with zero rollbacks.
+TEST(CrossShardRevokeTest, PinClosureRefusesShippedContender) {
+  // §2.2 upward closure for a shipped contender: the pin is taken in the
+  // INNER n frame (a native-call scope), the contender wants the OUTER m
+  // frame's monitor — and its revocation must still be refused, with zero
+  // rollbacks.  The contender enters with a 50-tick deadline, so the
+  // refused entry gives up and the kick can ship the waker.
   rt::DomainSet set(two_shards());
   std::unique_ptr<core::Engine> eng[2];
   core::RevocableMonitor* m = nullptr;
@@ -256,8 +193,10 @@ TEST(CrossShardRevokeTest, PinClosureRefusesRemoteRevocation) {
   rt::Scheduler* s1 = nullptr;
   rt::WaitQueue gate;
   int owner_attempts = 0;
+  bool contender_entered = false;
   std::uint64_t denied_pinned = 0;
-  RevokeRunShape shape;
+  std::uint64_t rollbacks = 0;
+  std::uint64_t frames_aborted = 0;
 
   set.run(
       [&](rt::Domain& d) {
@@ -277,8 +216,10 @@ TEST(CrossShardRevokeTest, PinClosureRefusesRemoteRevocation) {
           });
         });
         d.sched().spawn("S", 1, [&] {
-          set.remote_spawn(0, "req", 5, [&] {
-            set.remote_revoke(1, owner_vt, m, 8);
+          set.remote_call(0, 5, "kick", [&] {
+            set.remote_call(1, 8, "contender", [&] {
+              contender_entered = eng[1]->try_synchronized(*m, 50, [] {});
+            });
             set.remote_call(1, 6, "waker",
                             [&] { s1->wake_specific(gate, owner_vt); });
           });
@@ -286,20 +227,19 @@ TEST(CrossShardRevokeTest, PinClosureRefusesRemoteRevocation) {
       },
       [&](rt::Domain& d) {
         if (d.id() == 1) {
-          shape.dropped = d.dropped();
-          shape.revokes_executed = d.revokes_executed();
-          shape.rollbacks = eng[1]->stats().rollbacks_completed;
-          shape.frames_aborted = eng[1]->stats().frames_aborted;
-          denied_pinned = eng[1]->stats().revocations_denied_pinned;
+          const core::EngineStats& st = eng[1]->stats();
+          rollbacks = st.rollbacks_completed;
+          frames_aborted = st.frames_aborted;
+          denied_pinned = st.revocations_denied_pinned;
         }
         eng[d.id()].reset();
       });
+  EXPECT_FALSE(contender_entered);
   EXPECT_EQ(owner_attempts, 1);
-  EXPECT_EQ(denied_pinned, 1u);
-  EXPECT_EQ(shape.dropped, 1u);
-  EXPECT_EQ(shape.revokes_executed, 0u);
-  EXPECT_EQ(shape.rollbacks, 0u);
-  EXPECT_EQ(shape.frames_aborted, 0u);
+  EXPECT_GE(denied_pinned, 1u);
+  EXPECT_EQ(rollbacks, 0u);
+  EXPECT_EQ(frames_aborted, 0u);
+  EXPECT_FALSE(set.deadlocked());
 }
 
 TEST(CrossShardMonitorTest, NotifyFromShippedSectionWakesRemoteWaiter) {
@@ -345,59 +285,10 @@ TEST(CrossShardMonitorTest, NotifyFromShippedSectionWakesRemoteWaiter) {
   EXPECT_FALSE(set.deadlocked());
 }
 
-TEST(CrossShardMonitorTest, RemoteBoostRepositionsEntryQueue) {
-  // kBoost executes on the target's home shard (priority is scheduler state
-  // there) and must re-bucket a parked thread in place: T(2) sits behind
-  // C(3) on m2's entry queue until the remote boost to 8 moves it ahead.
-  rt::DomainSet set(two_shards());
-  std::unique_ptr<core::Engine> eng[2];
-  core::RevocableMonitor* m2 = nullptr;
-  core::RevocableMonitor* m3 = nullptr;
-  rt::VThread* t_vt = nullptr;
-  rt::Scheduler* s1 = nullptr;
-  int t_prio_seen = 0;
-  std::string order;
-
-  set.run(
-      [&](rt::Domain& d) {
-        eng[d.id()] = std::make_unique<core::Engine>(d.sched());
-        if (d.id() != 1) return;
-        s1 = &d.sched();
-        m2 = eng[1]->make_monitor("m2");
-        m3 = eng[1]->make_monitor("m3");
-        d.sched().spawn("h", 5, [&] {
-          eng[1]->synchronized(*m2, [&] {
-            eng[1]->synchronized(*m3, [&] { m3->wait(); });
-          });
-        });
-        d.sched().spawn("C", 3, [&] {
-          eng[1]->synchronized(*m2, [&] { order += 'C'; });
-        });
-        t_vt = d.sched().spawn("T", 2, [&] {
-          eng[1]->synchronized(*m2, [&] {
-            t_prio_seen = s1->current_thread()->priority();
-            order += 'T';
-          });
-        });
-        d.sched().spawn("S", 1, [&] {
-          set.remote_spawn(0, "req", 5, [&] {
-            set.remote_boost(1, t_vt, 8);
-            set.remote_call(1, 4, "m3-notify", [&] {
-              eng[1]->synchronized(*m3, [&] { m3->notify_one(); });
-            });
-          });
-        });
-      },
-      [&](rt::Domain& d) { eng[d.id()].reset(); });
-  EXPECT_EQ(t_prio_seen, 8);  // entered the section already boosted
-  EXPECT_EQ(order, "TC");     // boost moved T ahead of the higher-born C
-}
-
-TEST(CrossShardDeflationTest, DyingObjectDetachesUntilEngineTeardown) {
-  // DESIGN.md §16: a kRevoke message names its monitor by raw pointer, and
-  // quiescent() cannot see a message in flight.  So under a multi-shard
-  // set, even a quiescent object monitor whose object dies is detached,
-  // not destroyed, and the engine's teardown collects it.
+TEST(CrossShardDeflationTest, DyingQuiescentObjectFreesItsSlot) {
+  // Under a multi-shard set a quiescent object monitor whose object dies
+  // returns its slot at once, exactly as on one shard: no cross-shard
+  // message names a monitor (DESIGN.md §16).
   monitor::MonitorTable& table = monitor::MonitorTable::global();
   rt::DomainSet set(two_shards());
   set.with_domain(1, [&](rt::Domain& d) {
@@ -411,11 +302,53 @@ TEST(CrossShardDeflationTest, DyingObjectDetachesUntilEngineTeardown) {
       ASSERT_NE(m, nullptr);
       EXPECT_TRUE(monitor::MonitorTable::quiescent(*m));
       EXPECT_EQ(table.live_slots(), live_before + 1);
-      heap.free(obj);  // quiescent, but a message might still name it
-      EXPECT_EQ(table.live_slots(), live_before + 1);  // detached
+      heap.free(obj);
+      EXPECT_EQ(table.live_slots(), live_before);  // destroyed, not detached
     }
-    EXPECT_EQ(table.live_slots(), live_before);  // teardown collected it
+    EXPECT_EQ(table.live_slots(), live_before);
   });
+}
+
+TEST(CrossShardDeflationTest,
+     OsThreadShardsFreeDyingObjectSlotsConcurrently) {
+  // Two OS-thread shards each allocate, lock and free objects while both
+  // engines live.  Every dying object's quiescent slot goes back to the
+  // shared pool under its mutex, while the peer shard inflates, so the
+  // table never holds more than the few slots in use at one instant.
+  constexpr int kObjects = 500;
+  rt::DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = rt::DomainSet::Mode::kOsThreads;
+  rt::DomainSet set(cfg);
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  const std::size_t live_before = table.live_slots();
+  const std::uint64_t inflations_before = table.stats().inflations;
+  std::unique_ptr<core::Engine> eng[2];
+  std::unique_ptr<heap::Heap> heaps[2];
+  int sections[2] = {0, 0};  // home-shard-only mutation
+  set.start(
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        eng[me] = std::make_unique<core::Engine>(d.sched());
+        heaps[me] = std::make_unique<heap::Heap>();
+        d.sched().spawn("churn", 5, [&, me] {
+          for (int i = 0; i < kObjects; ++i) {
+            heap::HeapObject* obj = heaps[me]->alloc("obj", 1);
+            eng[me]->synchronized(obj, [&] { ++sections[me]; });
+            heaps[me]->free(obj);
+          }
+        });
+      },
+      [&](rt::Domain& d) { eng[d.id()].reset(); });
+  set.join();  // join() gives the happens-before for reading the results
+  // The locked snapshot; live_slots() is read only now that no shard runs.
+  const monitor::MonitorTableStats st = table.stats();
+  EXPECT_EQ(sections[0], kObjects);
+  EXPECT_EQ(sections[1], kObjects);
+  EXPECT_EQ(st.inflations, inflations_before + 2 * kObjects);
+  EXPECT_LT(st.live_high_water, live_before + 16);
+  EXPECT_EQ(table.live_slots(), live_before);
+  EXPECT_FALSE(set.deadlocked());
 }
 
 TEST(CrossShardDeflationTest, MultiShardModeEndsWithItsEngines) {
