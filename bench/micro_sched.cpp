@@ -36,16 +36,14 @@ namespace {
 
 using namespace rvk;
 
-// Detached queue payloads: never spawned, never run (spawning would link
-// them into the scheduler's ready queue).
+// Detached queue payloads: control blocks never spawned, never run
+// (spawning would link them into the scheduler's ready queue).
 struct Payload {
   explicit Payload(std::size_t n) {
     threads.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      threads.push_back(std::make_unique<rt::VThread>(
-          &sched, static_cast<rt::ThreadId>(i + 1),
-          std::string("p").append(std::to_string(i)),
-          static_cast<int>(i % 10) + 1, [] {}, /*stack_size=*/4096));
+      threads.push_back(std::make_unique<rt::VThread>(&sched));
+      threads.back()->set_priority(static_cast<int>(i % 10) + 1);
     }
   }
   rt::Scheduler sched;

@@ -238,8 +238,16 @@ void Analyzer::on_engine_event(const core::EngineEvent& e) {
   ++report_.frame_events;
   // Cache a pointer to the thread's *live* frame stack: held-monitor sets
   // for the lockset always reflect the current stack, not the event's
-  // snapshot in time.
-  if (e.thread != nullptr) frames_of_[e.thread->id()] = e.frames;
+  // snapshot in time.  A thread whose last frame exited drops out (a
+  // missing entry reads as an empty stack), so the table holds only
+  // threads inside sections, however many threads a run spawns.
+  if (e.thread != nullptr) {
+    if (e.frames != nullptr && !e.frames->empty()) {
+      frames_of_[e.thread->id()] = e.frames;
+    } else {
+      frames_of_.erase(e.thread->id());
+    }
+  }
   if (pin || deliver) audit_pin_closure(e);
   if (deliver) audit_delivery(e);
 }

@@ -93,9 +93,9 @@ class Analyzer final : public core::EngineObserver {
 
   AnalysisReport report_;
   LocksetTable lockset_;
-  // Latest-known frame stack per thread id, refreshed by every frame event.
-  // Held-monitor sets for the lockset are derived from it; threads with no
-  // engine activity yet hold nothing.
+  // Latest-known frame stack per thread id, refreshed by every frame event
+  // and dropped when the thread's last frame exits.  Held-monitor sets for
+  // the lockset are derived from it; a thread with no entry holds nothing.
   std::unordered_map<std::uint32_t, const core::FrameStack*> frames_of_;
   std::vector<const void*> held_;  // scratch, reused across accesses
   // Frames already reported for a closure breach (frame events repeat while

@@ -154,10 +154,13 @@ Engine::~Engine() {
     unsubscribe(analyzer_);
     analysis::Analyzer::uninstall();
   }
-  // Unstamp the per-thread caches: a later engine must re-register every
-  // thread, and no stale ThreadSync pointer may survive this engine.
-  for (auto& [t, ts] : sync_states_) {
-    t->engine_state = nullptr;
+  // Unregister the live threads: a later engine must re-register each one
+  // (sync_of), so none keeps this engine's frames or write-filter tags.
+  // Finished threads' blocks re-register anyway when they are reused.
+  for (rt::VThread* t : sched_.threads()) {
+    if (auto* ts = static_cast<ThreadSync*>(t->engine_state.get())) {
+      ts->tid = 0;
+    }
     t->lazy_frame = false;
   }
   {
@@ -203,44 +206,33 @@ RevocableMonitor* Engine::monitor_of(const heap::HeapObject* obj) {
   return static_cast<RevocableMonitor*>(&m);
 }
 
-ThreadSync& Engine::sync_of(rt::VThread* t) {
-  // The registration stamps engine_state, so the steady state is one load —
-  // no hash lookup on the section hot path.  unordered_map of unique_ptr
-  // keeps ThreadSync addresses stable; the destructor unstamps.
-  if (t->engine_state != nullptr) [[likely]] {
-    return *static_cast<ThreadSync*>(t->engine_state);
+ThreadSync& Engine::register_thread(rt::VThread* t) {
+  if (t->engine_state == nullptr) {
+    t->engine_state = std::make_unique<ThreadSync>();
   }
-  auto [it, inserted] = sync_states_.try_emplace(t);
-  if (inserted) {
-    it->second = std::make_unique<ThreadSync>();
-    threads_by_id_[t->id()] = t;
-    // The write filter's tags are this engine's frame ids, which restart
-    // at 1 in every engine: a thread that outlived an earlier engine must
-    // not find that engine's (word, id) pairs (log/write_filter.hpp).
-    t->write_filter.release_storage();
-    t->engine_state = it->second.get();
-  }
-  return *it->second;
+  auto* ts = static_cast<ThreadSync*>(t->engine_state.get());
+  ts->reset(t->id());
+  // The write filter's tags are this engine's frame ids, which restart at 1
+  // in every engine: a thread that outlived an earlier engine must not find
+  // that engine's (word, id) pairs (log/write_filter.hpp).
+  t->write_filter.release_storage();
+  return *ts;
 }
 
 ThreadSync& Engine::sync_of_registered(rt::VThread* t) {
   // Commit/abort/boost operate only on threads whose enter_frame already
-  // registered them, so the stamped pointer must exist; unlike sync_of
-  // there is no insert path — these callers run inside forbidden regions
-  // where allocation is barred (rvkcheck rule forbidden-region).
-  RVK_CHECK_MSG(t->engine_state != nullptr,
+  // registered them; unlike sync_of there is no registration path — these
+  // callers run inside forbidden regions where allocation is barred
+  // (rvkcheck rule forbidden-region).
+  auto* ts = static_cast<ThreadSync*>(t->engine_state.get());
+  RVK_CHECK_MSG(ts != nullptr && ts->tid == t->id(),
                 "engine path on a thread that never entered a section");
-  return *static_cast<ThreadSync*>(t->engine_state);
+  return *ts;
 }
 
-rt::VThread* Engine::thread_by_id(std::uint32_t tid) {
-  auto it = threads_by_id_.find(tid);
-  return it != threads_by_id_.end() ? it->second : nullptr;
-}
-
-const ThreadSync* Engine::find_sync(const rt::VThread* t) const {
-  auto it = sync_states_.find(const_cast<rt::VThread*>(t));
-  return it != sync_states_.end() ? it->second.get() : nullptr;
+const ThreadSync* Engine::find_sync(const rt::VThread* t) {
+  const auto* ts = static_cast<const ThreadSync*>(t->engine_state.get());
+  return ts != nullptr && ts->tid == t->id() ? ts : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -398,7 +390,10 @@ void Engine::commit_frame(rt::VThread* t) {
   }
 
   if (ts.frames.empty()) {
-    // Outermost commit: all speculative stores become permanent.
+    // Outermost commit: all speculative stores become permanent.  Every
+    // logged entry leaves the log here or in an abort's replay, which is
+    // where log_appends counts it.
+    stats_.log_appends += t->undo_log.size();
     t->undo_log.discard_all();
     ++t->section_epoch;
   }
@@ -441,6 +436,7 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
     publish(obs::EventKind::kUndoReplay, t, f.id, f.monitor, words);
   }
   stats_.words_undone += words;
+  stats_.log_appends += words;
   t->undo_log.rollback_to(f.log_mark);
 
   --t->sync_depth;
@@ -798,7 +794,8 @@ void Engine::on_tracked_read(heap::ObjectMeta& meta) {
     meta.clear();  // own stale mark
     return;
   }
-  rt::VThread* writer = thread_by_id(meta.writer_tid);
+  // Ids are never reused, so a finished writer is simply not found.
+  rt::VThread* writer = sched_.find(meta.writer_tid);
   if (writer == nullptr) {
     meta.clear();
     return;
@@ -838,7 +835,7 @@ void Engine::publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
                      const RevocableMonitor* m, std::uint64_t aux) {
   obs::on_event(kind, t,
                 frame != 0 ? frame : reinterpret_cast<std::uintptr_t>(m), aux);
-  const auto* ts = static_cast<const ThreadSync*>(t->engine_state);
+  const ThreadSync* ts = find_sync(t);
   const EngineEvent e{kind, t, frame, m, aux,
                       ts != nullptr ? &ts->frames : nullptr};
   for (EngineObserver* o : observers_) o->on_engine_event(e);
@@ -858,22 +855,6 @@ void Engine::publish_metrics(obs::Registry& reg) {
   for (const RevocableMonitor* m : monitors_) {
     obs::publish(reg, m->stats(), "monitor." + m->name() + ".stats.");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Statistics
-
-const EngineStats& Engine::stats() {
-  stats_.log_appends = 0;
-  for (const auto& [t, ts] : sync_states_) {
-    stats_.log_appends += t->undo_log.stats().appends;
-  }
-  return stats_;
-}
-
-void Engine::reset_stats() {
-  stats_ = EngineStats{};
-  for (const auto& [t, ts] : sync_states_) t->undo_log.reset_stats();
 }
 
 }  // namespace rvk::core

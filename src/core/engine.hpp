@@ -286,8 +286,7 @@ class Engine {
   // non-revocability of the monitor (and all of its enclosing monitors)".
   void pin_current_frames(PinReason reason);
 
-  const EngineStats& stats();
-  void reset_stats();
+  const EngineStats& stats() const { return stats_; }
 
   // Folds this engine's stats and every registered monitor's stats into an
   // obs registry ("engine.*", "monitor.<name>.stats.*") — the consolidated
@@ -311,20 +310,28 @@ class Engine {
   void on_unblocked(rt::VThread* t, RevocableMonitor& m);
   void on_wait_pin(rt::VThread* t);
 
-  RVK_MAY_ALLOC ThreadSync& sync_of(rt::VThread* t);
+  // The thread's section state, registering the thread on first use.  The
+  // state lives in the control block (rt::VThread::engine_state), so the
+  // engine keeps no per-thread table: a finished thread's state is recycled
+  // with its block and reset when the block's next thread registers.
+  RVK_MAY_ALLOC ThreadSync& sync_of(rt::VThread* t) {
+    auto* ts = static_cast<ThreadSync*>(t->engine_state.get());
+    if (ts != nullptr && ts->tid == t->id()) [[likely]] return *ts;
+    return register_thread(t);
+  }
 
   // sync_of for threads the engine has already registered (any thread that
-  // ever entered a section): one stamped-pointer load, never a hash insert.
+  // entered a section): one pointer load and a check, never a registration.
   // The commit/abort/boost paths run inside forbidden regions where
   // allocation is barred, and they only ever operate on registered threads
   // — rvkcheck's forbidden-region rule holds them to this variant.
   RVK_NO_YIELD ThreadSync& sync_of_registered(rt::VThread* t);
 
   // Read-only view of a thread's section state; unlike sync_of it never
-  // inserts, so it is safe from scheduler context (exploration invariant
+  // registers, so it is safe from scheduler context (exploration invariant
   // checks between dispatches).  nullptr if the thread never entered a
   // section.
-  const ThreadSync* find_sync(const rt::VThread* t) const;
+  static const ThreadSync* find_sync(const rt::VThread* t);
 
   // Adds / removes an observer of this engine's event stream (EngineEvent).
   // Call outside forbidden regions — from host code or between sections —
@@ -453,7 +460,8 @@ class Engine {
   static void alloc_trampoline(heap::Heap* heap, heap::HeapObject* obj);
   void on_alloc(heap::Heap* heap, heap::HeapObject* obj);
 
-  rt::VThread* thread_by_id(std::uint32_t tid);
+  // sync_of's slow path: creates or resets the block's ThreadSync.
+  RVK_MAY_ALLOC ThreadSync& register_thread(rt::VThread* t);
 
   // True when any transition has an audience: a subscriber or the obs
   // recorder.  Hot paths test it before publishing; it is also the lazy-path
@@ -477,8 +485,6 @@ class Engine {
   EngineConfig cfg_;
   EngineStats stats_;
 
-  std::unordered_map<rt::VThread*, std::unique_ptr<ThreadSync>> sync_states_;
-  std::unordered_map<std::uint32_t, rt::VThread*> threads_by_id_;
   std::unordered_map<rt::VThread*, RevocableMonitor*> waits_for_;
   // Builds the RevocableMonitors monitor_of inflates into the MonitorTable;
   // the engine is the slots' owner tag, so teardown can release exactly its

@@ -17,15 +17,12 @@
 #include <vector>
 
 #include "obs/event.hpp"
+#include "rt/vthread.hpp"
 
 namespace rvk::heap {
 class Heap;
 class HeapObject;
 }  // namespace rvk::heap
-
-namespace rvk::rt {
-class VThread;
-}  // namespace rvk::rt
 
 namespace rvk::core {
 
@@ -81,6 +78,7 @@ class FrameStack {
   }
 
   void pop() { --depth_; }
+  void clear() { depth_ = 0; }
 
   Frame& back() { return store_[depth_ - 1]; }
   const Frame& back() const { return store_[depth_ - 1]; }
@@ -97,8 +95,14 @@ class FrameStack {
   std::size_t depth_ = 0;
 };
 
-// Per-thread engine state, attached to rt::VThread::engine_state.
-struct ThreadSync {
+// Per-thread engine state, owned by the control block
+// (rt::VThread::engine_state) and recycled with it: Engine::sync_of resets
+// it when a new thread registers on the block.
+struct ThreadSync final : rt::EngineState {
+  // The registered thread; 0 when none (a recycled block's previous thread,
+  // or an engine that died) — the next sync_of re-registers.
+  rt::ThreadId tid = 0;
+
   FrameStack frames;
 
   // Pre-boost priority while a revocation request is pending against this
@@ -113,6 +117,17 @@ struct ThreadSync {
   RevocableMonitor* lazy_monitor = nullptr;
   std::size_t lazy_log_mark = 0;
   int lazy_budget_used = 0;
+
+  // Registers thread `id`: every field back to its initial state; the
+  // frame pool keeps its capacity.
+  void reset(rt::ThreadId id) {
+    tid = id;
+    frames.clear();
+    boost_restore_priority = -1;
+    lazy_monitor = nullptr;
+    lazy_log_mark = 0;
+    lazy_budget_used = 0;
+  }
 
   // Oldest (outermost) active frame guarding `m`, or nullptr.  Revocation
   // targets this frame so the monitor is fully released by the unwind.

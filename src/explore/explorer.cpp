@@ -45,12 +45,13 @@ RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
   ScenarioContext ctx(sched, engine);
 
   bool overrun = false;
-  rt::VThread* prev = nullptr;
+  // The previous choice by id: its block may host a later thread by now.
+  rt::ThreadId prev = 0;
   sched.set_pick_hook(
       [&](const std::vector<rt::VThread*>& cands) -> rt::VThread* {
         int prev_index = -1;
         for (std::size_t i = 0; i < cands.size(); ++i) {
-          if (cands[i] == prev) prev_index = static_cast<int>(i);
+          if (cands[i]->id() == prev) prev_index = static_cast<int>(i);
         }
         rt::VThread* chosen;
         if (out.trace.size() >= opts.max_steps) {
@@ -68,7 +69,7 @@ RunOutcome run_one(const Scenario& scenario, const ExploreOptions& opts,
         } else {
           chosen = strategy.pick(cands, prev_index);
         }
-        prev = chosen;
+        prev = chosen->id();
         out.trace.push_back(Decision{static_cast<std::uint32_t>(cands.size()),
                                      chosen->id()});
         return chosen;

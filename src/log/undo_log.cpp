@@ -76,7 +76,11 @@ void UndoLog::next_chunk() {
   }
   if (active_ == chunks_.size()) {
     std::unique_ptr<Entry[]> chunk = detail::pool_take();
-    if (chunk == nullptr) chunk = std::make_unique<Entry[]>(kChunkEntries);
+    // Uninitialised: entries are only ever read below the cursor, and an
+    // untouched page of a fresh chunk then costs no resident memory.
+    if (chunk == nullptr) {
+      chunk = std::make_unique_for_overwrite<Entry[]>(kChunkEntries);
+    }
     chunks_.push_back(std::move(chunk));
   }
   chunk_begin_ = chunks_[active_].get();

@@ -13,13 +13,13 @@ int CeilingDomain::base_priority(rt::VThread* t) {
 }
 
 CeilingDomain::ThreadState& CeilingDomain::state_of(rt::VThread* t) {
-  auto [it, inserted] = threads_.try_emplace(t);
+  auto [it, inserted] = threads_.try_emplace(t->id());
   if (inserted) it->second.base_priority = t->priority();
   return it->second;
 }
 
 CeilingDomain::ThreadState& CeilingDomain::held_state_of(rt::VThread* t) {
-  auto it = threads_.find(t);
+  auto it = threads_.find(t->id());
   RVK_CHECK_MSG(it != threads_.end(), "release by thread with no state");
   return it->second;
 }

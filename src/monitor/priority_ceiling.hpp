@@ -47,7 +47,9 @@ class CeilingDomain {
 
   void recompute(rt::VThread* t);
 
-  std::unordered_map<rt::VThread*, ThreadState> threads_;
+  // Keyed by id, not by block: a recycled block hosts a new thread with
+  // its own base priority.
+  std::unordered_map<rt::ThreadId, ThreadState> threads_;
 };
 
 class PriorityCeilingMonitor final : public MonitorBase {

@@ -14,14 +14,14 @@ int InheritanceDomain::base_priority(rt::VThread* t) {
 }
 
 InheritanceDomain::ThreadState& InheritanceDomain::state_of(rt::VThread* t) {
-  auto [it, inserted] = threads_.try_emplace(t);
+  auto [it, inserted] = threads_.try_emplace(t->id());
   if (inserted) it->second.base_priority = t->priority();
   return it->second;
 }
 
 InheritanceDomain::ThreadState& InheritanceDomain::held_state_of(
     rt::VThread* t) {
-  auto it = threads_.find(t);
+  auto it = threads_.find(t->id());
   RVK_CHECK_MSG(it != threads_.end(), "release by thread with no state");
   return it->second;
 }

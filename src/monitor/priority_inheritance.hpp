@@ -63,7 +63,9 @@ class InheritanceDomain {
   // by the best waiter on any monitor it still holds.
   void recompute(rt::VThread* t);
 
-  std::unordered_map<rt::VThread*, ThreadState> threads_;
+  // Keyed by id, not by block: a recycled block hosts a new thread with
+  // its own base priority.
+  std::unordered_map<rt::ThreadId, ThreadState> threads_;
 };
 
 class PriorityInheritanceMonitor final : public MonitorBase {

@@ -156,7 +156,9 @@ class Recorder {
 
   struct ThreadSide {
     EventRing ring;
-    rt::VThread* thread = nullptr;  // valid while its scheduler is alive
+    // The thread's block, for identity checks while it runs; once the
+    // thread finishes the block may host a later one (never dereferenced).
+    rt::VThread* thread = nullptr;
     std::uint32_t tid = 0;
     std::string name;
     int priority = 0;

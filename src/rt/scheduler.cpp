@@ -88,16 +88,35 @@ VThread* current_vthread() {
 // ---------------------------------------------------------------------------
 // VThread
 
-VThread::VThread(Scheduler* sched, ThreadId id, std::string name, int priority,
-                 std::function<void()> body, std::size_t stack_size)
-    : sched_(sched),
-      id_(id),
-      name_(std::move(name)),
-      priority_(priority),
-      body_(std::move(body)),
-      stack_(std::make_unique<Stack>(stack_size)) {
+void VThread::start(ThreadId id, std::string name, int priority,
+                    std::function<void()> body, std::size_t stack_size) {
   RVK_CHECK_MSG(priority >= kMinPriority && priority <= kMaxPriority,
                 "thread priority out of Java range [1,10]");
+  id_ = id;
+  name_ = std::move(name);
+  priority_ = priority;
+  state_ = ThreadState::kNew;
+  body_ = std::move(body);
+  stack_.emplace(stack_size);
+  quantum_left_ = 0;
+  sleep_deadline_ = 0;
+  asan_fake_stack_ = nullptr;
+  stats_ = ThreadStats{};
+  sync_depth = 0;
+  lazy_frame = false;
+  undo_log.reset_stats();
+  revoke_requested = false;
+  revoke_is_deadlock = false;
+  revoke_target_frame = 0;
+  in_rollback = false;
+  section_epoch = 1;
+  current_frame_id = 0;
+  forbidden_region_depth = 0;
+  interrupted = false;
+  timed_out = false;
+  cancel_requested = false;
+  abortable_wait = false;
+  reserved_in = nullptr;
 }
 
 void VThread::entry() {
@@ -149,18 +168,24 @@ Scheduler::~Scheduler() {
   log::release_pooled_chunks();
 #ifdef RVK_TSAN_FIBERS
   // Fibers of threads that never finished (stalled-test wreckage).
-  for (const auto& t : threads_) {
-    if (t->tsan_fiber_ != nullptr) __tsan_destroy_fiber(t->tsan_fiber_);
+  for (const LiveThread& e : live_) {
+    if (e.thread != nullptr && e.thread->tsan_fiber_ != nullptr) {
+      __tsan_destroy_fiber(e.thread->tsan_fiber_);
+    }
   }
 #endif
 }
 
 VThread* Scheduler::spawn(std::string name, int priority,
                           std::function<void()> body) {
-  auto thread = std::make_unique<VThread>(this, next_id_++, std::move(name),
-                                          priority, std::move(body),
-                                          cfg_.stack_size);
-  VThread* t = thread.get();
+  // A recycled block (DESIGN.md §15) when the free list holds one: no
+  // allocation and no zero-fill, only start()'s field stores.
+  std::unique_ptr<VThread> block = free_n_ != 0
+                                       ? std::move(free_[--free_n_])
+                                       : std::make_unique<VThread>(this);
+  VThread* t = block.get();
+  t->start(next_id_++, std::move(name), priority, std::move(body),
+           cfg_.stack_size);
   RVK_CHECK_MSG(getcontext(&t->context_) == 0, "getcontext failed");
   t->context_.uc_stack.ss_sp = t->stack_->base();
   t->context_.uc_stack.ss_size = t->stack_->size();
@@ -174,7 +199,8 @@ VThread* Scheduler::spawn(std::string name, int priority,
   t->tsan_fiber_ = __tsan_create_fiber(0);
   __tsan_set_fiber_name(t->tsan_fiber_, t->name().c_str());
 #endif
-  threads_.push_back(std::move(thread));
+  t->live_slot_ = live_.size();
+  live_.push_back(LiveThread{t->id(), std::move(block)});
   ready_.push(t);
   ++live_count_;
   obs::on_spawn(t);
@@ -245,16 +271,16 @@ void Scheduler::dispatch(VThread* t) {
       t->state_ = ThreadState::kFinished;
       --live_count_;
       wake_all(t->joiners_);
+      // run() rethrows the first escaped exception; take it now, before
+      // the block can host another thread.
+      if (t->uncaught_) uncaught_.push_back(std::exchange(t->uncaught_, {}));
       // Reclaim the dead fiber's execution resources: its stack mapping and
       // its undo-log chunks go back to this OS thread's pools, where the
       // next spawn and the next section take them without a system call,
       // and its write filter is freed.
       // The swapcontext above completed the switch off that stack (and
       // switch_out already tore down its ASan fake stack), so nothing can
-      // touch it again: a finished thread is never dispatched and join()
-      // only reads control-block fields; its log statistics survive the
-      // release.  This keeps memory O(live threads) when open-loop drivers
-      // (svc/) spawn one short-lived green thread per request.
+      // touch it again: a finished thread is never dispatched.
       t->stack_.reset();
       t->undo_log.release_storage();
       t->write_filter.release_storage();
@@ -266,7 +292,40 @@ void Scheduler::dispatch(VThread* t) {
       t->tsan_fiber_ = nullptr;
 #endif
       ++stacks_reclaimed_;
+      retire(t);
       break;
+  }
+}
+
+void Scheduler::retire(VThread* t) {
+  // The control block leaves the live table and goes to the free list, or
+  // is freed when the list is full.  Memory then stays O(live threads)
+  // when open-loop drivers (svc/) and shipped sections spawn one
+  // short-lived green thread per request.
+  std::unique_ptr<VThread> block = std::move(live_[t->live_slot_].thread);
+  // Holes are compacted once they outnumber the live entries: amortised
+  // O(1) per finish, and the table keeps its id order.
+  if (++live_holes_ > live_count_) {
+    std::size_t n = 0;
+    for (LiveThread& e : live_) {
+      if (e.thread == nullptr) continue;
+      e.thread->live_slot_ = n;
+      if (&live_[n] != &e) live_[n] = std::move(e);
+      ++n;
+    }
+    live_.resize(n);
+    live_holes_ = 0;
+  }
+  if (free_n_ < kMaxFreeBlocks) {
+    free_[free_n_++] = std::move(block);
+    return;
+  }
+  // Freed for good: first drop the (stale) deadline-heap entries that still
+  // name it.  Rare — the live population must have shrunk by more than the
+  // free list holds, and the thread must have been woken before a timer.
+  if (t->timer_refs_ != 0) {
+    std::erase_if(timers_, [t](const Timer& tm) { return tm.thread == t; });
+    std::make_heap(timers_.begin(), timers_.end(), TimerAfter{});
   }
 }
 
@@ -320,11 +379,9 @@ void Scheduler::sleep_for(std::uint64_t ticks) {
   check_revocation();
 }
 
-void Scheduler::join(VThread* target) {
-  RVK_CHECK_MSG(target != current_, "thread cannot join itself");
-  while (!target->finished()) {
-    block_current_on(target->joiners_);
-  }
+void Scheduler::join(ThreadId id) {
+  RVK_CHECK_MSG(id != current_->id(), "thread cannot join itself");
+  while (VThread* target = find(id)) block_current_on(target->joiners_);
 }
 
 void Scheduler::block_current_on(WaitQueue& q) {
@@ -417,6 +474,7 @@ void Scheduler::arm_timer(VThread* t, std::uint64_t deadline,
                           bool timed_block) {
   timers_.push_back(
       Timer{deadline, timer_seq_++, ++t->timer_gen_, t, timed_block});
+  ++t->timer_refs_;
   std::push_heap(timers_.begin(), timers_.end(), TimerAfter{});
 }
 
@@ -426,6 +484,7 @@ void Scheduler::fire_due_timers() {
     std::pop_heap(timers_.begin(), timers_.end(), TimerAfter{});
     timers_.pop_back();
     VThread* t = tm.thread;
+    --t->timer_refs_;
     if (tm.gen != t->timer_gen_) continue;  // disarmed by an earlier wakeup
     if (tm.timed_block) {
       // Expire a timed block: pull the thread out of its wait queue with
@@ -449,6 +508,7 @@ std::uint64_t Scheduler::next_timer_deadline() {
   // registration is popped at most once, so this stays amortized O(log n).
   while (!timers_.empty() &&
          timers_.front().gen != timers_.front().thread->timer_gen_) {
+    --timers_.front().thread->timer_refs_;
     std::pop_heap(timers_.begin(), timers_.end(), TimerAfter{});
     timers_.pop_back();
   }
@@ -507,13 +567,11 @@ void Scheduler::run() {
   // Rethrow the first exception that escaped a thread body (surfaces test
   // failures from inside green threads).  Only the first can propagate;
   // others (rare — they require several threads to die in one run) stay
-  // attached to their threads and surface on a subsequent run() call.
-  for (const auto& t : threads_) {
-    if (t->uncaught_) {
-      std::exception_ptr e = t->uncaught_;
-      t->uncaught_ = nullptr;
-      std::rethrow_exception(e);
-    }
+  // queued in finish order and surface on subsequent run() calls.
+  if (!uncaught_.empty()) {
+    std::exception_ptr e = std::move(uncaught_.front());
+    uncaught_.erase(uncaught_.begin());
+    std::rethrow_exception(e);
   }
 }
 
@@ -527,17 +585,26 @@ bool Scheduler::timer_armed(const VThread* t, bool timed_block) const {
   return false;
 }
 
+VThread* Scheduler::find(ThreadId id) const {
+  auto it = std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const LiveThread& e, ThreadId v) { return e.id < v; });
+  return it != live_.end() && it->id == id ? it->thread.get() : nullptr;
+}
+
 std::vector<VThread*> Scheduler::threads() const {
   std::vector<VThread*> out;
-  out.reserve(threads_.size());
-  for (const auto& t : threads_) out.push_back(t.get());
+  out.reserve(live_count_);
+  for (const LiveThread& e : live_) {
+    if (e.thread != nullptr) out.push_back(e.thread.get());
+  }
   return out;
 }
 
 void Scheduler::dump_threads() const {
   static const char* const kStateNames[] = {"new",      "runnable", "running",
                                             "blocked",  "sleeping", "finished"};
-  for (const auto& t : threads_) {
+  for (VThread* t : threads()) {
     std::fprintf(stderr,
                  "  thread %u '%s' prio=%d state=%s sync_depth=%d "
                  "revoke_requested=%d\n",

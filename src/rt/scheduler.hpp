@@ -26,7 +26,9 @@
 // meaningful); the paper-faithful default is round-robin.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -89,7 +91,9 @@ class Scheduler {
   // ---- Setup ----
 
   // Creates a thread; it becomes runnable immediately.  Callable before
-  // run() and from inside green threads.
+  // run() and from inside green threads.  The returned block is valid while
+  // the thread lives; once it finishes the block may host a later thread
+  // (see VThread), so keep id() for anything after that.
   RVK_MAY_ALLOC VThread* spawn(std::string name, int priority,
                                std::function<void()> body);
 
@@ -140,8 +144,8 @@ class Scheduler {
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC void sleep_for(
       std::uint64_t ticks);
 
-  // Blocks until `t` finishes.
-  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC void join(VThread* t);
+  // Blocks until thread `id` finishes; returns at once if it already did.
+  RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC void join(ThreadId id);
 
   // Delivers a pending revocation on the current thread, if any (throws the
   // engine-installed exception).  Monitors call this after every wakeup.
@@ -239,15 +243,30 @@ class Scheduler {
   // ---- Introspection ----
 
   const SchedulerConfig& config() const { return cfg_; }
+
+  // The live threads, in id (= spawn) order.
   std::vector<VThread*> threads() const;
+
+  // The live thread with this id, or nullptr once it finished (ids are
+  // never reused).  O(log live).
+  VThread* find(ThreadId id) const;
 
   std::size_t live_count() const { return live_count_; }
 
-  // Fiber stacks released by finished threads (each thread's stack and
-  // undo-log chunks are recycled the moment it finishes, so resident memory
-  // tracks the LIVE population even when a run spawns short-lived threads
-  // by the hundred thousand — the open-loop driver's regime).
+  // Finished threads whose resources were reclaimed.  Each thread's stack,
+  // undo-log chunks, write filter and control block are recycled the moment
+  // it finishes, so resident memory tracks the LIVE population even when a
+  // run spawns short-lived threads by the hundred thousand — the open-loop
+  // driver's regime.
   std::uint64_t stacks_reclaimed() const { return stacks_reclaimed_; }
+
+  // Finished control blocks kept for reuse, at most this many; a finish
+  // beyond the bound frees its block.
+  static constexpr std::size_t kMaxFreeBlocks = 64;
+
+  // Control blocks this scheduler holds: one per live thread plus the free
+  // list, so never more than live_count() + kMaxFreeBlocks.
+  std::size_t control_blocks() const { return live_count_ + free_n_; }
 
   // True if the deadline heap still holds a live (non-stale-generation)
   // timer for `t` of the given flavour.  O(timers) scan — invariant-checking
@@ -268,6 +287,9 @@ class Scheduler {
   // MAY_ALLOC: the obs recorder lazily registers a thread's ring at
   // dispatch (legal: scheduler context is never a forbidden region).
   RVK_MAY_YIELD RVK_MAY_ALLOC void dispatch(VThread* t);
+  // kFinish tail of dispatch: moves `t`'s block from the live table to the
+  // free list (or frees it).
+  void retire(VThread* t);
   RVK_MAY_YIELD RVK_MAY_ALLOC void switch_out(SwitchReason reason);
   [[noreturn]] RVK_MAY_YIELD RVK_MAY_ALLOC void finish_current();
   void arm_timer(VThread* t, std::uint64_t deadline, bool timed_block);
@@ -297,8 +319,22 @@ class Scheduler {
     }
   };
 
+  // Live-table entry.  A finished thread leaves a hole (null `thread`, its
+  // id kept so the table stays sorted for find()) until the next compaction.
+  struct LiveThread {
+    ThreadId id;
+    std::unique_ptr<VThread> thread;
+  };
+
   SchedulerConfig cfg_;
-  std::vector<std::unique_ptr<VThread>> threads_;
+  std::vector<LiveThread> live_;  // id order; holes compacted in retire()
+  std::size_t live_holes_ = 0;
+  // Free list of finished blocks, LIFO like the stack pool (rt/stack.cpp).
+  std::array<std::unique_ptr<VThread>, kMaxFreeBlocks> free_;
+  std::size_t free_n_ = 0;
+  // Exceptions that escaped thread bodies, in finish order; run() rethrows
+  // the first.
+  std::vector<std::exception_ptr> uncaught_;
   // Ready queue: priority-bucketed in strict mode, single FIFO bucket in the
   // paper-faithful round-robin mode; O(1) either way.
   WaitQueue ready_;

@@ -22,6 +22,7 @@
 #include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "log/undo_log.hpp"
@@ -66,10 +67,25 @@ struct ThreadStats {
   std::uint64_t blocks = 0;        // times parked on a queue
 };
 
+// Engine-side per-thread state (core::ThreadSync).  rt never looks inside;
+// the control block owns it, so it is recycled and freed with the block.
+class EngineState {
+ public:
+  EngineState() = default;
+  EngineState(const EngineState&) = delete;
+  EngineState& operator=(const EngineState&) = delete;
+  virtual ~EngineState() = default;
+};
+
+// A control block.  The scheduler recycles it (DESIGN.md §15): when a thread
+// finishes, its block goes back to the scheduler's bounded free list and the
+// next spawn re-initialises it in place under a fresh, never-reused id.  A
+// VThread* is therefore a handle to a *live* thread only; anything that must
+// outlive the thread (join, post-mortems, tables of past threads) keys on
+// id().
 class VThread {
  public:
-  VThread(Scheduler* sched, ThreadId id, std::string name, int priority,
-          std::function<void()> body, std::size_t stack_size);
+  explicit VThread(Scheduler* sched) : sched_(sched) {}
 
   VThread(const VThread&) = delete;
   VThread& operator=(const VThread&) = delete;
@@ -88,13 +104,12 @@ class VThread {
     if (queue_node_.queue != nullptr) queue_node_.queue->reposition(this);
   }
   ThreadState state() const { return state_; }
-  bool finished() const { return state_ == ThreadState::kFinished; }
   Scheduler* scheduler() const { return sched_; }
   const ThreadStats& stats() const { return stats_; }
 
   // Execution stack; nullptr once the thread has finished and its mapping
   // went back to the pool.
-  const Stack* stack() const { return stack_.get(); }
+  const Stack* stack() const { return stack_ ? &*stack_ : nullptr; }
 
   // ---- Synchronized-section support (used by heap/ barriers and core/) ----
 
@@ -142,8 +157,10 @@ class VThread {
   // the write barrier so jmm/ can name which frames a foreign read pins.
   std::uint64_t current_frame_id = 0;
 
-  // Opaque pointer to the engine-side per-thread state (core::ThreadSync).
-  void* engine_state = nullptr;
+  // Engine-side per-thread state, created at the thread's first section
+  // entry.  It stays with the block across recycling; the engine resets it
+  // when the block's next thread registers (core::Engine::sync_of).
+  std::unique_ptr<EngineState> engine_state;
 
   // Depth of nested forbidden regions (engine commit/abort and monitor
   // release paths, which rely on green-thread atomicity — see CLAUDE.md).
@@ -193,22 +210,36 @@ class VThread {
   friend class Scheduler;
   friend class WaitQueue;
 
+  // (Re)initialises the block for a new thread: every per-thread field
+  // returns to its spawn state.  The deadline-heap bookkeeping (timer_gen_,
+  // timer_refs_) carries over, since stale heap entries may still name the
+  // block; the engine state and the undo log's chunk-slot vector carry over
+  // as reusable storage.
+  void start(ThreadId id, std::string name, int priority,
+             std::function<void()> body, std::size_t stack_size);
+
   Scheduler* sched_;
-  ThreadId id_;
+  ThreadId id_ = 0;
   std::string name_;
-  int priority_;
+  int priority_ = kNormPriority;
   ThreadState state_ = ThreadState::kNew;
 
   std::function<void()> body_;
-  std::unique_ptr<Stack> stack_;
-  ucontext_t context_{};
+  std::optional<Stack> stack_;
+  ucontext_t context_;  // written by getcontext at spawn
 
   int quantum_left_ = 0;
   std::uint64_t sleep_deadline_ = 0;
   // Invalidation stamp for the scheduler's deadline heap: any wakeup bumps
   // it, turning the thread's pending timer entry (sleep deadline or timed-
-  // block timeout) into a stale record the heap discards lazily.
+  // block timeout) into a stale record the heap discards lazily.  Never
+  // reset, so a recycled block cannot revive a stale entry.
   std::uint64_t timer_gen_ = 0;
+  // Deadline-heap entries (live or stale) that name this block; a block is
+  // only freed once none does.
+  std::uint32_t timer_refs_ = 0;
+  // Index of this thread's entry in the scheduler's live-thread table.
+  std::size_t live_slot_ = 0;
   QueueNode queue_node_;             // intrusive linkage (ready/wait queues)
   void* asan_fake_stack_ = nullptr;  // ASan fiber bookkeeping (see scheduler.cpp)
   void* tsan_fiber_ = nullptr;       // TSan fiber handle (see scheduler.cpp)

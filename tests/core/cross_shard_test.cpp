@@ -14,6 +14,7 @@
 // above it blocked), which round-robin would not guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -352,11 +353,11 @@ TEST(CrossShardDeflationTest,
 }
 
 TEST(CrossShardDeflationTest, MultiShardModeEndsWithItsEngines) {
-  // The table's multi-shard mode lasts exactly as long as a multi-shard
-  // engine: once the set's engines are gone, a classic single-shard engine
-  // destroys each dying object's quiescent slot again instead of detaching
-  // it until its own teardown.
+  // The table's locked multi-shard mode (table.concurrent()) lasts exactly
+  // as long as a multi-shard set's engines: on while they live, off once
+  // the last of them is gone.
   monitor::MonitorTable& table = monitor::MonitorTable::global();
+  EXPECT_FALSE(table.concurrent());
   {
     rt::DomainSet set(two_shards());
     std::unique_ptr<core::Engine> eng[2];
@@ -365,20 +366,51 @@ TEST(CrossShardDeflationTest, MultiShardModeEndsWithItsEngines) {
           eng[d.id()] = std::make_unique<core::Engine>(d.sched());
           EXPECT_TRUE(table.concurrent());
         },
-        [&](rt::Domain& d) { eng[d.id()].reset(); });
+        [&](rt::Domain& d) {
+          eng[d.id()].reset();
+          // The peer's engine may still be alive: the mode ends with the
+          // last engine, not the first.
+          EXPECT_EQ(table.concurrent(), d.id() == 0);
+        });
   }
   EXPECT_FALSE(table.concurrent());
+}
 
-  rt::Scheduler sched;
-  core::Engine eng(sched);
-  heap::Heap heap;
-  const std::size_t live_before = table.live_slots();
-  for (int i = 0; i < 1000; ++i) {
-    heap::HeapObject* obj = heap.alloc("obj", 1);
-    ASSERT_NE(eng.monitor_of(obj), nullptr);
-    heap.free(obj);
+TEST(CrossShardDeflationTest,
+     ReleaseSlotFreesDyingQuiescentSlotsAtAnyShardCount) {
+  // MonitorTable::release_slot destroys a dying object's quiescent slot at
+  // once, whatever the shard count: the classic unsharded engine and the
+  // engine of a one- and of a two-shard set each inflate and free 1,000
+  // objects while holding at most one of their slots at a time.
+  monitor::MonitorTable& table = monitor::MonitorTable::global();
+  auto churn = [&table](core::Engine& eng) {
+    heap::Heap heap;
+    const std::size_t live_before = table.live_slots();
+    std::size_t high = live_before;
+    for (int i = 0; i < 1000; ++i) {
+      heap::HeapObject* obj = heap.alloc("obj", 1);
+      ASSERT_NE(eng.monitor_of(obj), nullptr);
+      high = std::max(high, table.live_slots());
+      heap.free(obj);
+    }
+    EXPECT_EQ(high, live_before + 1);
+    EXPECT_EQ(table.live_slots(), live_before);
+  };
+  {
+    rt::Scheduler sched;
+    core::Engine eng(sched);
+    churn(eng);
   }
-  EXPECT_EQ(table.live_slots(), live_before);
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    rt::DomainSet::Config cfg = two_shards();
+    cfg.shards = shards;
+    rt::DomainSet set(cfg);
+    set.with_domain(shards - 1, [&](rt::Domain& d) {
+      core::Engine eng(d.sched());
+      EXPECT_EQ(table.concurrent(), shards > 1);
+      churn(eng);
+    });
+  }
 }
 
 TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {

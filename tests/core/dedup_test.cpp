@@ -215,8 +215,12 @@ TEST(DedupTest, FinishedThreadHoldsNoFilter) {
   fx.sched.run();
   EXPECT_FALSE(held_before);
   EXPECT_TRUE(held_after);
-  EXPECT_TRUE(t->finished());
-  EXPECT_FALSE(t->write_filter.holds_storage());
+  // The next spawn reuses the finished thread's block: its filter was
+  // freed at the finish.
+  rt::VThread* next = fx.sched.spawn("next", rt::kNormPriority, [] {});
+  EXPECT_EQ(next, t);
+  EXPECT_FALSE(next->write_filter.holds_storage());
+  fx.sched.run();
 }
 
 TEST(DedupTest, ArraySweepLogBoundedByWorkingSet) {

@@ -82,7 +82,7 @@ void cancel_vs_barge(ScenarioContext& ctx) {
     });
     ++st->done;
   });
-  rt::VThread* w = s.spawn("W", 4, [&s, &e, m, st] {
+  const rt::ThreadId w = s.spawn("W", 4, [&s, &e, m, st] {
     (void)e.try_synchronized(*m, 40, [&] {
       enter_probe(s, st->probe, 0);
       s.yield_point();
@@ -90,7 +90,7 @@ void cancel_vs_barge(ScenarioContext& ctx) {
     });
     finish_abortable(s);
     ++st->done;
-  });
+  })->id();
   s.spawn("B", 5, [&s, &e, m, st] {
     e.synchronized(*m, [&] {
       enter_probe(s, st->probe, 0);
@@ -101,7 +101,8 @@ void cancel_vs_barge(ScenarioContext& ctx) {
   });
   s.spawn("C", 6, [&s, w, st] {
     s.yield_point();
-    monitor::MonitorBase::cancel(w);
+    // W may have finished (cancelling it then had no effect).
+    if (rt::VThread* t = s.find(w)) monitor::MonitorBase::cancel(t);
     ++st->done;
   });
   expect_done(ctx, st, 4);
@@ -130,7 +131,7 @@ void cancel_vs_reservation(ScenarioContext& ctx) {
     });
     ++st->done;
   });
-  rt::VThread* w = s.spawn("W", 8, [&s, &e, m, st] {
+  const rt::ThreadId w = s.spawn("W", 8, [&s, &e, m, st] {
     (void)e.try_synchronized(*m, 60, [&] {
       enter_probe(s, st->probe, 0);
       s.yield_point();
@@ -138,10 +139,11 @@ void cancel_vs_reservation(ScenarioContext& ctx) {
     });
     finish_abortable(s);
     ++st->done;
-  });
+  })->id();
   s.spawn("C", 9, [&s, w, st] {
     s.yield_point();
-    monitor::MonitorBase::cancel(w);
+    // W may have finished (cancelling it then had no effect).
+    if (rt::VThread* t = s.find(w)) monitor::MonitorBase::cancel(t);
     ++st->done;
   });
   expect_done(ctx, st, 3);
@@ -451,18 +453,19 @@ void broken_handoff_dequeue(ScenarioContext& ctx) {
     e.synchronized(*bad, [&] { s.yield_point(); });
     ++st->done;
   });
-  rt::VThread* w = s.spawn("W", 6, [&s, &e, bad, st] {
+  const rt::ThreadId w = s.spawn("W", 6, [&s, &e, bad, st] {
     (void)e.try_synchronized(*bad, 40, [] {});
     finish_abortable(s);
     ++st->done;
-  });
+  })->id();
   s.spawn("V", 4, [&e, bad, st] {
     e.synchronized(*bad, [] {});
     ++st->done;
   });
   s.spawn("C", 8, [&s, w, st] {
     s.yield_point();
-    monitor::MonitorBase::cancel(w);
+    // W may have finished (cancelling it then had no effect).
+    if (rt::VThread* t = s.find(w)) monitor::MonitorBase::cancel(t);
     ++st->done;
   });
   expect_done(ctx, st, 4);

@@ -23,12 +23,14 @@ TEST(PriorityInheritanceTest, OwnerInheritsWaiterPriority) {
   InheritanceDomain dom;
   PriorityInheritanceMonitor m("m", dom);
   int owner_prio_during_contention = 0;
-  rt::VThread* lo = s.spawn("lo", 2, [&] {
+  int lo_base = 0;
+  s.spawn("lo", 2, [&] {
     m.acquire();
     for (int i = 0; i < 200; ++i) s.yield_point();
     owner_prio_during_contention = s.current_thread()->priority();
     m.release();
     EXPECT_EQ(s.current_thread()->priority(), 2);  // restored to base
+    lo_base = dom.base_priority(s.current_thread());
   });
   s.spawn("hi", 8, [&] {
     s.sleep_for(20);  // let lo take the lock
@@ -37,7 +39,7 @@ TEST(PriorityInheritanceTest, OwnerInheritsWaiterPriority) {
   });
   s.run();
   EXPECT_EQ(owner_prio_during_contention, 8);
-  EXPECT_EQ(dom.base_priority(lo), 2);
+  EXPECT_EQ(lo_base, 2);
   EXPECT_GE(m.boosts(), 1u);
 }
 

@@ -135,10 +135,10 @@ TEST(SchedulerTest, SleepersWakeInDeadlineOrder) {
 TEST(SchedulerTest, JoinBlocksUntilTargetFinishes) {
   Scheduler s;
   std::vector<int> order;
-  VThread* worker = s.spawn("worker", kNormPriority, [&] {
+  const ThreadId worker = s.spawn("worker", kNormPriority, [&] {
     for (int i = 0; i < 300; ++i) s.yield_point();
     order.push_back(1);
-  });
+  })->id();
   s.spawn("joiner", kNormPriority, [&] {
     s.join(worker);
     order.push_back(2);
@@ -151,7 +151,7 @@ TEST(SchedulerTest, JoinBlocksUntilTargetFinishes) {
 
 TEST(SchedulerTest, JoinAlreadyFinishedThreadReturnsImmediately) {
   Scheduler s;
-  VThread* worker = s.spawn("worker", kNormPriority, [] {});
+  const ThreadId worker = s.spawn("worker", kNormPriority, [] {})->id();
   bool joined = false;
   s.spawn("joiner", kNormPriority, [&] {
     for (int i = 0; i < 50; ++i) s.yield_point();
@@ -288,22 +288,26 @@ TEST(SchedulerTest, ThreadStatsAreCounted) {
   SchedulerConfig cfg;
   cfg.quantum = 10;
   Scheduler s(cfg);
-  VThread* t = s.spawn("t", kNormPriority, [&] {
+  ThreadStats seen;  // post-mortem: the block may host another thread later
+  s.spawn("t", kNormPriority, [&] {
     for (int i = 0; i < 35; ++i) s.yield_point();
+    seen = s.current_thread()->stats();
   });
   s.run();
-  EXPECT_EQ(t->stats().yield_points, 35u);
-  EXPECT_GE(t->stats().dispatches, 4u);  // 35 yield points / quantum 10
+  EXPECT_EQ(seen.yield_points, 35u);
+  EXPECT_GE(seen.dispatches, 4u);  // 35 yield points / quantum 10
 }
 
 TEST(SchedulerTest, CurrentVThreadAccessors) {
   Scheduler s;
   EXPECT_EQ(current_vthread(), nullptr);  // outside run()
-  VThread* seen = nullptr;
-  s.spawn("t", kNormPriority, [&] { seen = current_vthread(); });
+  std::string seen;
+  s.spawn("t", kNormPriority, [&] {
+    ASSERT_NE(current_vthread(), nullptr);
+    seen = current_vthread()->name();
+  });
   s.run();
-  ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(seen->name(), "t");
+  EXPECT_EQ(seen, "t");
   EXPECT_EQ(current_vthread(), nullptr);  // cleared after run()
 }
 

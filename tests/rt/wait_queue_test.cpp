@@ -13,23 +13,19 @@
 namespace rvk::rt {
 namespace {
 
-// Queue payloads are detached VThreads (never spawned, never run): spawning
-// would link them into the scheduler's ready queue, and a thread can sit in
-// at most one intrusive queue at a time.
+// Queue payloads are detached control blocks (never spawned, never run):
+// spawning would link them into the scheduler's ready queue, and a thread
+// can sit in at most one intrusive queue at a time.
 class WaitQueueTest : public ::testing::Test {
  protected:
   VThread* make_thread(int priority) {
-    ++n_;
-    threads_.push_back(std::make_unique<VThread>(
-        &sched_, static_cast<ThreadId>(n_),
-        std::string("t").append(std::to_string(n_)), priority, [] {},
-        /*stack_size=*/4096));
+    threads_.push_back(std::make_unique<VThread>(&sched_));
+    threads_.back()->set_priority(priority);
     return threads_.back().get();
   }
 
   Scheduler sched_;
   std::vector<std::unique_ptr<VThread>> threads_;
-  int n_ = 0;
 };
 
 TEST_F(WaitQueueTest, EmptyQueue) {

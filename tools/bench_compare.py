@@ -9,21 +9,34 @@ The baseline maps benchmark name -> expected value: real_time in ns for
 google-benchmark iteration entries, p99 (in the benchmark's own unit —
 virtual ticks for the macro registry exports) for "histogram" entries.
 Registry "counter" entries are informational and skipped.  A benchmark
-regresses if its measured value exceeds baseline * threshold.  The
-threshold is deliberately generous (default 2.0x): CI runners are noisy,
-shared, and of assorted vintages, so this is a smoke test for
-order-of-magnitude regressions (a fast path falling off its fast path),
-not a performance gate.  (Histogram entries from the deterministic
-virtual-clock macrobenches reproduce exactly, so for them even 2.0x is a
-real tail-latency gate.)  Benchmarks missing from the baseline are
-reported but never fail the run, so adding a benchmark does not require
-touching the baseline in the same change.  Refresh the baseline with
---update after an intentional perf change (run on a quiet machine,
-Release build).
+run with --benchmark_repetitions is gated on its fastest repetition, the
+one a shared host disturbed least.  A benchmark regresses if its measured
+value exceeds baseline * threshold.  The threshold is deliberately
+generous (default 2.0x): CI runners are noisy, shared, and of assorted
+vintages, so this is a smoke test for order-of-magnitude regressions (a
+fast path falling off its fast path), not a performance gate.
+(Histogram entries from the deterministic virtual-clock macrobenches
+reproduce exactly, so for them even 2.0x is a real tail-latency gate.)
+
+The baseline's optional "ratios" list gates pairs measured in the same
+run instead: {"num": A, "den": B, "max": M} regresses if A / B > M.  A
+ratio of two benchmarks that do similar work cancels most of what
+differs between hosts, so it stays meaningful where an absolute
+nanosecond figure from another machine does not.  Its bound is absolute
+(the threshold does not apply); set it from the spread of repeated runs.
+A benchmark gated by a ratio has no absolute entry.
+
+Benchmarks missing from the baseline are reported but never fail the
+run, so adding a benchmark does not require touching the baseline in the
+same change; a ratio whose operands were not measured is reported the
+same way.  Refresh the absolute entries with --update after an
+intentional perf change (run on a quiet machine, Release build); it
+keeps the ratio list as it is.
 """
 
 import argparse
 import json
+import os
 import sys
 
 
@@ -79,7 +92,7 @@ def load_results(path):
             raise BenchDataError(
                 f"{path}: benchmark {name!r} has unknown time_unit {unit!r}")
         try:
-            out[name] = float(b["real_time"]) * scale
+            ns = float(b["real_time"]) * scale
         except KeyError:
             raise BenchDataError(
                 f"{path}: benchmark {name!r} has no \"real_time\" key")
@@ -87,11 +100,12 @@ def load_results(path):
             raise BenchDataError(
                 f"{path}: benchmark {name!r} has non-numeric real_time "
                 f"{b['real_time']!r}")
+        out[name] = min(ns, out.get(name, ns))  # fastest repetition
     return out
 
 
 def load_baseline(path):
-    """Return the baseline's name -> ns mapping, or raise BenchDataError."""
+    """Return (name -> ns mapping, ratio list), or raise BenchDataError."""
     try:
         with open(path) as f:
             data = json.load(f)
@@ -109,7 +123,15 @@ def load_baseline(path):
             raise BenchDataError(
                 f"baseline {path}: benchmark {name!r} has non-numeric "
                 f"value {ns!r}")
-    return baseline
+    ratios = data.get("ratios", [])
+    for i, r in enumerate(ratios):
+        if (not isinstance(r, dict) or not isinstance(r.get("num"), str)
+                or not isinstance(r.get("den"), str)
+                or not isinstance(r.get("max"), (int, float))):
+            raise BenchDataError(
+                f"baseline {path}: ratio #{i} needs string \"num\" and "
+                f"\"den\" and a numeric \"max\"")
+    return baseline, ratios
 
 
 def main():
@@ -134,18 +156,31 @@ def main():
         return 1
 
     if args.update:
+        ratios = []
+        if os.path.exists(args.baseline):
+            try:
+                _, ratios = load_baseline(args.baseline)
+            except BenchDataError as e:
+                print(f"bench_compare: {e}", file=sys.stderr)
+                return 2
+        ratio_gated = {r["num"] for r in ratios}
+        entries = {k: round(v, 1) for k, v in sorted(measured.items())
+                   if k not in ratio_gated}
+        doc = {"_comment": "real_time ns (iterations) / p99 (histograms); "
+                           "ratios: same-run num/den <= max; see "
+                           "tools/bench_compare.py",
+               "benchmarks": entries}
+        if ratios:
+            doc["ratios"] = ratios
         with open(args.baseline, "w") as f:
-            json.dump({"_comment": "real_time ns (iterations) / p99 "
-                                   "(histograms); see tools/bench_compare.py",
-                       "benchmarks": {k: round(v, 1)
-                                      for k, v in sorted(measured.items())}},
-                      f, indent=2)
+            json.dump(doc, f, indent=2)
             f.write("\n")
-        print(f"bench_compare: wrote {len(measured)} entries to {args.baseline}")
+        print(f"bench_compare: wrote {len(entries)} entries to "
+              f"{args.baseline}")
         return 0
 
     try:
-        baseline = load_baseline(args.baseline)
+        baseline, ratios = load_baseline(args.baseline)
     except BenchDataError as e:
         print(f"bench_compare: {e}", file=sys.stderr)
         return 2
@@ -162,12 +197,25 @@ def main():
               f"{base_ns:.1f} ({ratio:.2f}x)")
         if ratio > args.threshold:
             failures.append(name)
-    for name in sorted(set(measured) - set(baseline)):
+    for r in ratios:
+        label = f"{r['num']} / {r['den']}"
+        if r["num"] not in measured or r["den"] not in measured:
+            print(f"  [absent ] {label} (ratio operands not measured)")
+            continue
+        den = measured[r["den"]]
+        got = measured[r["num"]] / den if den > 0 else float("inf")
+        status = "ok" if got <= r["max"] else "REGRESS"
+        print(f"  [{status:7s}] {label}: {got:.2f} vs max {r['max']:.2f}")
+        if got > r["max"]:
+            failures.append(label)
+    ratio_gated = {r["num"] for r in ratios}
+    for name in sorted(set(measured) - set(baseline) - ratio_gated):
         print(f"  [new    ] {name}: {measured[name]:.1f} (not in baseline)")
 
     if failures:
         print(f"bench_compare: {len(failures)} regression(s) beyond "
-              f"{args.threshold}x: {', '.join(failures)}", file=sys.stderr)
+              f"{args.threshold}x or a ratio bound: {', '.join(failures)}",
+              file=sys.stderr)
         return 1
     print("bench_compare: all benchmarks within threshold")
     return 0

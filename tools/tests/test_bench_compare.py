@@ -148,6 +148,63 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("absent", proc.stdout)
 
+    @staticmethod
+    def two_bench_json(a=20.0, b=4.0, reps=1):
+        return {"benchmarks": [
+            {"name": name, "real_time": t * (1 + i), "time_unit": "ns",
+             "run_type": "iteration"}
+            for name, t in (("num", a), ("den", b)) for i in range(reps)]}
+
+    def test_ratio_within_bound_passes_and_beyond_fails(self):
+        results = self.path("r.json", self.two_bench_json())
+        ok = self.path("b.json", {"benchmarks": {}, "ratios": [
+            {"num": "num", "den": "den", "max": 6.0}]})
+        proc = self.run_tool(results, "--baseline", ok)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("num / den: 5.00", proc.stdout)
+        tight = self.path("b2.json", {"benchmarks": {}, "ratios": [
+            {"num": "num", "den": "den", "max": 4.0}]})
+        proc = self.run_tool(results, "--baseline", tight)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("num / den", proc.stderr)
+
+    def test_ratio_reads_fastest_repetitions(self):
+        # Repetitions 20/40/60 over 4/8/12: the gate reads 20 / 4.
+        results = self.path("r.json",
+                            self.two_bench_json(reps=3))
+        base = self.path("b.json", {"benchmarks": {"num": 20.0}, "ratios": [
+            {"num": "num", "den": "den", "max": 5.0}]})
+        proc = self.run_tool(results, "--baseline", base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("num: 20.0 vs baseline", proc.stdout)
+
+    def test_ratio_with_unmeasured_operand_is_reported_not_fatal(self):
+        results = self.path("r.json", bench_json())
+        base = self.path("b.json", {"benchmarks": {}, "ratios": [
+            {"num": "rvk_bench", "den": "gone", "max": 1.0}]})
+        proc = self.run_tool(results, "--baseline", base)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("ratio operands not measured", proc.stdout)
+
+    def test_malformed_ratio_is_a_clean_error(self):
+        results = self.path("r.json", bench_json())
+        base = self.path("b.json", {"benchmarks": {}, "ratios": [
+            {"num": "rvk_bench", "max": 1.0}]})
+        proc = self.run_tool(results, "--baseline", base)
+        self.assert_clean_error(proc, "ratio #0", "b.json")
+
+    def test_update_keeps_ratios_and_drops_ratio_gated_entries(self):
+        results = self.path("r.json", self.two_bench_json())
+        ratios = [{"num": "num", "den": "den", "max": 6.0}]
+        base = self.path("b.json", {"benchmarks": {"num": 1.0},
+                                    "ratios": ratios})
+        proc = self.run_tool(results, "--baseline", base, "--update")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        with open(base) as f:
+            data = json.load(f)
+        self.assertEqual(data["ratios"], ratios)
+        self.assertEqual(data["benchmarks"], {"den": 4.0})
+
 
 if __name__ == "__main__":
     unittest.main(verbosity=2)
