@@ -10,6 +10,12 @@
 // spawning, and the remote requester park/wake protocol, not just
 // embarrassingly parallel section execution.
 //
+// The hop itself is reported as the remote round trip in home ticks: how
+// far the requester's own shard clock advanced (other threads running
+// there) between shipping a section and resuming, p50 and p99 over every
+// shipped section.  A parked requester costs its shard no ticks, so the
+// round trip is time spent queued behind other threads, on either shard.
+//
 // The scaling metric is the *virtual-tick span*: each shard's clock ticks
 // once per yield point it executes, so span(N) = max over shards of the
 // shard's final clock reading, and speedup(N) = span(1) / span(N).  With a
@@ -84,6 +90,7 @@ struct ShardCtx {
   std::unique_ptr<heap::Heap> heap;
   std::vector<heap::HeapObject*> accounts;
   Histogram latency;  // section duration, virtual ticks of the serving shard
+  Histogram remote_rtt;  // shipped sections' round trips, home shard ticks
   std::uint64_t span_ticks = 0;
   std::uint64_t sections_done = 0;
 };
@@ -93,6 +100,7 @@ struct Outcome {
   std::uint64_t total_ticks = 0; // sum over shards (work conservation)
   double wall_s = 0.0;
   Histogram latency;             // merged over shards
+  Histogram remote_rtt;          // merged over shards
 };
 
 // One synchronized section on `shard`'s engine: `ops` increments of a
@@ -156,12 +164,16 @@ Outcome run(std::size_t nshards, std::uint64_t seed) {
                       // priority.
                       const auto target = static_cast<std::uint16_t>(
                           (shard_id + 1) % nshards);
+                      ShardCtx& mine = shards[shard_id];
+                      rt::Scheduler& home = mine.engine->scheduler();
+                      const std::uint64_t sent = home.now();
                       set.remote_call(
                           target, tier.priority, tier.name, [&, pick, target] {
                             ShardCtx& peer = shards[target];
                             run_section(peer, peer.engine->scheduler(), tier,
                                         pick);
                           });
+                      mine.remote_rtt.record(home.now() - sent);
                     } else {
                       ShardCtx& mine = shards[shard_id];
                       run_section(mine, mine.engine->scheduler(), tier, pick);
@@ -190,6 +202,7 @@ Outcome run(std::size_t nshards, std::uint64_t seed) {
     o.total_ticks += s.span_ticks;
     sections += s.sections_done;
     o.latency.merge(s.latency);
+    o.remote_rtt.merge(s.remote_rtt);
   }
   const std::uint64_t expected =
       kGoldSections + kSilverSections + kBronzeSections;
@@ -239,6 +252,15 @@ int main() {
                           static_cast<double>(outcomes[2].span_ticks);
   std::printf("\nvirtual-tick speedup: 2 shards %.2fx, 4 shards %.2fx\n",
               speedup2, speedup4);
+  std::printf("remote round trip, home ticks:");
+  for (std::size_t i = 1; i < shard_counts.size(); ++i) {
+    const Histogram& rtt = outcomes[i].remote_rtt;
+    std::printf("%s %zu shards p50 %llu p99 %llu", i > 1 ? ";" : "",
+                shard_counts[i],
+                static_cast<unsigned long long>(rtt.percentile(0.50)),
+                static_cast<unsigned long long>(rtt.percentile(0.99)));
+  }
+  std::printf("\n");
 
   {
     std::ofstream os(json_path);
@@ -258,6 +280,13 @@ int main() {
       os << "    {\"name\": \"" << p
          << "p99_ticks\", \"run_type\": \"counter\", \"value\": "
          << o.latency.percentile(0.99) << "},\n";
+      if (o.remote_rtt.count() == 0) continue;  // one shard ships nothing
+      os << "    {\"name\": \"" << p
+         << "remote_rtt_ticks_p50\", \"run_type\": \"counter\", \"value\": "
+         << o.remote_rtt.percentile(0.50) << "},\n";
+      os << "    {\"name\": \"" << p
+         << "remote_rtt_ticks_p99\", \"run_type\": \"counter\", \"value\": "
+         << o.remote_rtt.percentile(0.99) << "},\n";
     }
     // The CI gate: real_time = 1700 / speedup2 vs a baseline of 500 at the
     // 2x bench_compare threshold fails exactly when speedup2 < 1.7.
@@ -273,10 +302,15 @@ int main() {
       "halves again to 4 (each shard owns 1/N of the fixed section mix;\n"
       "cross-shard sections move work, not duplicate it), so tick speedup\n"
       "sits near N (slightly above: fewer workers per shard means fewer\n"
-      "contended-monitor re-yields) — the gated 1.7x floor at 2 shards is\n"
-      "the budget for mailbox delivery and helper servicing.  Spans vary\n"
-      "by a few ticks run-to-run under kOsThreads (message arrival order\n"
-      "is OS timing), which the gate margin absorbs.  p99 section ticks\n"
+      "contended-monitor re-yields).  A parked requester costs its shard\n"
+      "no ticks, so the gated 1.7x floor at 2 shards is not a budget for\n"
+      "mailbox delivery: it is a margin for the shards' spans diverging,\n"
+      "since message arrival order is OS timing and spans vary by a few\n"
+      "ticks run-to-run.  The hop shows in the remote round trip instead:\n"
+      "a shipped section's helper and its woken requester each run at\n"
+      "their shard's next dispatch, so p50 is about a hundred home ticks\n"
+      "(the shards' running threads reaching that dispatch); p99 is the\n"
+      "wake of a parked peer and swings with OS timing.  p99 section ticks\n"
       "SHRINK with shard count: a section's tick span counts every yield\n"
       "its shard interleaves, and each shard hosts fewer unrelated-tier\n"
       "workers as N grows.  Wall time does not scale on a single-core\n"

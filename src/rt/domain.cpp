@@ -64,13 +64,16 @@ void Domain::post(const Message& m) {
   inbound_work_.fetch_add(1, std::memory_order_acq_rel);
   Mailbox& ring = inbox_[m.from];
   if (!ring.try_push(m)) [[unlikely]] {
-    // Ring momentarily full.  The sender must be a vthread: yielding lets
-    // its shard's drain/service keep running (and, under kOsThreads, the
-    // receiver drains independently), so space always opens up.
+    // Ring momentarily full.  The sender must be a vthread: it yields, and
+    // its scheduler returns to the set loop, so the receiver gets to drain
+    // (under kCooperative on this very OS thread; under kOsThreads it
+    // drains independently) and its own shard keeps draining too.  Space
+    // always opens up.
     Scheduler* s = current_scheduler();
     RVK_CHECK_MSG(s != nullptr && s->current_thread() != nullptr,
                   "mailbox full and the sender cannot yield (not a vthread)");
     do {
+      s->request_return();
       s->yield_now();
     } while (!ring.try_push(m));
   }
@@ -103,9 +106,11 @@ void Domain::handle_message(const Message& m) {
   // failed/error) were published by the ring's release/acquire pair.
   // `done` is only ever written here — on the requester's own shard — so
   // the requester's re-check after wakeup is single-shard code.
+  // The requester gets the processor at the next dispatch (hand-off).
   RemoteCall* call = m.call;
   call->done = true;
-  sched_->wake_specific(remote_waiters_, call->requester);
+  sched_->wake_specific(remote_waiters_, call->requester,
+                        Scheduler::Placement::kHandOff);
   finish_inbound();
 }
 
@@ -113,9 +118,12 @@ void Domain::service_pending() {
   const std::size_t n = pending_n_;
   pending_n_ = 0;
   for (std::size_t i = 0; i < n; ++i) {
+    // Hand-off: the helper runs at the next dispatch, ahead of the shard's
+    // runnable threads, as the section would have run inline on one shard.
     RemoteCall* call = pending_[i].call;
     sched_->spawn(call->name, call->priority,
-                  [this, call] { run_remote_section(call); });
+                  [this, call] { run_remote_section(call); },
+                  Scheduler::Placement::kHandOff);
     // inbound_work_ stays raised until the helper completes: the shard is
     // not idle while the shipped body still has to run.
   }

@@ -177,7 +177,7 @@ Scheduler::~Scheduler() {
 }
 
 VThread* Scheduler::spawn(std::string name, int priority,
-                          std::function<void()> body) {
+                          std::function<void()> body, Placement where) {
   // A recycled block (DESIGN.md §15) when the free list holds one: no
   // allocation and no zero-fill, only start()'s field stores.
   std::unique_ptr<VThread> block = free_n_ != 0
@@ -201,7 +201,7 @@ VThread* Scheduler::spawn(std::string name, int priority,
 #endif
   t->live_slot_ = live_.size();
   live_.push_back(LiveThread{t->id(), std::move(block)});
-  ready_.push(t);
+  enqueue(t, where);
   ++live_count_;
   obs::on_spawn(t);
   return t;
@@ -413,11 +413,19 @@ bool Scheduler::block_current_on_for(WaitQueue& q, std::uint64_t ticks) {
   return !t->timed_out;
 }
 
-void Scheduler::make_runnable(VThread* t) {
+void Scheduler::make_runnable(VThread* t, Placement where) {
   t->blocked_on_ = nullptr;
   ++t->timer_gen_;  // disarm any pending sleep/timeout deadline
   t->state_ = ThreadState::kRunnable;
-  ready_.push(t);
+  enqueue(t, where);
+}
+
+void Scheduler::enqueue(VThread* t, Placement where) {
+  if (where == Placement::kHandOff) {
+    ready_.push_handoff(t);
+  } else {
+    ready_.push(t);
+  }
 }
 
 VThread* Scheduler::wake_best(WaitQueue& q) {
@@ -430,9 +438,9 @@ void Scheduler::wake_all(WaitQueue& q) {
   while (VThread* t = q.pop_best()) make_runnable(t);
 }
 
-bool Scheduler::wake_specific(WaitQueue& q, VThread* t) {
+bool Scheduler::wake_specific(WaitQueue& q, VThread* t, Placement where) {
   if (!q.remove(t)) return false;
-  make_runnable(t);
+  make_runnable(t, where);
   return true;
 }
 
@@ -557,6 +565,10 @@ void Scheduler::run() {
     if (background_hook_ && cfg_.background_period != 0 &&
         dispatches_ % cfg_.background_period == 0) {
       background_hook_();
+    }
+    if (return_requested_) [[unlikely]] {
+      return_requested_ = false;
+      break;
     }
   }
 

@@ -88,6 +88,14 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
+  // Where a thread that becomes runnable joins the ready queue.
+  enum class Placement : std::uint8_t {
+    kTail,     // behind its bucket's runnable threads (round-robin)
+    kHandOff,  // ahead of them: a cross-shard message readied it, and it
+               // runs at the next dispatch (WaitQueue::push_handoff,
+               // DESIGN.md §16)
+  };
+
   // ---- Setup ----
 
   // Creates a thread; it becomes runnable immediately.  Callable before
@@ -95,11 +103,18 @@ class Scheduler {
   // the thread lives; once it finishes the block may host a later thread
   // (see VThread), so keep id() for anything after that.
   RVK_MAY_ALLOC VThread* spawn(std::string name, int priority,
-                               std::function<void()> body);
+                               std::function<void()> body,
+                               Placement where = Placement::kTail);
 
-  // Runs until every thread finished, or until a stall (see OnStall).
-  // Callable again after it returns if new threads were spawned.
+  // Runs until every thread finished, or until a stall (see OnStall), or
+  // until the dispatch after a request_return().  Callable again after it
+  // returns.
   void run();
+
+  // Makes run() return once the current dispatch ends, with threads still
+  // runnable.  A green thread that waits on another shard calls this
+  // before it yields, so a cooperative set's loop gets to run that shard.
+  RVK_NO_YIELD void request_return() { return_requested_ = true; }
 
   bool stalled() const { return stalled_; }
 
@@ -168,7 +183,8 @@ class Scheduler {
 
   // Marks a thread the caller popped off a WaitQueue as runnable again.
   // NO_YIELD: monitor handoff calls this inside its forbidden region.
-  RVK_NO_YIELD void make_runnable(VThread* t);
+  RVK_NO_YIELD void make_runnable(VThread* t,
+                                  Placement where = Placement::kTail);
 
   // Wakes the best-priority thread parked on `q`; returns it (nullptr if the
   // queue was empty).
@@ -178,7 +194,8 @@ class Scheduler {
   RVK_NO_YIELD void wake_all(WaitQueue& q);
 
   // Wakes `t` if it is parked on `q`; returns false if it was not there.
-  RVK_NO_YIELD bool wake_specific(WaitQueue& q, VThread* t);
+  RVK_NO_YIELD bool wake_specific(WaitQueue& q, VThread* t,
+                                  Placement where = Placement::kTail);
 
   // Asynchronous wakeup: if `t` is blocked or sleeping, removes it from its
   // queue / the sleep set, sets t->interrupted, and makes it runnable.  Used
@@ -284,6 +301,8 @@ class Scheduler {
   static void forbidden_switch_point(VThread* t);
 
   VThread* pick_next();
+  // Links a runnable thread into the ready queue where `where` says.
+  RVK_NO_YIELD void enqueue(VThread* t, Placement where);
   // MAY_ALLOC: the obs recorder lazily registers a thread's ring at
   // dispatch (legal: scheduler context is never a forbidden region).
   RVK_MAY_YIELD RVK_MAY_ALLOC void dispatch(VThread* t);
@@ -356,6 +375,7 @@ class Scheduler {
   std::size_t live_count_ = 0;
   bool running_ = false;
   bool stalled_ = false;
+  bool return_requested_ = false;
   ThreadId next_id_ = 1;
 
   std::function<void(VThread*)> deliverer_;

@@ -25,6 +25,12 @@
 // every runnable thread shares one FIFO bucket (Order::kFifo), which keeps
 // the Jikes "priorities do not affect dispatch" semantics bit-exact while
 // still dispatching in O(1).
+//
+// A ready queue also takes hand-offs (push_handoff): threads readied by a
+// cross-shard message, which run ahead of their bucket's ordinary waiters
+// (DESIGN.md §16).  Hand-offs keep their arrival order among themselves,
+// and a waiter is passed by at most one group of them per ordinary thread
+// ahead of it, so hand-offs can delay a waiter but never starve it.
 #pragma once
 
 #include <bit>
@@ -51,13 +57,15 @@ static_assert(kQueueLevels <= 64, "occupancy bitmap is a single 64-bit word");
 // Intrusive queue linkage embedded in every VThread.  `queue` names the
 // WaitQueue the thread is currently linked into (nullptr when unqueued);
 // `seq` is the arrival stamp that implements FIFO-within-priority and
-// survives re-bucketing when a queued thread's priority is boosted.
+// survives re-bucketing when a queued thread's priority is boosted;
+// `handoff` marks a thread queued by push_handoff.
 struct QueueNode {
   VThread* next = nullptr;
   VThread* prev = nullptr;
   WaitQueue* queue = nullptr;
   std::uint64_t seq = 0;
   std::uint8_t bucket = 0;
+  bool handoff = false;
 };
 
 class WaitQueue {
@@ -75,8 +83,15 @@ class WaitQueue {
   // `t` must not currently be linked into any queue.
   void push(VThread* t);
 
+  // Inserts `t` ahead of its bucket's ordinary (push()ed) waiters, behind
+  // the hand-offs already there.  The first ordinary waiter is the bucket's
+  // gate.  Once a hand-off was popped past the gate, the bucket is sealed
+  // until the gate leaves, and hand-offs pushed meanwhile queue right
+  // behind the gate (in arrival order) and lead once it left.  O(1).
+  void push_handoff(VThread* t);
+
   // Removes and returns the best thread: highest priority, earliest arrival
-  // among equals.  Returns nullptr when empty.  O(1).
+  // among equals (hand-offs first).  Returns nullptr when empty.  O(1).
   VThread* pop_best();
 
   // Returns the best thread without removing it (nullptr when empty).  O(1).
@@ -113,6 +128,8 @@ class WaitQueue {
   struct List {
     VThread* head = nullptr;
     VThread* tail = nullptr;
+    VThread* handoff_tail = nullptr;   // last hand-off ahead of the gate
+    VThread* deferred_tail = nullptr;  // last hand-off behind the gate
   };
 
   // Index of the best non-empty bucket; queue must not be empty.
@@ -122,10 +139,18 @@ class WaitQueue {
   }
 
   int bucket_of(const VThread* t) const;
+  // The bucket's first ordinary waiter (nullptr when it has none).
+  static VThread* gate(const List& l);
+  // Links `t` into bucket `b` right after `at` (at the head when null).
+  void link_after(VThread* t, int b, VThread* at);
+  // Links hand-off `t` into bucket `b`: ahead of the gate, or behind it
+  // when the bucket is sealed.
+  void link_handoff(VThread* t, int b);
   void unlink(VThread* t);
 
   List lists_[kQueueLevels] = {};
   std::uint64_t occupied_ = 0;  // bit b set iff lists_[b] is non-empty
+  std::uint64_t sealed_ = 0;    // bit b set iff bucket b's gate was passed
   std::size_t size_ = 0;
   std::uint64_t next_seq_ = 0;
   Order order_;

@@ -461,6 +461,191 @@ TEST(DomainSetTest, OsThreadsShardsRecycleFromTheirOwnPools) {
   for (const void* b : own1) EXPECT_EQ(own0.count(b), 0u) << b;
 }
 
+TEST(DomainSetTest, CooperativeFullMailboxRingMakesProgress) {
+  // More callers than a ring holds ship a section from shard 0 to shard 1
+  // at once on one OS thread.  The callers past Mailbox::kCapacity wait for
+  // space in Domain::post; their shard must hand the thread back to the set
+  // loop so that shard 1 drains, or the run never ends.
+  constexpr int kCallers = static_cast<int>(Mailbox::kCapacity) + 44;
+  DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.sched.stack_size = 64 * 1024;
+  DomainSet set(cfg);
+  int completed = 0;          // shard 0 only
+  std::uint64_t account = 0;  // shard 1 only
+  set.run([&](Domain& d) {
+    if (d.id() != 0) return;
+    for (int i = 1; i <= kCallers; ++i) {
+      d.sched().spawn("caller", 5, [&, i] {
+        set.remote_call(1, 5, "deposit",
+                        [&, i] { account += static_cast<std::uint64_t>(i); });
+        ++completed;
+      });
+    }
+  });
+  EXPECT_FALSE(set.deadlocked());
+  EXPECT_EQ(completed, kCallers);
+  EXPECT_EQ(account,
+            static_cast<std::uint64_t>(kCallers) * (kCallers + 1) / 2);
+}
+
+// ---- Hand-off scheduling (DESIGN.md §16).  These drive a cooperative set
+// one shard at a time through with_domain, so each test decides which
+// threads are runnable when a message is drained.  A local thread stops its
+// shard's run() with request_return() after its first dispatch, leaving
+// every local runnable. ----
+
+// One shard's turn of the cooperative set loop: drain, then run.
+void take_turn(DomainSet& set, std::size_t shard) {
+  set.with_domain(shard, [](Domain& d) {
+    d.drain_and_service();
+    d.sched().run();
+  });
+}
+
+// Spawns `n` local threads that log "L<i>" at each dispatch, `rounds`
+// times; the last of them stops run() after the first round.
+void spawn_locals(Scheduler& s, int n, int rounds,
+                  std::vector<std::string>& log) {
+  for (int i = 0; i < n; ++i) {
+    s.spawn("local", 5, [&s, &log, i, n, rounds] {
+      for (int r = 0; r < rounds; ++r) {
+        log.push_back(std::string("L").append(std::to_string(i)));
+        if (r == 0 && i == n - 1) s.request_return();
+        s.yield_now();
+      }
+    });
+  }
+}
+
+TEST(DomainHandOffTest, HelperRunsBeforeRunnableLocals) {
+  constexpr int kLocals = 4;
+  DomainSet::Config cfg;
+  cfg.shards = 2;
+  DomainSet set(cfg);
+  std::vector<std::string> log1;  // shard 1's dispatch log
+  set.with_domain(1, [&](Domain& d) {
+    spawn_locals(d.sched(), kLocals, 2, log1);
+    d.sched().run();  // every local ran once and is runnable again
+  });
+  ASSERT_EQ(log1.size(), static_cast<std::size_t>(kLocals));
+  set.with_domain(0, [&](Domain& d) {
+    d.sched().spawn("requester", 5, [&] {
+      set.remote_call(1, 5, "ship", [&] { log1.push_back("helper"); });
+    });
+    d.sched().run();  // posts, then parks: the shard stalls
+  });
+  take_turn(set, 1);
+  // The helper's first run precedes every local's next dispatch.
+  ASSERT_EQ(log1.size(), static_cast<std::size_t>(2 * kLocals + 1));
+  EXPECT_EQ(log1[kLocals], "helper");
+  take_turn(set, 0);
+  EXPECT_EQ(set.domain(0).sched().live_count(), 0u);
+  EXPECT_EQ(set.domain(1).inbound_work(), 0u);
+}
+
+TEST(DomainHandOffTest, WokenRequesterResumesBeforeRunnableLocals) {
+  constexpr int kLocals = 4;
+  DomainSet::Config cfg;
+  cfg.shards = 2;
+  DomainSet set(cfg);
+  std::vector<std::string> log0;  // shard 0's dispatch log
+  set.with_domain(0, [&](Domain& d) {
+    d.sched().spawn("requester", 5, [&] {
+      set.remote_call(1, 5, "ship", [] {});
+      log0.push_back("requester");
+    });
+    spawn_locals(d.sched(), kLocals, 2, log0);
+    d.sched().run();  // the requester parks; every local ran once
+  });
+  ASSERT_EQ(log0.size(), static_cast<std::size_t>(kLocals));
+  take_turn(set, 1);  // the helper
+  take_turn(set, 0);
+  ASSERT_EQ(log0.size(), static_cast<std::size_t>(2 * kLocals + 1));
+  EXPECT_EQ(log0[kLocals], "requester");
+  EXPECT_EQ(set.domain(0).inbound_work(), 0u);
+}
+
+TEST(DomainHandOffTest, HandOffsOfOnePollKeepArrivalOrder) {
+  constexpr int kLocals = 2;
+  DomainSet::Config cfg;
+  cfg.shards = 2;
+  DomainSet set(cfg);
+  std::vector<std::string> log0;  // requesters resuming, shard 0
+  std::vector<std::string> log1;  // shard 1's dispatch log
+  set.with_domain(1, [&](Domain& d) {
+    spawn_locals(d.sched(), kLocals, 2, log1);
+    d.sched().run();
+  });
+  set.with_domain(0, [&](Domain& d) {
+    for (const char* name : {"A", "B"}) {
+      d.sched().spawn(name, 5, [&, name] {
+        set.remote_call(1, 5, "ship", [&, name] { log1.push_back(name); });
+        log0.push_back(name);
+      });
+    }
+    spawn_locals(d.sched(), kLocals, 2, log0);
+    d.sched().run();  // A posts, then B; both park; every local ran once
+  });
+  // Shard 1 drains both sections in one poll; shard 0 drains both replies
+  // in one poll.  Each pair runs in arrival order, ahead of the locals.
+  take_turn(set, 1);
+  const std::vector<std::string> want1 = {"L0", "L1", "A", "B", "L0", "L1"};
+  EXPECT_EQ(log1, want1);
+  take_turn(set, 0);
+  const std::vector<std::string> want0 = {"L0", "L1", "A", "B", "L0", "L1"};
+  EXPECT_EQ(log0, want0);
+}
+
+TEST(DomainHandOffTest, OsThreadsRemoteTrafficDoesNotStarveALocalSpinner) {
+  // Eight requesters on shard 0 ship sections to shard 1 back to back
+  // while a local thread there spins on yield_now().  Every helper is a
+  // hand-off, yet the spinner finishes, and between two of its dispatches
+  // shard 1's clock advances by at most (outstanding calls + 1) quanta:
+  // each helper runs ahead of it at most once per wait.
+  constexpr int kRequesters = 8;
+  constexpr int kQuantum = 10;
+  constexpr int kSpins = 4000;
+  DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = DomainSet::Mode::kOsThreads;
+  cfg.sched.quantum = kQuantum;
+  cfg.sched.stack_size = 64 * 1024;
+  DomainSet set(cfg);
+  std::atomic<bool> spinning{true};
+  std::uint64_t max_gap = 0;  // shard 1 only, read after join()
+  int calls = 0;              // shard 0 only, read after join()
+  set.start([&](Domain& d) {
+    Scheduler& s = d.sched();
+    if (d.id() == 1) {
+      s.spawn("spinner", 5, [&] {
+        for (int i = 0; i < kSpins; ++i) {
+          const std::uint64_t before = s.now();
+          s.yield_now();
+          max_gap = std::max(max_gap, s.now() - before);
+        }
+        spinning.store(false);
+      });
+      return;
+    }
+    for (int r = 0; r < kRequesters; ++r) {
+      s.spawn("requester", 5, [&] {
+        while (spinning.load()) {
+          set.remote_call(1, 5, "ship", [] {
+            Scheduler* owner = current_scheduler();
+            for (int k = 0; k < kQuantum - 1; ++k) owner->yield_point();
+          });
+          ++calls;
+        }
+      });
+    }
+  });
+  set.join();  // join() gives the happens-before for reading the results
+  EXPECT_FALSE(set.deadlocked());
+  EXPECT_GT(calls, 0);
+  EXPECT_LE(max_gap, static_cast<std::uint64_t>((kRequesters + 1) * kQuantum));
+}
+
 TEST(DomainSetTest, OsThreadsSurfacesShardFailureAtJoin) {
   DomainSet::Config cfg;
   cfg.shards = 2;

@@ -163,6 +163,89 @@ TEST_F(WaitQueueTest, FifoPreservedAcrossInterleavedPriorities) {
   EXPECT_EQ(q.pop_best(), lo2);
 }
 
+// ---- Hand-offs (push_handoff): ahead of ordinary waiters, FIFO among
+// themselves, and at most one group past each gate ----
+
+TEST_F(WaitQueueTest, HandOffsLeadOrdinaryWaitersInArrivalOrder) {
+  WaitQueue q(WaitQueue::Order::kFifo);
+  VThread* o1 = make_thread(5);
+  VThread* o2 = make_thread(5);
+  VThread* h1 = make_thread(5);
+  VThread* h2 = make_thread(5);
+  q.push(o1);
+  q.push(o2);
+  q.push_handoff(h1);
+  q.push_handoff(h2);
+  EXPECT_EQ(q.pop_best(), h1);
+  EXPECT_EQ(q.pop_best(), h2);
+  EXPECT_EQ(q.pop_best(), o1);
+  EXPECT_EQ(q.pop_best(), o2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST_F(WaitQueueTest, HandOffAfterTheGateWasPassedQueuesBehindIt) {
+  WaitQueue q(WaitQueue::Order::kFifo);
+  VThread* gate = make_thread(5);
+  VThread* o2 = make_thread(5);
+  VThread* h1 = make_thread(5);
+  VThread* h2 = make_thread(5);
+  VThread* h3 = make_thread(5);
+  VThread* h4 = make_thread(5);
+  q.push(gate);
+  q.push(o2);
+  q.push_handoff(h1);
+  EXPECT_EQ(q.pop_best(), h1);  // passes the gate: the bucket is sealed
+  q.push_handoff(h2);
+  q.push_handoff(h3);
+  // The gate runs before the later hand-offs, and they run before o2.
+  EXPECT_EQ(q.pop_best(), gate);
+  q.push_handoff(h4);  // the new gate (o2) was not passed yet
+  EXPECT_EQ(q.pop_best(), h2);
+  EXPECT_EQ(q.pop_best(), h3);
+  EXPECT_EQ(q.pop_best(), h4);
+  EXPECT_EQ(q.pop_best(), o2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST_F(WaitQueueTest, RemovingTheGateLetsDeferredHandOffsLead) {
+  WaitQueue q(WaitQueue::Order::kFifo);
+  VThread* gate = make_thread(5);
+  VThread* o2 = make_thread(5);
+  VThread* h1 = make_thread(5);
+  VThread* h2 = make_thread(5);
+  VThread* h3 = make_thread(5);
+  q.push(gate);
+  q.push(o2);
+  q.push_handoff(h1);
+  q.push_handoff(h2);
+  EXPECT_EQ(q.pop_best(), h1);
+  q.push_handoff(h3);  // sealed: behind the gate
+  EXPECT_TRUE(q.remove(gate));
+  EXPECT_EQ(q.pop_best(), h2);
+  EXPECT_EQ(q.pop_best(), h3);
+  EXPECT_EQ(q.pop_best(), o2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST_F(WaitQueueTest, HandOffsKeepTheirPlaceAcrossRebucketing) {
+  WaitQueue q;
+  VThread* o9 = make_thread(9);
+  VThread* o5 = make_thread(5);
+  VThread* h5 = make_thread(5);
+  VThread* h9 = make_thread(9);
+  q.push(o9);
+  q.push(o5);
+  q.push_handoff(h5);
+  q.push_handoff(h9);
+  o5->set_priority(9);  // ordinary: re-enters behind level 9's hand-offs
+  h5->set_priority(9);  // hand-off: joins the end of level 9's hand-offs
+  EXPECT_EQ(q.pop_best(), h9);
+  EXPECT_EQ(q.pop_best(), h5);
+  EXPECT_EQ(q.pop_best(), o9);
+  EXPECT_EQ(q.pop_best(), o5);
+  EXPECT_TRUE(q.empty());
+}
+
 // ---- Monitor wakeup order rides on the same structure: regression that
 // contended acquisition still hands off by priority, FIFO within a level
 // (§4: "When a thread releases a monitor, another thread is scheduled from
