@@ -29,11 +29,11 @@ int g_install_count = 0;
 std::mutex g_install_mu;
 std::mutex g_dispatch_mu;
 
-void access_trampoline(const heap::TraceAccess& a) {
+void dispatch_access(const heap::TraceAccess& a) {
   std::lock_guard<std::mutex> lk(g_dispatch_mu);
   g_analyzer->on_access(a);
 }
-void switch_trampoline(rt::VThread* t, const char* where) {
+void dispatch_switch(rt::VThread* t, const char* where) {
   std::lock_guard<std::mutex> lk(g_dispatch_mu);
   g_analyzer->on_forbidden_switch(t, where);
 }
@@ -74,8 +74,8 @@ Analyzer* Analyzer::install() {
     RVK_CHECK_MSG(g_analyzer == nullptr,
                   "revocation-safety analyzer already installed");
     g_analyzer.reset(new Analyzer());
-    heap::set_analysis_hook(&access_trampoline);
-    rt::set_switch_probe(&switch_trampoline);
+    heap::set_analysis_hook(&dispatch_access);
+    rt::set_switch_probe(&dispatch_switch);
     rt::set_region_marking(true);
   }
   return g_analyzer.get();

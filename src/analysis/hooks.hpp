@@ -74,7 +74,7 @@ class Analyzer final : public core::EngineObserver {
   const LocksetTable& lockset() const { return lockset_; }
   void print(std::ostream& os) const;
 
-  // Hook bodies (public so the trampolines and tests can drive them
+  // Hook bodies (public so the dispatchers and tests can drive them
   // directly; synthetic EngineEvents are how pin-closure breaches are
   // unit-tested without corrupting a live engine).  on_engine_event takes
   // the dispatch lock itself: every shard's engine publishes into it.

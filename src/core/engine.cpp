@@ -10,37 +10,6 @@
 
 namespace rvk::core {
 
-namespace {
-// The classic (unsharded) engine slot: one engine per OS thread.  Under
-// sharding the entered domain's engine_ctx takes precedence — see
-// Engine::active().  Thread-local rather than a plain global so kOsThreads
-// shards never alias each other's slot even if one runs unsharded code.
-thread_local Engine* t_active_engine = nullptr;
-
-// The process-global barrier hooks (heap barriers, rt lazy-frame hook) are
-// a shared install: every co-active engine routes through the same static
-// trampolines, which resolve the acting engine per shard via
-// Engine::active().  First engine in installs and snapshots the config
-// facet that programs global *flags*; later engines are checked against the
-// snapshot (divergent barrier config across shards cannot work — the flags
-// are process-wide); last engine out uninstalls.  The mutex orders
-// concurrent setup/teardown of kOsThreads shards and provides the
-// happens-before for the plain hook globals it guards.
-struct GlobalHooks {
-  std::mutex mu;
-  int count = 0;
-  bool jmm_guard = false;
-};
-GlobalHooks g_hooks;
-}  // namespace
-
-Engine* Engine::active() {
-  if (rt::Domain* d = rt::current_domain()) {
-    if (void* e = d->engine_ctx()) return static_cast<Engine*>(e);
-  }
-  return t_active_engine;
-}
-
 inline bool Engine::observed() const {
   return !observers_.empty() || obs::recording();
 }
@@ -49,18 +18,13 @@ inline bool Engine::observed() const {
 // Construction / teardown
 
 Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
-    : sched_(sched), cfg_(cfg) {
+    : rt::EngineLink(cfg.jmm_guard), sched_(sched), cfg_(cfg) {
   // Bind to the shard current on this thread (DomainSet setup runs with its
-  // domain entered), or fall back to the classic one-per-thread slot.
+  // domain entered); unsharded, the engine is its OS thread's one engine.
   if (rt::Domain* d = rt::current_domain()) {
     RVK_CHECK_MSG(&sched_ == &d->sched(),
                   "a shard's engine must drive that shard's scheduler");
-    RVK_CHECK_MSG(d->engine_ctx() == nullptr,
-                  "this shard already has an engine");
     domain_ = d;
-  } else {
-    RVK_CHECK_MSG(t_active_engine == nullptr,
-                  "another Engine is already active");
   }
 
   // RVK_BIAS=0 is the escape hatch reproducing pre-bias behaviour (figures
@@ -89,36 +53,14 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
         std::make_unique<RevocableMonitor>(std::move(name), *this));
   };
 
-  sched_.set_revocation_deliverer([this](rt::VThread* t) { deliver(t); });
-  sched_.set_stall_hook([this]() { return on_stall(); });
-  if (cfg_.detection == DetectionMode::kBackground ||
-      cfg_.detection == DetectionMode::kBoth) {
-    sched_.set_background_hook([this]() { background_sweep(); });
-    sched_.set_background_period(cfg_.background_period);
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(g_hooks.mu);
-    if (g_hooks.count == 0) {
-      g_hooks.jmm_guard = cfg_.jmm_guard;
-      rt::set_lazy_frame_hook(&Engine::lazy_frame_trampoline);
-      heap::set_dependency_tracking(cfg_.jmm_guard);
-      heap::set_alloc_hook(&Engine::alloc_trampoline);
-      if (cfg_.jmm_guard) {
-        heap::set_tracked_read_hook(&Engine::tracked_read_trampoline);
-      }
-    } else {
-      RVK_CHECK_MSG(g_hooks.jmm_guard == cfg_.jmm_guard,
-                    "co-active engines must agree on barrier-programming "
-                    "config (jmm_guard)");
-    }
-    ++g_hooks.count;
-  }
+  // Every call rt/ and heap/ make into the engine goes through this link
+  // (rt/engine_link.hpp); it is this scheduler's alone, so shards may
+  // differ in configuration, jmm_guard included.
+  sched_.attach_engine(this);
 
   // Revocation-safety analyzer: per-config or process-wide via RVK_ANALYZE.
-  // The engine owns the install/uninstall pairing, mirroring its other
-  // process-global hooks (shared install under sharding, like the barriers),
-  // and subscribes the shared instance to its own event stream.
+  // The engine owns the install/uninstall pairing (a shared install under
+  // sharding) and subscribes the shared instance to its own event stream.
   if (cfg_.analyze || analysis::env_enabled()) {
     analyzer_ = analysis::Analyzer::install();
     subscribe(analyzer_);
@@ -135,12 +77,6 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
     obs::Recorder::install();
     observing_ = true;
   }
-
-  if (domain_ != nullptr) {
-    domain_->set_engine_ctx(this);
-  } else {
-    t_active_engine = this;
-  }
 }
 
 Engine::~Engine() {
@@ -155,32 +91,17 @@ Engine::~Engine() {
     analysis::Analyzer::uninstall();
   }
   // Unregister the live threads: a later engine must re-register each one
-  // (sync_of), so none keeps this engine's frames or write-filter tags.
-  // Finished threads' blocks re-register anyway when they are reused.
+  // (sync_of), so none keeps this engine's frames, write-filter tags or
+  // write-marking flag.  Finished threads' blocks re-register anyway when
+  // they are reused.
   for (rt::VThread* t : sched_.threads()) {
     if (auto* ts = static_cast<ThreadSync*>(t->engine_state.get())) {
       ts->tid = 0;
     }
     t->lazy_frame = false;
+    t->marks_writes = false;
   }
-  {
-    std::lock_guard<std::mutex> lk(g_hooks.mu);
-    if (--g_hooks.count == 0) {
-      rt::set_lazy_frame_hook(nullptr);
-      heap::set_alloc_hook(nullptr);
-      heap::set_tracked_read_hook(nullptr);
-      heap::set_dependency_tracking(false);
-    }
-  }
-  sched_.set_revocation_deliverer(nullptr);
-  sched_.set_stall_hook(nullptr);
-  sched_.set_background_hook(nullptr);
-  sched_.set_background_period(0);
-  if (domain_ != nullptr) {
-    domain_->set_engine_ctx(nullptr);
-  } else {
-    t_active_engine = nullptr;
-  }
+  sched_.detach_engine();
 }
 
 RevocableMonitor* Engine::make_monitor(std::string name) {
@@ -212,6 +133,7 @@ ThreadSync& Engine::register_thread(rt::VThread* t) {
   }
   auto* ts = static_cast<ThreadSync*>(t->engine_state.get());
   ts->reset(t->id());
+  adopt(t);
   // The write filter's tags are this engine's frame ids, which restart at 1
   // in every engine: a thread that outlived an earlier engine must not find
   // that engine's (word, id) pairs (log/write_filter.hpp).
@@ -238,14 +160,10 @@ const ThreadSync* Engine::find_sync(const rt::VThread* t) {
 // ---------------------------------------------------------------------------
 // Frame lifecycle
 
-// Lazy-frame hook body: rt calls this from yield points and blocking
-// primitives; engine paths that walk the current thread's frames call
-// materialize_lazy directly.
-void Engine::lazy_frame_trampoline(rt::VThread* t) {
-  if (Engine* e = Engine::active()) e->materialize_lazy(t);
-}
-
-void Engine::materialize_lazy(rt::VThread* t) {
+// rt calls this through the link from yield points, blocking primitives and
+// the write barrier; engine paths that walk the current thread's frames
+// call it directly.
+void Engine::materialize_lazy_frame(rt::VThread* t) {
   RVK_DCHECK(t->lazy_frame);
   t->lazy_frame = false;
   ThreadSync& ts = sync_of(t);
@@ -297,7 +215,7 @@ std::uint64_t Engine::push_frame(RevocableMonitor& m, rt::VThread* t,
 std::uint64_t Engine::enter_frame(
     RevocableMonitor& m, rt::VThread* t, int budget_used,
     const std::optional<std::uint64_t>& deadline) {
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);  // nested entry
+  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);  // nested entry
   t->interrupted = false;
   // Biased lazy fast path (DESIGN.md §11): eligible only when nothing can
   // observe a deferred frame — no subscriber (exploration, analyzer), no
@@ -413,7 +331,7 @@ void Engine::abort_frame(rt::VThread* t, std::uint64_t expected_frame) {
   // rvkcheck:allow(alloc): materialisation runs before the undo-then-release
   // sequence begins (nothing reverted or released yet); its pooled frame
   // push may grow the pool, which cannot switch under green threads.
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
+  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
   // Same atomicity contract as commit_frame: reverse replay and the
   // reserving release must complete without a switch point (§3.1.2).
   rt::ForbiddenRegionGuard region(t);
@@ -656,14 +574,14 @@ void Engine::on_wait_pin(rt::VThread* t) {
   // and a revocation after wait() returns could not re-deliver the consumed
   // notification.  Pin every active frame (§2.2; see DESIGN.md for the
   // nested/non-nested discussion).
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
+  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
   pin_frames_up_to(t, t->current_frame_id, PinReason::kWait);
 }
 
 void Engine::pin_current_frames(PinReason reason) {
   rt::VThread* t = sched_.current_thread();
   if (t == nullptr) return;
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
+  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
   pin_frames_up_to(t, t->current_frame_id, reason);
 }
 
@@ -733,9 +651,17 @@ bool Engine::detect_and_break_deadlock(rt::VThread* t, RevocableMonitor& m) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler-context hooks
+// Scheduler context
 
-void Engine::background_sweep() {
+void Engine::after_dispatch() {
+  // The background sweep (kBackground/kBoth), every background_period
+  // dispatches.
+  if ((cfg_.detection != DetectionMode::kBackground &&
+       cfg_.detection != DetectionMode::kBoth) ||
+      cfg_.background_period == 0 ||
+      sched_.dispatches() % cfg_.background_period != 0) {
+    return;
+  }
   for (RevocableMonitor* m : monitors_) {
     rt::VThread* owner = m->owner();
     if (owner == nullptr) continue;
@@ -767,9 +693,12 @@ bool Engine::on_stall() {
 
 void Engine::pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
                               PinReason reason) {
-  ThreadSync& ts = sync_of(t);
+  // A thread that never registered has no frames to pin.  The lookup never
+  // registers, which keeps the read barrier's escalation allocation-free.
+  auto* ts = static_cast<ThreadSync*>(t->engine_state.get());
+  if (ts == nullptr || ts->tid != t->id()) return;
   bool pinned = false;
-  for (Frame& f : ts.frames) {
+  for (Frame& f : ts->frames) {
     if (f.id > frame_id) break;  // entered after frame_id: unaffected
     if (!f.nonrevocable) {
       f.nonrevocable = true;
@@ -784,6 +713,8 @@ void Engine::pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
 }
 
 void Engine::on_tracked_read(heap::ObjectMeta& meta) {
+  // An unguarded engine leaves marks alone, as if it had never seen them.
+  if (!cfg_.jmm_guard) return;
   // Fast path first: in monitor-mediated workloads nearly every marked read
   // is a thread re-reading its own speculation, which needs no map lookup.
   rt::VThread* reader = sched_.current_thread();
@@ -810,20 +741,10 @@ void Engine::on_tracked_read(heap::ObjectMeta& meta) {
   pin_frames_up_to(writer, meta.writer_frame, PinReason::kDependency);
 }
 
-void Engine::tracked_read_trampoline(heap::ObjectMeta& meta,
-                                     const void* base) {
-  (void)base;
-  if (Engine* e = Engine::active()) e->on_tracked_read(meta);
-}
-
-void Engine::alloc_trampoline(heap::Heap* heap, heap::HeapObject* obj) {
-  if (Engine* e = Engine::active()) e->on_alloc(heap, obj);
-}
-
 void Engine::on_alloc(heap::Heap* heap, heap::HeapObject* obj) {
+  // Heap::alloc reports only allocations made inside a section.
   rt::VThread* t = sched_.current_thread();
-  if (t == nullptr || t->sync_depth == 0) return;  // not speculative
-  if (t->lazy_frame) [[unlikely]] materialize_lazy(t);
+  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
   ThreadSync& ts = sync_of(t);
   ts.frames.back().allocs.emplace_back(heap, obj);
 }

@@ -22,16 +22,16 @@
 //    frames are refused; requests that race with a pin are dropped at
 //    delivery.
 //
-// One Engine may be active per *shard* at a time: constructed with a
-// rt::Domain current (DomainSet setup runs there), the engine binds to that
-// shard — its scheduler, the object-monitor slots it inflates — and the
-// process-global barrier hooks become a refcounted shared install whose
-// trampolines resolve the acting engine per shard.  In the
-// classic unsharded runtime (no domain entered) this degenerates to the old
-// rule: one engine per OS thread, stored in a thread-local.  Either way,
-// construct the engine after its Scheduler and destroy it before, and keep
-// barrier-programming config (jmm_guard) identical across co-active
-// engines — the constructor enforces it.
+// One Engine per scheduler: the constructor attaches the engine to its
+// Scheduler as that scheduler's rt::EngineLink (rt/engine_link.hpp), the one
+// path by which rt/ and heap/ call up into it — revocation delivery, stall
+// and background work, lazy frames, tracked reads, allocations — and the
+// destructor detaches it.  Constructed with a rt::Domain current (DomainSet
+// setup runs there), the engine binds to that shard; shards may differ in
+// configuration, jmm_guard included.  In the classic unsharded runtime (no
+// domain entered) it is also its OS thread's one engine, which host-code
+// reads outside any green thread reach.  Either way, construct the engine
+// after its Scheduler and destroy it before.
 #pragma once
 
 #include <algorithm>
@@ -161,7 +161,7 @@ struct EngineStats {
   std::uint64_t entry_aborts = 0;
 };
 
-class Engine {
+class Engine final : public rt::EngineLink {
  public:
   Engine(rt::Scheduler& sched, EngineConfig cfg = {});
   ~Engine();
@@ -176,11 +176,6 @@ class Engine {
   // current on the constructing thread), or nullptr in the classic
   // unsharded runtime.
   rt::Domain* domain() const { return domain_; }
-
-  // The engine acting on this OS thread: the entered shard's engine when a
-  // domain is current, else the thread's classic engine slot.  nullptr when
-  // neither exists.  This is what the barrier trampolines resolve through.
-  static Engine* active();
 
   // Creates an engine-owned revocable monitor.
   RevocableMonitor* make_monitor(std::string name);
@@ -420,45 +415,43 @@ class Engine {
   RVK_NO_YIELD void abort_frame(rt::VThread* t, std::uint64_t expected_frame);
 
   // Turns the lazy registers in ThreadSync into a real, revocable Frame
-  // (DESIGN.md §11).  Installed as rt's lazy-frame hook; also called
-  // directly from every engine path that walks the current thread's frames.
-  void materialize_lazy(rt::VThread* t);
-  static void lazy_frame_trampoline(rt::VThread* t);
+  // (DESIGN.md §11).  rt/ and heap/ reach it through the link; every engine
+  // path that walks the current thread's frames calls it directly.
+  RVK_MAY_ALLOC void materialize_lazy_frame(rt::VThread* t) override;
   void after_rollback_backoff(rt::VThread* t, int retries,
                               bool deadlock_victim);
   void begin_boost(rt::VThread* victim, int boost_to);
   void end_boost(rt::VThread* t);
 
-  // Revocation delivery (installed as the scheduler's deliverer): validates
-  // the pending request against the thread's live frames and either throws
-  // RollbackException or drops the request.  MAY_YIELD: the throw unwinds
-  // into scheduler-visible state, which is exactly what a forbidden region
-  // must never do — the annotation is how rvkcheck sees through the
-  // `throw` (inference alone computes the empty set for it).
-  RVK_MAY_YIELD void deliver(rt::VThread* t);
+  // Revocation delivery (the scheduler calls it through the link):
+  // validates the pending request against the thread's live frames and
+  // either throws RollbackException or drops the request.  MAY_YIELD: the
+  // throw unwinds into scheduler-visible state, which is exactly what a
+  // forbidden region must never do — the annotation is how rvkcheck sees
+  // through the `throw` (inference alone computes the empty set for it).
+  RVK_MAY_YIELD void deliver(rt::VThread* t) override;
 
   // Deadlock detection: walks the waits-for chain assuming `t` blocks on
   // `m`; on a cycle, picks and revokes a victim.  Returns true if a cycle
   // was found and broken.  Throws if `t` itself is the victim.
   bool detect_and_break_deadlock(rt::VThread* t, RevocableMonitor& m);
 
-  // Background sweep: request revocation wherever a queued waiter outranks
-  // the deposited owner priority.  Runs in scheduler context.
-  void background_sweep();
+  // Background sweep, every background_period dispatches (kBackground and
+  // kBoth): request revocation wherever a queued waiter outranks the
+  // deposited owner priority.  Runs in scheduler context.
+  void after_dispatch() override;
 
-  // Stall hook: last-chance deadlock resolution when nothing is runnable.
-  bool on_stall();
+  // Last-chance deadlock resolution when nothing is runnable.
+  bool on_stall() override;
 
-  // JMM guard plumbing (static trampolines resolve via Engine::active()).
-  void on_tracked_read(heap::ObjectMeta& meta);
+  // JMM guard (§2.2): a marked read escalated by the read barrier.
+  RVK_NO_YIELD void on_tracked_read(heap::ObjectMeta& meta) override;
   // Pins every unpinned frame of `t` with id <= frame_id (§2.2 upward
   // closure), counting and publishing the pin.
-  void pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
-                        PinReason reason);
-  static void tracked_read_trampoline(heap::ObjectMeta& meta,
-                                      const void* base);
-  static void alloc_trampoline(heap::Heap* heap, heap::HeapObject* obj);
-  void on_alloc(heap::Heap* heap, heap::HeapObject* obj);
+  RVK_NO_YIELD void pin_frames_up_to(rt::VThread* t, std::uint64_t frame_id,
+                                     PinReason reason);
+  // Records a section's allocation in its frame, for rollback to reclaim.
+  void on_alloc(heap::Heap* heap, heap::HeapObject* obj) override;
 
   // sync_of's slow path: creates or resets the block's ThreadSync.
   RVK_MAY_ALLOC ThreadSync& register_thread(rt::VThread* t);

@@ -13,8 +13,10 @@
 // the paper's test (`sync_depth > 0` on the current green thread).  Read
 // barriers serve the JMM-consistency guard of §2.2: each object carries a
 // small writer mark (who last stored to it speculatively); a read that
-// observes a foreign mark escalates to the engine hook, which pins the
-// writer's enclosing monitors as non-revocable.
+// observes a foreign mark escalates to the engine through its link
+// (rt/engine_link.hpp), which pins the writer's enclosing monitors as
+// non-revocable.  Both barriers test only the running thread's own state;
+// nothing they consult is process-wide.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,8 @@ using Word = log::Word;
 // Writer-mark granularity is per object (not per slot): the paper does not
 // specify it, and per-object is the classic Jikes-style header-word choice.
 // A mark is *advisory*: it may be stale (the writing section already
-// committed or aborted), in which case the engine hook validates it against
-// the writer's section epoch and clears it.
+// committed or aborted), in which case the engine validates it against the
+// writer's section epoch and clears it.
 struct ObjectMeta {
   std::uint32_t writer_tid = 0;    // 0 = no speculative writer recorded
   std::uint32_t writer_epoch = 0;  // writer's section_epoch at store time
@@ -91,11 +93,6 @@ struct TraceAccess {
 };
 
 namespace detail {
-// Dependency tracking on/off (the jmm/ guard; engine-controlled, ablatable).
-extern bool g_track_dependencies;
-// Engine hook invoked when a read observes a (possibly stale) writer mark.
-// May clear the mark; must not block.
-extern void (*g_tracked_read_hook)(ObjectMeta& meta, const void* base);
 // Execution-trace hook (jmm/ recorder); nullptr outside tests.
 extern void (*g_trace_access)(const TraceAccess&);
 // Revocation-safety analyzer hook (analysis/); nullptr unless RVK_ANALYZE.
@@ -121,14 +118,6 @@ inline void trace_access(TraceAccess::Kind kind, const Word* addr,
   }
 }
 
-// Enables/disables writer-mark maintenance (set by the engine when the JMM
-// guard is toggled).
-void set_dependency_tracking(bool on);
-bool dependency_tracking();
-
-// Installs the engine hook (nullptr to uninstall).
-void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
-
 // The write barrier.  `addr` is the slot being stored to.  The fast path is the
 // paper's single test (§1.1), here one TLS load plus a null compare:
 // rt::section_vthread() caches "the running thread, iff it is inside a
@@ -136,7 +125,8 @@ void set_tracked_read_hook(void (*hook)(ObjectMeta&, const void*));
 // switches), so out-of-section stores touch no VThread state at all.  The
 // common in-section store is one predicted branch, one probe of the
 // thread's write filter (log/write_filter.hpp) and, on a miss, the log's
-// bump-pointer append.
+// bump-pointer append; the writer mark is stamped when the thread's own
+// marks_writes flag says its engine guards the JMM (§2.2).
 RVK_MAY_ALLOC inline void write_barrier(ObjectMeta& meta, Word* addr) {
   rt::VThread* t = rt::section_vthread();
   if (t == nullptr) [[likely]] {
@@ -144,11 +134,13 @@ RVK_MAY_ALLOC inline void write_barrier(ObjectMeta& meta, Word* addr) {
   }
   // First logged store of a biased section: give it a real frame before the
   // log grows past its watermark (DESIGN.md §11).
-  if (t->lazy_frame) [[unlikely]] rt::materialize_lazy_frame(t);
+  if (t->lazy_frame) [[unlikely]] {
+    t->scheduler()->engine_link()->materialize_lazy_frame(t);
+  }
   if (t->write_filter.first_store(addr, t->current_frame_id)) {
     t->undo_log.record(addr, *addr);
   }
-  if (detail::g_track_dependencies) {
+  if (t->marks_writes) {
     meta.writer_tid = t->id();
     meta.writer_epoch = t->section_epoch;
     meta.writer_frame = t->current_frame_id;
@@ -158,16 +150,17 @@ RVK_MAY_ALLOC inline void write_barrier(ObjectMeta& meta, Word* addr) {
 // The read barrier.  Fast path: one load and compare against zero.  A
 // marked object most often belongs to the *reading* thread's own live
 // section (it re-reads its own speculation), which is filtered inline
-// before escalating to the engine hook.
-inline void read_barrier(ObjectMeta& meta, const void* base) {
+// before escalating to the acting engine (rt::acting_engine_link: the
+// reader's shard, or for host code the OS thread's engine).
+inline void read_barrier(ObjectMeta& meta) {
   if (meta.writer_tid != 0) [[unlikely]] {
     rt::VThread* t = rt::current_vthread();
     if (t != nullptr && meta.writer_tid == t->id() &&
         meta.writer_epoch == t->section_epoch && t->sync_depth > 0) {
       return;  // own live speculation: no dependency, mark stays
     }
-    if (detail::g_tracked_read_hook != nullptr) {
-      detail::g_tracked_read_hook(meta, base);
+    if (rt::EngineLink* link = rt::acting_engine_link()) {
+      link->on_tracked_read(meta);
     }
   }
 }

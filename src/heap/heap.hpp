@@ -18,32 +18,26 @@
 
 namespace rvk::heap {
 
-class Heap;
-
-namespace detail {
-// Allocation hook (engine-installed): lets the runtime track objects
-// allocated inside synchronized sections, so a rollback can reclaim them —
-// the revoked section "never executed", and its allocations are
-// unreachable once its heap stores are undone (on the paper's platform the
-// garbage collector provides this for free).
-extern void (*g_alloc_hook)(Heap* heap, HeapObject* obj);
-}  // namespace detail
-
-// Installs the allocation hook (nullptr to uninstall).
-void set_alloc_hook(void (*hook)(Heap*, HeapObject*));
-
 class Heap {
  public:
   Heap() = default;
   Heap(const Heap&) = delete;
   Heap& operator=(const Heap&) = delete;
 
-  // Allocates an object with `slot_count` word fields.
+  // Allocates an object with `slot_count` word fields.  An allocation
+  // inside a synchronized section is reported to the thread's engine, so a
+  // rollback can reclaim it: the revoked section "never executed", and its
+  // allocations are unreachable once its heap stores are undone (on the
+  // paper's platform the garbage collector provides this for free).
   HeapObject* alloc(std::string name, std::size_t slot_count) {
     auto owned = std::make_unique<HeapObject>(std::move(name), slot_count);
     HeapObject* p = owned.get();
     objects_.emplace(p, std::move(owned));
-    if (detail::g_alloc_hook != nullptr) detail::g_alloc_hook(this, p);
+    if (rt::VThread* t = rt::section_vthread()) [[unlikely]] {
+      if (rt::EngineLink* link = t->scheduler()->engine_link()) {
+        link->on_alloc(this, p);
+      }
+    }
     return p;
   }
 

@@ -59,7 +59,7 @@ class HeapObject {
   // Field load (putfield's dual): read barrier + word load.
   Word get_word(std::size_t slot) {
     RVK_DCHECK(slot < slots_.size());
-    read_barrier(meta_, this);
+    read_barrier(meta_);
     Word v = slots_[slot];
     trace_access(TraceAccess::Kind::kRead, &slots_[slot], this,
                  static_cast<std::uint32_t>(slot), v, 0);
@@ -127,7 +127,7 @@ class HeapArray {
 
   T get(std::size_t index) {
     RVK_DCHECK(index < slots_.size());
-    read_barrier(meta_, this);
+    read_barrier(meta_);
     Word v = slots_[index];
     trace_access(TraceAccess::Kind::kRead, &slots_[index], this,
                  static_cast<std::uint32_t>(index), v, 0);

@@ -43,7 +43,7 @@ class StaticsTable {
   Word get_word(std::uint32_t offset) {
     RVK_DCHECK(offset < slots_.size());
     Slot& s = *slots_[offset];
-    read_barrier(s.meta, &s);
+    read_barrier(s.meta);
     trace_access(TraceAccess::Kind::kRead, &s.value, &s, offset, s.value, 0);
     return s.value;
   }

@@ -35,7 +35,7 @@ class VolatileVar {
   const std::string& name() const { return name_; }
 
   T load() {
-    read_barrier(meta_, this);
+    read_barrier(meta_);
     trace_access(TraceAccess::Kind::kVolatileRead, &value_, this, 0, value_, 0);
     return detail::from_word<T>(value_);
   }

@@ -48,10 +48,7 @@ Domain::Domain(DomainSet* set, std::uint16_t id, std::size_t senders,
   // The set's run loops own stall handling — a stalled shard may simply be
   // waiting for a message from a peer, which is not a process-fatal event.
   cfg.on_stall = SchedulerConfig::OnStall::kReturn;
-  sched_ = std::make_unique<Scheduler>(cfg);
-  // Drain point inside the dispatch loop: remote work keeps flowing even
-  // while local vthreads are runnable (liveness for remote requesters).
-  sched_->set_domain_poll([this] { drain_and_service(); });
+  sched_ = std::make_unique<Scheduler>(cfg, this);
 }
 
 Domain::~Domain() = default;

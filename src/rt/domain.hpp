@@ -71,14 +71,6 @@ class Domain {
   const Scheduler& sched() const { return *sched_; }
   DomainSet* set() const { return set_; }
 
-  // ---- Engine attachment (installed by core::Engine when constructed
-  // with this domain current; rt/ stays below core/ by holding the engine
-  // as an opaque context) ----
-
-  // The shard's engine, type-erased (core::Engine*); null when none.
-  void* engine_ctx() const { return engine_ctx_; }
-  void set_engine_ctx(void* e) { engine_ctx_ = e; }
-
   // ---- Cross-shard producer side (called from OTHER shards, or from the
   // set-owning thread before the shards run) ----
 
@@ -146,7 +138,6 @@ class Domain {
   DomainSet* set_;
   std::uint16_t id_;
   std::unique_ptr<Scheduler> sched_;
-  void* engine_ctx_ = nullptr;
   // inbox_[s]: messages from shard s, one ring per sender of the set.
   std::unique_ptr<Mailbox[]> inbox_;
   std::size_t senders_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/recorder.hpp"
+#include "rt/domain.hpp"
 
 // AddressSanitizer needs to be told about stack switches or its unwinding
 // machinery (e.g. __asan_handle_no_return during exception propagation on a
@@ -46,8 +47,13 @@ thread_local Scheduler* g_current_scheduler = nullptr;
 thread_local VThread* g_section_vthread = nullptr;
 bool g_region_marking = false;
 void (*g_switch_probe)(VThread*, const char*) = nullptr;
-void (*g_lazy_frame_hook)(VThread*) = nullptr;
 }  // namespace detail
+
+namespace {
+// The engine attached on this OS thread outside any shard: where a marked
+// read made by host code (no scheduler running, no shard entered) goes.
+thread_local EngineLink* t_host_link = nullptr;
+}  // namespace
 
 void set_region_marking(bool on) { detail::g_region_marking = on; }
 bool region_marking() { return detail::g_region_marking; }
@@ -62,14 +68,10 @@ void enter_section(VThread* t) { detail::g_section_vthread = t; }
 
 void exit_section() { detail::g_section_vthread = nullptr; }
 
-void set_lazy_frame_hook(void (*hook)(VThread*)) {
-  detail::g_lazy_frame_hook = hook;
-}
-
-void materialize_lazy_frame(VThread* t) {
-  RVK_DCHECK(t->lazy_frame);
-  if (detail::g_lazy_frame_hook != nullptr) detail::g_lazy_frame_hook(t);
-  RVK_DCHECK(!t->lazy_frame);
+EngineLink* acting_engine_link() {
+  if (Scheduler* s = detail::g_current_scheduler) return s->engine_link();
+  if (Domain* d = current_domain()) return d->sched().engine_link();
+  return t_host_link;
 }
 
 void Scheduler::forbidden_switch_point(VThread* t) {
@@ -104,6 +106,7 @@ void VThread::start(ThreadId id, std::string name, int priority,
   stats_ = ThreadStats{};
   sync_depth = 0;
   lazy_frame = false;
+  marks_writes = false;
   undo_log.reset_stats();
   revoke_requested = false;
   revoke_is_deadlock = false;
@@ -136,7 +139,7 @@ void VThread::entry() {
 
 namespace {
 // makecontext passes only ints; split the VThread pointer across two.
-void thread_trampoline(unsigned int hi, unsigned int lo) {
+void fiber_start(unsigned int hi, unsigned int lo) {
   auto ptr = (static_cast<std::uintptr_t>(hi) << 32) |
              static_cast<std::uintptr_t>(lo);
   reinterpret_cast<VThread*>(ptr)->entry();
@@ -147,10 +150,11 @@ void thread_trampoline(unsigned int hi, unsigned int lo) {
 // ---------------------------------------------------------------------------
 // Scheduler
 
-Scheduler::Scheduler(SchedulerConfig cfg)
+Scheduler::Scheduler(SchedulerConfig cfg, Domain* domain)
     : cfg_(cfg),
       ready_(cfg.strict_priority ? WaitQueue::Order::kPriority
-                                 : WaitQueue::Order::kFifo) {
+                                 : WaitQueue::Order::kFifo),
+      domain_(domain) {
   RVK_CHECK(cfg_.quantum > 0);
   // Id 0 means "no thread" (ObjectMeta::writer_tid); never hand it out.
   RVK_CHECK_MSG(cfg_.first_thread_id >= 1, "thread ids start at 1");
@@ -191,7 +195,7 @@ VThread* Scheduler::spawn(std::string name, int priority,
   t->context_.uc_stack.ss_size = t->stack_->size();
   t->context_.uc_link = &sched_context_;
   const auto ptr = reinterpret_cast<std::uintptr_t>(t);
-  makecontext(&t->context_, reinterpret_cast<void (*)()>(thread_trampoline), 2,
+  makecontext(&t->context_, reinterpret_cast<void (*)()>(fiber_start), 2,
               static_cast<unsigned int>(ptr >> 32),
               static_cast<unsigned int>(ptr & 0xFFFFFFFFu));
   t->state_ = ThreadState::kRunnable;
@@ -362,7 +366,7 @@ void Scheduler::yield_now() {
 
 void Scheduler::sleep_for(std::uint64_t ticks) {
   VThread* t = current_;
-  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
+  if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
   if (t->forbidden_region_depth != 0) [[unlikely]] {
     if (detail::g_switch_probe != nullptr) {
       detail::g_switch_probe(t, "sleep_for");
@@ -386,7 +390,7 @@ void Scheduler::join(ThreadId id) {
 
 void Scheduler::block_current_on(WaitQueue& q) {
   VThread* t = current_;
-  if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
+  if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
   if (t->forbidden_region_depth != 0) [[unlikely]] {
     if (detail::g_switch_probe != nullptr) {
       detail::g_switch_probe(t, "blocking call");
@@ -466,16 +470,30 @@ void Scheduler::interrupt(VThread* t) {
   }
 }
 
+void Scheduler::attach_engine(EngineLink* link) {
+  RVK_CHECK_MSG(link_ == nullptr, "this scheduler already has an engine");
+  if (current_domain() == nullptr) {
+    RVK_CHECK_MSG(t_host_link == nullptr, "another Engine is already active");
+    t_host_link = link;
+  }
+  link_ = link;
+}
+
+void Scheduler::detach_engine() {
+  if (t_host_link == link_) t_host_link = nullptr;
+  link_ = nullptr;
+}
+
 void Scheduler::deliver_revocation() {
   VThread* t = current_;
-  RVK_CHECK_MSG(static_cast<bool>(deliverer_),
-                "revocation requested but no deliverer installed");
+  RVK_CHECK_MSG(link_ != nullptr,
+                "revocation requested but no engine attached");
   // Normally throws the engine's rollback exception; returns without
   // throwing when the request became invalid (e.g. the target frame was
   // pinned non-revocable after the request was posted).
-  deliverer_(t);
+  link_->deliver(t);
   RVK_CHECK_MSG(!t->revoke_requested,
-                "deliverer returned with the request still pending");
+                "engine returned with the request still pending");
 }
 
 void Scheduler::arm_timer(VThread* t, std::uint64_t deadline,
@@ -536,10 +554,11 @@ void Scheduler::run() {
 #endif
 
   while (live_count_ > 0) {
-    // Shard mailbox drain (rt/domain.hpp); empty in the unsharded runtime.
+    // Shard mailbox drain (rt/domain.hpp): remote work keeps flowing even
+    // while local vthreads are runnable (liveness for remote requesters).
     // Scheduler context: it may wake blocked threads and spawn helpers, and
     // it never advances the virtual clock.
-    if (domain_poll_) [[unlikely]] domain_poll_();
+    if (domain_ != nullptr) [[unlikely]] domain_->drain_and_service();
     fire_due_timers();
     VThread* next = pick_next();
     if (next == nullptr) {
@@ -550,9 +569,9 @@ void Scheduler::run() {
         ticks_ = std::max(ticks_, deadline);
         continue;
       }
-      // Every live thread is blocked.  Give the engine's stall hook (the
-      // deadlock breaker) a chance before declaring a stall.
-      if (stall_hook_ && stall_hook_()) continue;
+      // Every live thread is blocked.  Give the engine (the deadlock
+      // breaker) a chance before declaring a stall.
+      if (link_ != nullptr && link_->on_stall()) continue;
       stalled_ = true;
       if (cfg_.on_stall == SchedulerConfig::OnStall::kAbort) {
         std::fprintf(stderr, "Scheduler stalled: all threads blocked\n");
@@ -562,10 +581,7 @@ void Scheduler::run() {
       break;
     }
     dispatch(next);
-    if (background_hook_ && cfg_.background_period != 0 &&
-        dispatches_ % cfg_.background_period == 0) {
-      background_hook_();
-    }
+    if (link_ != nullptr) link_->after_dispatch();
     if (return_requested_) [[unlikely]] {
       return_requested_ = false;
       break;

@@ -18,8 +18,10 @@
 //    (the benchmark's random arrival pauses) are measured in ticks, making
 //    every experiment replayable.
 //  * Revocation requests are *delivered* here: a flagged thread throws the
-//    engine-installed rollback exception from its next yield point, or is
-//    yanked from its wait queue (interrupt) if blocked.
+//    engine's rollback exception from its next yield point, or is yanked
+//    from its wait queue (interrupt) if blocked.  Every call up into the
+//    engine — delivery, stall and background work, lazy frames — goes
+//    through the one EngineLink the engine attaches (rt/engine_link.hpp).
 //
 // A strict-priority ready-queue mode is provided for the baseline ablations
 // (priority inheritance / ceiling need a priority scheduler to be
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "rt/engine_link.hpp"
 #include "rt/vthread.hpp"
 #include "rt/wait_queue.hpp"
 #include "support/annotations.hpp"
@@ -61,28 +64,20 @@ struct SchedulerConfig {
   enum class OnStall { kAbort, kReturn };
   OnStall on_stall = OnStall::kAbort;
 
-  // If nonzero, the background hook runs every `background_period`
-  // dispatches (the paper's "periodically in the background" detection
-  // alternative, §1.1).
-  std::uint64_t background_period = 0;
-
   // First thread id this scheduler hands out.  Lock words embed thread ids,
   // so under sharding (rt/domain.hpp) every shard gets a disjoint id range;
   // the default keeps the classic 1,2,3,... numbering.
   ThreadId first_thread_id = 1;
 };
 
-// Materialises the current thread's lazily-deferred synchronized frame via
-// the engine-installed hook (DESIGN.md §11).  Declared ahead of Scheduler so
-// the inline yield point can call it; out-of-line because it fires at most
-// once per synchronized section.  Callers guard on t->lazy_frame.
-// MAY_ALLOC declared by hand: the engine hook behind the function pointer
-// pushes a pooled core::Frame, which rvkcheck cannot see through the edge.
-RVK_MAY_ALLOC void materialize_lazy_frame(VThread* t);
+class Domain;
 
 class Scheduler {
  public:
-  explicit Scheduler(SchedulerConfig cfg = {});
+  // `domain`: the shard that owns this scheduler (rt/domain.hpp), whose
+  // mailbox the run loop drains before every dispatch; nullptr outside a
+  // DomainSet.
+  explicit Scheduler(SchedulerConfig cfg = {}, Domain* domain = nullptr);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;
@@ -142,7 +137,7 @@ class Scheduler {
     ++t->stats_.yield_points;
     // A lazily-deferred frame must become a real, revocable core::Frame
     // before any switch can let another thread observe this one (§11).
-    if (t->lazy_frame) [[unlikely]] materialize_lazy_frame(t);
+    if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
     if (t->forbidden_region_depth != 0) [[unlikely]] forbidden_switch_point(t);
     if (--t->quantum_left_ <= 0) switch_out(SwitchReason::kYield);
     // Exploration probe: runs in green-thread context (so it may throw an
@@ -163,7 +158,7 @@ class Scheduler {
   RVK_MAY_YIELD RVK_MAY_BLOCK RVK_MAY_ALLOC void join(ThreadId id);
 
   // Delivers a pending revocation on the current thread, if any (throws the
-  // engine-installed exception).  Monitors call this after every wakeup.
+  // engine's exception).  Monitors call this after every wakeup.
   RVK_MAY_YIELD void check_revocation() {
     if (current_->revoke_requested) [[unlikely]] deliver_revocation();
   }
@@ -203,38 +198,17 @@ class Scheduler {
   // NO_YIELD: monitor cancellation calls this inside its forbidden region.
   RVK_NO_YIELD void interrupt(VThread* t);
 
-  // ---- Engine hooks ----
+  // ---- Engine link (rt/engine_link.hpp) ----
 
-  // Installed by core::Engine; must throw (it materializes the rollback
-  // exception for the current thread).
-  void set_revocation_deliverer(std::function<void(VThread*)> f) {
-    deliverer_ = std::move(f);
-  }
-
-  // Called when no thread is runnable or sleeping; returns true if it made
-  // progress possible (e.g. broke a deadlock by revocation).
-  void set_stall_hook(std::function<bool()> f) { stall_hook_ = std::move(f); }
-
-  // Periodic background scan (priority-inversion sweep), in scheduler
-  // context — it must not block.
-  void set_background_hook(std::function<void()> f) {
-    background_hook_ = std::move(f);
-  }
-
-  // Adjusts how often the background hook fires (0 disables it); lets the
-  // engine apply its own configuration after the scheduler was built.
-  void set_background_period(std::uint64_t dispatches) {
-    cfg_.background_period = dispatches;
-  }
-
-  // ---- Domain hook (rt/domain.hpp) ----
-
-  // Installed by rt::Domain: runs once per run()-loop iteration, in
-  // scheduler context, before the next dispatch — the shard's mailbox drain
-  // point.  Must not assume any particular thread is current.
-  void set_domain_poll(std::function<void()> f) {
-    domain_poll_ = std::move(f);
-  }
+  // Attaches the scheduler's one engine (core::Engine's constructor).  When
+  // no shard is entered, `link` also becomes this OS thread's engine for
+  // marked reads outside any green thread (acting_engine_link); there may
+  // be only one such engine per OS thread.
+  void attach_engine(EngineLink* link);
+  // Detaches it again (core::Engine's destructor).
+  void detach_engine();
+  // The attached engine, or nullptr.
+  EngineLink* engine_link() const { return link_; }
 
   // ---- Exploration hooks (explore/) ----
 
@@ -314,9 +288,6 @@ class Scheduler {
   void arm_timer(VThread* t, std::uint64_t deadline, bool timed_block);
   void fire_due_timers();
   std::uint64_t next_timer_deadline();
-  // MAY_YIELD declared by hand: deliverer_ (a std::function rvkcheck cannot
-  // resolve) throws the engine's RollbackException, which unwinds into
-  // scheduler-visible state.
   RVK_MAY_YIELD void deliver_revocation();
 
   // Deadline min-heap entry: a sleeping thread's wakeup or a timed block's
@@ -378,10 +349,8 @@ class Scheduler {
   bool return_requested_ = false;
   ThreadId next_id_ = 1;
 
-  std::function<void(VThread*)> deliverer_;
-  std::function<bool()> stall_hook_;
-  std::function<void()> background_hook_;
-  std::function<void()> domain_poll_;
+  EngineLink* link_ = nullptr;
+  Domain* domain_;
   PickHook pick_hook_;
   std::function<void(VThread*)> step_hook_;
   std::vector<VThread*> pick_candidates_;  // scratch, reused across dispatches
@@ -404,9 +373,6 @@ extern thread_local VThread* g_section_vthread;
 // contract of RVK_ANALYZE.
 extern bool g_region_marking;
 extern void (*g_switch_probe)(VThread* t, const char* where);
-// Engine-installed lazy-frame materialiser (nullptr when no engine is
-// active); called through rt::materialize_lazy_frame.
-extern void (*g_lazy_frame_hook)(VThread* t);
 }  // namespace detail
 
 // In-section cache accessors (write-barrier fast path).  Out-of-line for the
@@ -416,9 +382,6 @@ VThread* section_vthread();
 // to zero (and by heap tests that simulate section entry by hand).
 void enter_section(VThread* t);
 void exit_section();
-
-// Installs the engine's lazy-frame materialiser (nullptr to uninstall).
-void set_lazy_frame_hook(void (*hook)(VThread*));
 
 // Enables/disables forbidden-region marking (analyzer install/uninstall).
 void set_region_marking(bool on);

@@ -125,6 +125,12 @@ class VThread {
   // observe the flag set.  Only the revocation engine writes it.
   bool lazy_frame = false;
 
+  // True when the write barrier stamps writer marks for this thread's
+  // in-section stores (the §2.2 JMM guard): set by its engine when the
+  // thread registers (rt::EngineLink::adopt), so shards whose engines
+  // differ in jmm_guard each mark only their own stores.
+  bool marks_writes = false;
+
   // Per-thread sequential undo log (paper §3.1.2).
   log::UndoLog undo_log;
 

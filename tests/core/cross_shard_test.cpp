@@ -451,5 +451,60 @@ TEST(CrossShardSetupTest, OsThreadShardsConstructEnginesConcurrently) {
   EXPECT_FALSE(set.deadlocked());
 }
 
+TEST(CrossShardSetupTest, OsThreadShardsMayDifferInJmmGuard) {
+  // Each shard reaches its own engine through its scheduler's link, so two
+  // OS-thread shards may run engines that differ in jmm_guard.  On each
+  // shard a writer's section stores to a shard-local object and sleeps
+  // with the section open while a reader (not in a section) reads it: the
+  // guarded shard 0 marks the object and the foreign read pins the
+  // writer's frame; the unguarded shard 1 marks nothing and pins nothing.
+  rt::DomainSet::Config cfg;
+  cfg.shards = 2;
+  cfg.mode = rt::DomainSet::Mode::kOsThreads;
+  cfg.sched.strict_priority = true;
+  rt::DomainSet set(cfg);
+  std::unique_ptr<core::Engine> eng[2];
+  std::unique_ptr<heap::Heap> heaps[2];
+  std::uint32_t marked_by[2] = {0, 0};  // writer mark seen after the store
+  rt::ThreadId writer_id[2] = {0, 0};
+  std::uint64_t pinned[2] = {0, 0};
+  std::uint64_t foreign_reads[2] = {0, 0};
+  set.start(
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        core::EngineConfig ecfg;
+        ecfg.jmm_guard = me == 0;
+        eng[me] = std::make_unique<core::Engine>(d.sched(), ecfg);
+        heaps[me] = std::make_unique<heap::Heap>();
+        heap::HeapObject* obj = heaps[me]->alloc("obj", 1);
+        core::RevocableMonitor* m = eng[me]->make_monitor("m");
+        rt::Scheduler& s = d.sched();
+        s.spawn("writer", 5, [&, me, obj, m] {
+          writer_id[me] = s.current_thread()->id();
+          eng[me]->synchronized(*m, [&] {
+            obj->set<int>(0, 1);
+            marked_by[me] = obj->meta().writer_tid;
+            s.sleep_for(10);  // the reader runs while the section is open
+          });
+        });
+        s.spawn("reader", 3, [obj] { (void)obj->get<int>(0); });
+      },
+      [&](rt::Domain& d) {
+        const core::EngineStats& st = eng[d.id()]->stats();
+        pinned[d.id()] = st.frames_pinned;
+        foreign_reads[d.id()] = st.foreign_reads_observed;
+        eng[d.id()].reset();
+      });
+  set.join();  // join() gives the happens-before for reading the results
+  EXPECT_EQ(marked_by[0], writer_id[0]);
+  EXPECT_NE(writer_id[0], 0u);
+  EXPECT_EQ(foreign_reads[0], 1u);
+  EXPECT_EQ(pinned[0], 1u);
+  EXPECT_EQ(marked_by[1], 0u);
+  EXPECT_EQ(foreign_reads[1], 0u);
+  EXPECT_EQ(pinned[1], 0u);
+  EXPECT_FALSE(set.deadlocked());
+}
+
 }  // namespace
 }  // namespace rvk

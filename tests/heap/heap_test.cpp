@@ -2,6 +2,7 @@
 // interception (§3.1.2) with the fast-path in-section test (§1.1).
 #include <gtest/gtest.h>
 
+#include "../rt/fake_engine_link.hpp"
 #include "heap/heap.hpp"
 #include "heap/volatile_var.hpp"
 #include "rt/scheduler.hpp"
@@ -142,11 +143,12 @@ TEST(HeapTest, UnloggedStoresSkipTheBarrier) {
 
 TEST(HeapTest, WriterMarkStampedWhenTrackingEnabled) {
   rt::Scheduler s;
+  test::FakeEngineLink link(s, /*marks_writes=*/true);
   Heap h;
   HeapObject* o = h.alloc("o", 1);
-  set_dependency_tracking(true);
   s.spawn("t", rt::kNormPriority, [&] {
     rt::VThread* t = s.current_thread();
+    link.adopt(t);  // what the engine does when the thread registers
     t->sync_depth = 1;
     rt::enter_section(t);
     t->current_frame_id = 77;
@@ -159,16 +161,16 @@ TEST(HeapTest, WriterMarkStampedWhenTrackingEnabled) {
     t->undo_log.discard_all();
   });
   s.run();
-  set_dependency_tracking(false);
 }
 
 TEST(HeapTest, WriterMarkNotStampedWhenTrackingDisabled) {
   rt::Scheduler s;
+  test::FakeEngineLink link(s, /*marks_writes=*/false);
   Heap h;
   HeapObject* o = h.alloc("o", 1);
-  set_dependency_tracking(false);
   s.spawn("t", rt::kNormPriority, [&] {
     rt::VThread* t = s.current_thread();
+    link.adopt(t);
     t->sync_depth = 1;
     rt::enter_section(t);
     o->set<int>(0, 1);
@@ -181,21 +183,16 @@ TEST(HeapTest, WriterMarkNotStampedWhenTrackingDisabled) {
 }
 
 TEST(HeapTest, TrackedReadHookFiresOnMarkedObject) {
+  // Host code (no green thread, no shard) reaches the OS thread's engine.
   rt::Scheduler s;
+  test::FakeEngineLink link(s);
   Heap h;
   HeapObject* o = h.alloc("o", 1);
-  static int hook_calls;
-  hook_calls = 0;
-  set_tracked_read_hook([](ObjectMeta& meta, const void*) {
-    ++hook_calls;
-    meta.clear();  // hooks may clear stale marks
-  });
   o->meta().writer_tid = 42;  // simulate a speculative writer
   (void)o->get<int>(0);
-  EXPECT_EQ(hook_calls, 1);
+  EXPECT_EQ(link.tracked_reads, 1);
   (void)o->get<int>(0);  // mark cleared: fast path again
-  EXPECT_EQ(hook_calls, 1);
-  set_tracked_read_hook(nullptr);
+  EXPECT_EQ(link.tracked_reads, 1);
 }
 
 TEST(HeapTest, VolatileVarRoundTrip) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "fake_engine_link.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::rt {
@@ -95,11 +96,12 @@ TEST(DispatchTest, RevocationDeliveredAtNextYieldPointInDispatchOrder) {
   SchedulerConfig cfg;
   cfg.quantum = 1;
   Scheduler s(cfg);
+  test::FakeEngineLink link(s);
   std::vector<std::string> delivered;
-  s.set_revocation_deliverer([](VThread* t) {
+  link.deliver_fn = [](VThread* t) {
     t->revoke_requested = false;
     throw RollbackEx{};
-  });
+  };
   auto victim_body = [&s, &delivered] {
     try {
       for (int i = 0; i < 1000; ++i) s.yield_point();
@@ -117,6 +119,7 @@ TEST(DispatchTest, RevocationDeliveredAtNextYieldPointInDispatchOrder) {
   // ...but delivery follows round-robin dispatch order (v1 reaches its next
   // yield point first), not posting order.
   EXPECT_EQ(delivered, (std::vector<std::string>{"v1", "v2"}));
+  EXPECT_EQ(link.delivered, 2);
 }
 
 TEST(DispatchTest, EqualSleepDeadlinesWakeInArmOrder) {

@@ -1,10 +1,12 @@
 // Scheduler: quasi-preemptive round-robin semantics (Jikes RVM model).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "fake_engine_link.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::rt {
@@ -229,10 +231,12 @@ TEST(SchedulerTest, StallHookCanRescue) {
     s.block_current_on(q);
     finished = true;
   });
-  s.set_stall_hook([&] { return s.wake_best(q) != nullptr; });
+  test::FakeEngineLink link(s);
+  link.stall_fn = [&] { return s.wake_best(q) != nullptr; };
   s.run();
   EXPECT_TRUE(finished);
   EXPECT_FALSE(s.stalled());
+  EXPECT_EQ(link.stalls, 1);
 }
 
 TEST(SchedulerTest, UncaughtExceptionRethrownFromRun) {
@@ -271,17 +275,19 @@ TEST(SchedulerTest, SpawnFromGreenThread) {
 }
 
 TEST(SchedulerTest, BackgroundHookFiresPeriodically) {
+  // The engine's background work runs in scheduler context after every
+  // dispatch; the engine applies its own period (EngineConfig).
   SchedulerConfig cfg;
   cfg.quantum = 5;
-  cfg.background_period = 3;
   Scheduler s(cfg);
-  int fired = 0;
-  s.set_background_hook([&] { ++fired; });
+  test::FakeEngineLink link(s);
   s.spawn("t", kNormPriority, [&] {
     for (int i = 0; i < 100; ++i) s.yield_point();
   });
   s.run();
-  EXPECT_GE(fired, 5);
+  EXPECT_GE(link.after_dispatches, 20);  // 100 yield points / quantum 5
+  EXPECT_EQ(static_cast<std::uint64_t>(link.after_dispatches),
+            s.dispatches());
 }
 
 TEST(SchedulerTest, ThreadStatsAreCounted) {
