@@ -96,9 +96,9 @@ void BM_SchedulerDispatch(benchmark::State& state) {
 BENCHMARK(BM_SchedulerDispatch)->Arg(16)->Arg(256)->Arg(1024);
 
 // BM_SchedulerDispatch with the obs recorder installed: prices the per-
-// dispatch instrumentation (one ring write on dispatch, one on switch-out;
-// spawn registers the ring once per thread, outside the timed loop's
-// steady state).
+// dispatch instrumentation (two writes into the shard's one ring, on
+// dispatch and on switch-out; spawn interns the thread's name, outside the
+// timed loop).
 void BM_SchedulerDispatchObs(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   constexpr int kYieldsPerThread = 64;
@@ -110,7 +110,7 @@ void BM_SchedulerDispatchObs(benchmark::State& state) {
     cfg.quantum = 1;
     cfg.stack_size = 16 * 1024;
     rt::Scheduler sched(cfg);
-    // Fresh scheduler ⇒ restart thread ids and the recorder's rings, as the
+    // Fresh scheduler ⇒ restart thread ids and the recorder's run, as the
     // harness does per repetition.
     obs::on_run_begin();
     for (int i = 0; i < n; ++i) {

@@ -21,7 +21,7 @@
 //   RVK_OBS_METRICS=<file>  metrics output path override (implies RVK_OBS).
 //   RVK_OBS_TRACE=<file>    Chrome/Perfetto trace path override (implies
 //                           RVK_OBS).
-//   RVK_OBS_RING=<n>  per-thread event-ring capacity (default 4096,
+//   RVK_OBS_RING=<n>  event-ring capacity per shard (default 16384,
 //                     rounded up to a power of two; drop-oldest overflow).
 #pragma once
 

@@ -8,8 +8,9 @@ void CeilingDomain::register_thread(rt::VThread* t) {
   state_of(t).base_priority = t->priority();
 }
 
-int CeilingDomain::base_priority(rt::VThread* t) {
-  return state_of(t).base_priority;
+int CeilingDomain::base_priority(rt::VThread* t) const {
+  auto it = threads_.find(t->id());
+  return it != threads_.end() ? it->second.base_priority : t->priority();
 }
 
 CeilingDomain::ThreadState& CeilingDomain::state_of(rt::VThread* t) {
@@ -46,6 +47,8 @@ void PriorityCeilingMonitor::on_released(rt::VThread* t) {
   RVK_CHECK_MSG(it != s.held.end(), "released monitor not in held set");
   s.held.erase(it);
   domain_.recompute(t);
+  // Holding nothing: drop the entry (a free, legal on the release path).
+  if (s.held.empty()) domain_.threads_.erase(t->id());
 }
 
 }  // namespace rvk::monitor

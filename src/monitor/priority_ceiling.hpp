@@ -8,7 +8,8 @@
 // On acquisition the owner's priority is immediately raised to the ceiling;
 // on release it is recomputed from its base and the ceilings of monitors it
 // still holds.  A CeilingDomain owns the per-thread state, mirroring
-// InheritanceDomain.
+// InheritanceDomain: a thread has an entry only while it holds one of the
+// domain's monitors.
 #pragma once
 
 #include <string>
@@ -28,7 +29,8 @@ class CeilingDomain {
   CeilingDomain& operator=(const CeilingDomain&) = delete;
 
   void register_thread(rt::VThread* t);
-  int base_priority(rt::VThread* t);
+  // As InheritanceDomain::base_priority.
+  int base_priority(rt::VThread* t) const;
 
  private:
   friend class PriorityCeilingMonitor;

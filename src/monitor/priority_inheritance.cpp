@@ -9,8 +9,9 @@ void InheritanceDomain::register_thread(rt::VThread* t) {
   s.base_priority = t->priority();
 }
 
-int InheritanceDomain::base_priority(rt::VThread* t) {
-  return state_of(t).base_priority;
+int InheritanceDomain::base_priority(rt::VThread* t) const {
+  auto it = threads_.find(t->id());
+  return it != threads_.end() ? it->second.base_priority : t->priority();
 }
 
 InheritanceDomain::ThreadState& InheritanceDomain::state_of(rt::VThread* t) {
@@ -50,9 +51,25 @@ void InheritanceDomain::recompute(rt::VThread* t) {
   t->set_priority(prio);
 }
 
+void InheritanceDomain::forget_if_idle(rt::VThread* t) {
+  auto it = threads_.find(t->id());
+  if (it != threads_.end() && it->second.held.empty() &&
+      it->second.blocked_on == nullptr) {
+    threads_.erase(it);
+  }
+}
+
 void PriorityInheritanceMonitor::on_block(rt::VThread* t) {
   domain_.state_of(t).blocked_on = this;
   domain_.boost_chain(this, t->priority());
+}
+
+void PriorityInheritanceMonitor::on_wake(rt::VThread* t) {
+  // Off the entry queue: the thread retries (and re-blocks, or acquires)
+  // before any other thread runs, or it abandons the entry.
+  auto it = domain_.threads_.find(t->id());
+  if (it != domain_.threads_.end()) it->second.blocked_on = nullptr;
+  domain_.forget_if_idle(t);
 }
 
 void PriorityInheritanceMonitor::on_acquired(rt::VThread* t) {
@@ -67,6 +84,7 @@ void PriorityInheritanceMonitor::on_released(rt::VThread* t) {
   RVK_CHECK_MSG(it != s.held.end(), "released monitor not in held set");
   s.held.erase(it);
   domain_.recompute(t);
+  domain_.forget_if_idle(t);
 }
 
 }  // namespace rvk::monitor

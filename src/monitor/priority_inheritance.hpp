@@ -14,7 +14,8 @@
 //
 // An InheritanceDomain owns the per-thread protocol state (base priority,
 // held monitors, current blocker); all monitors participating in one
-// inheritance relationship must share a domain.
+// inheritance relationship must share a domain.  A thread has an entry only
+// while it holds or waits on one of the domain's monitors.
 #pragma once
 
 #include <string>
@@ -37,7 +38,9 @@ class InheritanceDomain {
   // call explicitly if the thread's priority may already be boosted.
   void register_thread(rt::VThread* t);
 
-  int base_priority(rt::VThread* t);
+  // `t`'s base priority: captured while it has an entry, else its current
+  // priority (a thread holding none of the domain's monitors is unboosted).
+  int base_priority(rt::VThread* t) const;
 
  private:
   friend class PriorityInheritanceMonitor;
@@ -63,6 +66,10 @@ class InheritanceDomain {
   // by the best waiter on any monitor it still holds.
   void recompute(rt::VThread* t);
 
+  // Drops `t`'s entry once it holds nothing and waits on nothing.  Only
+  // frees, so it is legal on the release path.
+  void forget_if_idle(rt::VThread* t);
+
   // Keyed by id, not by block: a recycled block hosts a new thread with
   // its own base priority.
   std::unordered_map<rt::ThreadId, ThreadState> threads_;
@@ -78,6 +85,7 @@ class PriorityInheritanceMonitor final : public MonitorBase {
 
  protected:
   void on_block(rt::VThread* t) override;
+  void on_wake(rt::VThread* t) override;
   void on_acquired(rt::VThread* t) override;
   void on_released(rt::VThread* t) override;
 

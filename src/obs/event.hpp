@@ -19,7 +19,8 @@ namespace rvk::obs {
 
 enum class EventKind : std::uint8_t {
   // Scheduler (rt/): processor hand-offs.
-  kDispatch,       // thread scheduled onto the processor
+  kDispatch,       // thread scheduled onto the processor; a = lane-name
+                   // index (Recorder::lane_name), b = priority
   kSwitchYield,    // switched out: quantum expiry / voluntary yield
   kSwitchBlock,    // switched out: parked on a wait queue
   kSwitchSleep,    // switched out: timed sleep on the virtual clock
@@ -55,7 +56,7 @@ struct Event {
   std::uint64_t vclock = 0;   // scheduler virtual ticks (yield points)
   std::uint64_t a = 0;        // monitor identity or frame id (see EventKind)
   std::uint64_t b = 0;        // auxiliary payload (priority, words, flags)
-  std::uint64_t seq = 0;      // global record order across all rings
+  std::uint64_t seq = 0;      // record order in the shard's ring
   std::uint32_t tid = 0;      // rt::VThread id
   EventKind kind = EventKind::kDispatch;
 };

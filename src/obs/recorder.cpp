@@ -1,6 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <mutex>
@@ -37,6 +36,14 @@ std::mutex g_obs_mu;
 int g_obs_count = 0;
 std::vector<Recorder*> g_obs_parked;
 
+// Source of run stamps (rt::ObsState::stamp): unique across every recorder
+// and run in the process, and never 0, the stamp of a fresh control block.
+std::atomic<std::uint64_t> g_obs_stamps{0};
+
+std::uint64_t next_stamp() {
+  return g_obs_stamps.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 const char* env_str(const char* name) {
   const char* v = std::getenv(name);
   return (v != nullptr && v[0] != '\0') ? v : nullptr;
@@ -48,7 +55,9 @@ const char* env_str(const char* name) {
 // Lifecycle
 
 Recorder::Recorder(RecorderConfig cfg)
-    : cfg_(cfg), epoch_(std::chrono::steady_clock::now()) {
+    : epoch_(std::chrono::steady_clock::now()),
+      ring_(cfg.ring_capacity),
+      stamp_(next_stamp()) {
   // Pre-create every metric the forbidden-safe handlers touch: creation
   // allocates, so it must happen here, never on a recording path.
   contention_wait_ticks_ =
@@ -118,10 +127,8 @@ Recorder* Recorder::active() { return detail::g_recorder; }
 
 void Recorder::absorb(const Recorder& other) {
   registry_.merge_from(other.registry_);
-  orphan_events_ += other.orphan_events_;
-  dropped_before_run_ += other.dropped_events();
   threads_observed_ += other.threads_observed_;
-  foreign_shard_events_ += other.seq_ + other.foreign_shard_events_;
+  foreign_shard_events_ += other.ring_.pushed() + other.foreign_shard_events_;
 }
 
 bool Recorder::env_enabled() {
@@ -131,81 +138,69 @@ bool Recorder::env_enabled() {
 }
 
 void Recorder::begin_run() {
-  for (const auto& [tid, side] : threads_) {
-    dropped_before_run_ += side->ring.dropped();
-  }
-  threads_.clear();
-  current_side_ = nullptr;
-  // seq_ keeps counting: snapshot order stays globally monotone, and
-  // obs.events_recorded spans the whole recorder lifetime.
+  // The ring is not cleared: snapshot() starts at run_start_, and seq keeps
+  // counting, so obs.events_recorded spans the whole recorder lifetime.
+  run_start_ = ring_.pushed();
+  stamp_ = next_stamp();
 }
 
 // ---------------------------------------------------------------------------
 // Internals
 
-Recorder::ThreadSide* Recorder::side_of(rt::VThread* t) {
-  if (t == nullptr) return nullptr;
-  if (current_side_ != nullptr && current_side_->thread == t) {
-    return current_side_;
+rt::ObsState& Recorder::state_of(rt::VThread* t) {
+  if (t->obs.stamp != stamp_) {
+    t->obs = rt::ObsState{};
+    t->obs.stamp = stamp_;
   }
-  auto it = threads_.find(t->id());
-  return it != threads_.end() ? it->second.get() : nullptr;
+  return t->obs;
 }
 
-Recorder::ThreadSide& Recorder::ensure_side(rt::VThread* t) {
-  auto it = threads_.find(t->id());
-  if (it == threads_.end()) {
-    auto side = std::make_unique<ThreadSide>(cfg_.ring_capacity);
-    side->thread = t;
-    side->tid = t->id();
-    side->name = t->name();
-    side->priority = t->priority();
-    it = threads_.emplace(t->id(), std::move(side)).first;
-    ++threads_observed_;
-  } else {
-    // Same id seen again (recorder installed mid-run, or the priority
-    // changed): refresh the binding, keep the ring.
-    it->second->thread = t;
-    it->second->priority = t->priority();
+void Recorder::name_lane(rt::VThread* t) {
+  rt::ObsState& s = state_of(t);
+  if (s.lane != 0) return;
+  ++threads_observed_;
+  auto it = lane_of_.find(t->name());
+  if (it == lane_of_.end()) {
+    if (lane_names_.size() == kMaxLaneNames) {
+      s.lane = ~std::uint32_t{0};  // names no entry: the tid fallback lane
+      return;
+    }
+    lane_names_.push_back(t->name());
+    it = lane_of_
+             .emplace(t->name(),
+                      static_cast<std::uint32_t>(lane_names_.size()))
+             .first;
   }
-  return *it->second;
+  s.lane = it->second;
 }
 
-void Recorder::push(ThreadSide& side, rt::VThread* t, EventKind kind,
-                    std::uint64_t a, std::uint64_t b) {
+void Recorder::push(rt::VThread* t, EventKind kind, std::uint64_t a,
+                    std::uint64_t b) {
   Event e;
   e.wall_ns = wall_ns();
   e.vclock = vclock_of(t);
   e.a = a;
   e.b = b;
-  e.seq = seq_++;
-  e.tid = t != nullptr ? t->id() : side.tid;
+  e.seq = ring_.pushed();
+  e.tid = t->id();
   e.kind = kind;
-  side.ring.push(e);
+  ring_.push(e);
 }
 
 // ---------------------------------------------------------------------------
 // Recording handlers
 
-void Recorder::record_spawn(rt::VThread* t) { ensure_side(t); }
+void Recorder::record_spawn(rt::VThread* t) { name_lane(t); }
 
 void Recorder::record_dispatch(rt::VThread* t) {
   // Dispatch runs in scheduler context, outside any forbidden region, so
-  // lazy registration (allocating) is legal — it covers recorders installed
-  // after threads were spawned.
-  ThreadSide& s = ensure_side(t);
-  current_side_ = &s;
-  push(s, t, EventKind::kDispatch, 0,
+  // naming (allocating) is legal — it covers threads spawned before install.
+  name_lane(t);
+  push(t, EventKind::kDispatch, t->obs.lane,
        static_cast<std::uint64_t>(t->priority()));
 }
 
 void Recorder::record_switch_out(rt::VThread* t, rt::SwitchReason reason) {
-  ThreadSide* s = side_of(t);
-  current_side_ = nullptr;
-  if (s == nullptr) {
-    ++orphan_events_;
-    return;
-  }
   EventKind kind = EventKind::kSwitchYield;
   switch (reason) {
     case rt::SwitchReason::kYield:  kind = EventKind::kSwitchYield; break;
@@ -213,17 +208,61 @@ void Recorder::record_switch_out(rt::VThread* t, rt::SwitchReason reason) {
     case rt::SwitchReason::kSleep:  kind = EventKind::kSwitchSleep; break;
     case rt::SwitchReason::kFinish: kind = EventKind::kSwitchFinish; break;
   }
-  push(*s, t, kind, 0, 0);
+  push(t, kind, 0, 0);
 }
 
 void Recorder::record(EventKind kind, rt::VThread* t, std::uint64_t a,
                       std::uint64_t b, std::uint64_t waited) {
-  // Forbidden-safe (see the header): pre-created metrics, a find-only ring
-  // lookup and a ring store.  These metrics count every thread, registered
-  // or not.
+  // Forbidden-safe (see the header): pre-created metrics, stores into the
+  // thread's control block and a ring store.
+  rt::ObsState& s = state_of(t);
   switch (kind) {
+    case EventKind::kMonitorContend: {
+      const rt::ObsWindow opened{true, wall_ns(), vclock_of(t)};
+      if (!s.wait.open) s.wait = opened;
+      // A waiter that outranks the deposited owner priority (b) is a
+      // priority inversion in the making (§2): stamp it so the acquire
+      // closes the paper's headline latency, blocked → holding.
+      if (t->priority() > static_cast<int>(b) && !s.inversion.open) {
+        s.inversion = opened;
+      }
+      break;
+    }
+    case EventKind::kMonitorAcquire:
+      if (b != 0 && (s.wait.open || s.inversion.open)) {
+        const std::uint64_t w = wall_ns();
+        const std::uint64_t v = vclock_of(t);
+        if (s.wait.open) {
+          contention_wait_ticks_->record(v - s.wait.vclock);
+          contention_wait_ns_->record(w - s.wait.wall_ns);
+        }
+        if (s.inversion.open) {
+          inversion_ticks_->record(v - s.inversion.vclock);
+          inversion_ns_->record(w - s.inversion.wall_ns);
+        }
+      }
+      s.wait.open = false;
+      s.inversion.open = false;
+      break;
     case EventKind::kMonitorAbandon:
       abandon_wait_ticks_->record(waited);
+      // The contention window closed without an acquisition: drop the
+      // pending contend→acquire stamps so a later, unrelated acquire cannot
+      // absorb this abandoned wait into the latency histograms.
+      s.wait.open = false;
+      s.inversion.open = false;
+      break;
+    case EventKind::kRevokeRequest:
+      // The first request against this thread opens the rollback-latency
+      // window; it closes when the victim restarts its section.
+      if (!s.rollback.open) s.rollback = {true, wall_ns(), vclock_of(t)};
+      break;
+    case EventKind::kSectionRetry:
+      if (s.rollback.open) {
+        rollback_ticks_->record(vclock_of(t) - s.rollback.vclock);
+        rollback_ns_->record(wall_ns() - s.rollback.wall_ns);
+        s.rollback.open = false;
+      }
       break;
     case EventKind::kUndoReplay:
       ++*log_rollbacks_;
@@ -236,110 +275,31 @@ void Recorder::record(EventKind kind, rt::VThread* t, std::uint64_t a,
     default:
       break;
   }
-  ThreadSide* s = side_of(t);
-  if (s == nullptr) {
-    ++orphan_events_;
-    return;
-  }
-  switch (kind) {
-    case EventKind::kMonitorContend: {
-      const std::uint64_t w = wall_ns();
-      const std::uint64_t v = vclock_of(t);
-      if (!s->wait_pending) {
-        s->wait_pending = true;
-        s->wait_wall = w;
-        s->wait_vclock = v;
-      }
-      // A waiter that outranks the deposited owner priority (b) is a
-      // priority inversion in the making (§2): stamp it so the acquire
-      // closes the paper's headline latency, blocked → holding.
-      if (t->priority() > static_cast<int>(b) && !s->inversion_pending) {
-        s->inversion_pending = true;
-        s->inv_wall = w;
-        s->inv_vclock = v;
-      }
-      break;
-    }
-    case EventKind::kMonitorAcquire: {
-      const std::uint64_t w = wall_ns();
-      const std::uint64_t v = vclock_of(t);
-      if (b != 0 && s->wait_pending) {
-        contention_wait_ticks_->record(v - s->wait_vclock);
-        contention_wait_ns_->record(w - s->wait_wall);
-      }
-      if (b != 0 && s->inversion_pending) {
-        inversion_ticks_->record(v - s->inv_vclock);
-        inversion_ns_->record(w - s->inv_wall);
-      }
-      s->wait_pending = false;
-      s->inversion_pending = false;
-      break;
-    }
-    case EventKind::kMonitorAbandon:
-      // The contention window closed without an acquisition: drop the
-      // pending contend→acquire stamps so a later, unrelated acquire cannot
-      // absorb this abandoned wait into the latency histograms.
-      s->wait_pending = false;
-      s->inversion_pending = false;
-      break;
-    case EventKind::kRevokeRequest:
-      // The first request against this thread opens the rollback-latency
-      // window; it closes when the victim restarts its section.
-      if (!s->rollback_pending) {
-        s->rollback_pending = true;
-        s->rb_wall = wall_ns();
-        s->rb_vclock = vclock_of(t);
-      }
-      break;
-    case EventKind::kSectionRetry:
-      if (s->rollback_pending) {
-        rollback_ticks_->record(vclock_of(t) - s->rb_vclock);
-        rollback_ns_->record(wall_ns() - s->rb_wall);
-        s->rollback_pending = false;
-      }
-      break;
-    default:
-      break;
-  }
-  push(*s, t, kind, a, b);
+  push(t, kind, a, b);
 }
 
 // ---------------------------------------------------------------------------
 // Consumption
 
-const EventRing* Recorder::ring_of(std::uint32_t tid) const {
-  auto it = threads_.find(tid);
-  return it != threads_.end() ? &it->second->ring : nullptr;
-}
-
-std::string_view Recorder::thread_name(std::uint32_t tid) const {
-  auto it = threads_.find(tid);
-  return it != threads_.end() ? std::string_view(it->second->name)
-                              : std::string_view();
-}
-
-std::uint64_t Recorder::dropped_events() const {
-  std::uint64_t n = dropped_before_run_;
-  for (const auto& [tid, side] : threads_) n += side->ring.dropped();
-  return n;
+std::string_view Recorder::lane_name(std::uint64_t lane) const {
+  return lane - 1 < lane_names_.size() ? std::string_view(lane_names_[lane - 1])
+                                       : std::string_view();
 }
 
 std::vector<Event> Recorder::snapshot() const {
   std::vector<Event> out;
-  for (const auto& [tid, side] : threads_) {
-    side->ring.for_each([&](const Event& e) { out.push_back(e); });
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
+  ring_.for_each([&](const Event& e) {
+    if (e.seq >= run_start_) out.push_back(e);
+  });
   return out;
 }
 
 void Recorder::export_metrics(
     std::ostream& os,
     const std::vector<std::pair<std::string, std::string>>& context) {
-  registry_.set("obs.events_recorded", seq_ + foreign_shard_events_);
-  registry_.set("obs.events_dropped", dropped_events());
-  registry_.set("obs.orphan_events", orphan_events_);
+  registry_.set("obs.events_recorded",
+                ring_.pushed() + foreign_shard_events_);
+  registry_.set("obs.events_dropped", ring_.dropped());
   registry_.set("obs.threads_observed", threads_observed_);
   // Events recorded on absorbed peer shards: present in the merged metrics
   // above, absent from this (single-shard) trace.
@@ -348,16 +308,7 @@ void Recorder::export_metrics(
 }
 
 void Recorder::export_chrome_trace(std::ostream& os) const {
-  std::vector<TraceThread> threads;
-  threads.reserve(threads_.size());
-  for (const auto& [tid, side] : threads_) {
-    threads.push_back(TraceThread{tid, side->name, side->priority});
-  }
-  std::sort(threads.begin(), threads.end(),
-            [](const TraceThread& a, const TraceThread& b) {
-              return a.tid < b.tid;
-            });
-  write_chrome_trace(snapshot(), threads, os);
+  write_chrome_trace(snapshot(), lane_names_, os);
 }
 
 }  // namespace rvk::obs

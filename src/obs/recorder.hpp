@@ -1,9 +1,9 @@
-// The observability recorder: install point, per-thread rings, derived
+// The observability recorder: install point, the shard's event ring, derived
 // latency metrics (DESIGN.md §10).
 //
 // One Recorder may be installed per *shard* (per OS thread) at a time,
 // mirroring the one-Engine-per-shard invariant (DESIGN.md §16): the install
-// point is thread-local, every ring/registry it owns is touched only from
+// point is thread-local, the ring and registry it owns are touched only from
 // its own shard's OS thread, and the recorders merge at the end — the last
 // uninstall absorbs its parked peers' registries before exporting, so
 // RVK_OBS=1 produces one merged metrics document under any shard count
@@ -18,17 +18,22 @@
 // dispatch/switch events, which is exactly as precise (code between yield
 // points is atomic) and keeps the hottest path untouched.
 //
+// Every thread's events go to the one ring, tagged with its tid; the
+// recorder keeps no per-thread table.  A thread's open latency windows ride
+// in its control block (rt::VThread::obs), and its name is interned into a
+// capped table of distinct names whose index the kDispatch event carries,
+// so memory grows with the number of names, never with threads.
+//
 // Forbidden-region contract (DESIGN.md §10): record() fires inside
 // commit/abort, monitor release and abandon windows, so it only stores into
-// pre-reserved ring slots, bumps pre-created registry counters and records
-// into pre-sized histograms — it never allocates, and it only *finds* a
-// thread's ring (an unregistered thread counts as obs.orphan_events).  Ring
-// registration, the one allocating step, happens at spawn and dispatch, in
-// scheduler context.  rvkcheck's forbidden-region rule covers src/obs, so
-// an allocation reachable from record() fails the static check.  Per-monitor
-// counters are not kept here: MonitorStats holds them, and the figure
-// harness and the open-loop driver publish them as monitor.<name>.stats.*
-// (obs/metrics.hpp).
+// pre-reserved ring slots and the thread's control block, bumps pre-created
+// registry counters and records into pre-sized histograms — it never
+// allocates.  Name interning, the one allocating step, happens at spawn and
+// dispatch, in scheduler context.  rvkcheck's forbidden-region rule covers
+// src/obs, so an allocation reachable from record() fails the static check.
+// Per-monitor counters are not kept here: MonitorStats holds them, and the
+// figure harness and the open-loop driver publish them as
+// monitor.<name>.stats.* (obs/metrics.hpp).
 //
 // Derived metrics, stamped on the recording path:
 //  * monitor.contention_wait_{ticks,ns}  — contend → acquire, any waiter;
@@ -51,7 +56,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,8 +71,8 @@
 namespace rvk::obs {
 
 struct RecorderConfig {
-  // Per-thread ring capacity (rounded up to a power of two); overridable
-  // with RVK_OBS_RING.
+  // Capacity of the shard's event ring (rounded up to a power of two);
+  // overridable with RVK_OBS_RING.
   std::size_t ring_capacity = EventRing::kDefaultCapacity;
 };
 
@@ -95,32 +99,29 @@ class Recorder {
 
   // ---- Run boundaries ----
 
-  // Starts a fresh run: clears every ring and per-thread registration so
-  // thread ids and the virtual clock may restart (the harness constructs a
-  // fresh Scheduler per repetition).  Metrics — counters and histograms —
-  // accumulate across runs; the event trace reflects the LAST run only.  Called by harness::run_workload; explicit callers
-  // (tests, exploration scenarios) invoke it per schedule.
+  // Starts a fresh run: the trace restarts here and every thread's recorder
+  // state is re-stamped, so thread ids and the virtual clock may restart
+  // (the harness constructs a fresh Scheduler per repetition).  Metrics
+  // accumulate across runs; the trace reflects the LAST run only.  Called
+  // by harness::run_workload; tests and exploration scenarios call it per
+  // schedule.
   void begin_run();
 
   // ---- Consumption ----
 
   Registry& registry() { return registry_; }
 
-  // Per-thread rings (tid → ring) of the current run.
-  const EventRing* ring_of(std::uint32_t tid) const;
-
-  // Merged view of every ring's retained events in global record order.
-  // Within one run the sequence is chronological on both clocks.
+  // The current run's retained events, oldest first.  One ring holds every
+  // thread's events in record order, so this is chronological on both
+  // clocks and ascending in seq.
   std::vector<Event> snapshot() const;
 
-  // Events lost to ring overflow, and events observed for threads that were
-  // never registered (spawned before install, or recorded after begin_run
-  // from a stale context).
-  std::uint64_t dropped_events() const;
-  std::uint64_t orphan_events() const { return orphan_events_; }
+  // Events the ring overwrote (drop-oldest) over the recorder's lifetime.
+  std::uint64_t dropped_events() const { return ring_.dropped(); }
 
-  // Thread name registered for `tid` in the current run ("" if unknown).
-  std::string_view thread_name(std::uint32_t tid) const;
+  // The thread name a kDispatch event's `a` field names ("" if none: the
+  // name table was full).
+  std::string_view lane_name(std::uint64_t lane) const;
 
   // Writes the registry (plus ring/drop summary counters) as
   // BENCH_*.json-shaped JSON.  `context` pairs are emitted verbatim.
@@ -144,36 +145,14 @@ class Recorder {
   RVK_NO_YIELD void record(EventKind kind, rt::VThread* t, std::uint64_t a,
                            std::uint64_t b, std::uint64_t waited);
 
-  const RecorderConfig& config() const { return cfg_; }
-
  private:
   explicit Recorder(RecorderConfig cfg);
 
   // Folds a parked peer shard's recorder into this one: registries merge
-  // (counters add, histograms merge), drop/orphan/thread totals add.  The peer's event rings are NOT merged —
-  // their retained/recorded events land in obs.foreign_shard_events.
+  // (counters add, histograms merge) and thread totals add.  The peer's
+  // event ring is NOT merged — its recorded events land in
+  // obs.foreign_shard_events.
   void absorb(const Recorder& other);
-
-  struct ThreadSide {
-    EventRing ring;
-    // The thread's block, for identity checks while it runs; once the
-    // thread finishes the block may host a later one (never dereferenced).
-    rt::VThread* thread = nullptr;
-    std::uint32_t tid = 0;
-    std::string name;
-    int priority = 0;
-    // contend → acquire stamps (monitor.contention_wait_*).
-    bool wait_pending = false;
-    std::uint64_t wait_wall = 0, wait_vclock = 0;
-    // Inverted contend → acquire stamps (inversion.resolution_*).
-    bool inversion_pending = false;
-    std::uint64_t inv_wall = 0, inv_vclock = 0;
-    // Revocation request → section retry stamps (rollback.latency_*).
-    bool rollback_pending = false;
-    std::uint64_t rb_wall = 0, rb_vclock = 0;
-
-    explicit ThreadSide(std::size_t ring_capacity) : ring(ring_capacity) {}
-  };
 
   std::uint64_t wall_ns() const {
     return static_cast<std::uint64_t>(
@@ -189,26 +168,30 @@ class Recorder {
                                                      : 0;
   }
 
-  // Find-only; nullptr (plus an orphan count) when `t` was never
-  // registered.  Safe in forbidden regions.
-  ThreadSide* side_of(rt::VThread* t);
+  // `t`'s recorder state, reset first when its stamp names another run.
+  // Forbidden-safe: plain stores into the control block.
+  rt::ObsState& state_of(rt::VThread* t);
 
-  // Find-or-register.  Allocates on first sight of `t` — only legal from
-  // spawn and dispatch, which run in scheduler context.
-  ThreadSide& ensure_side(rt::VThread* t);
+  // Gives `t` its lane-name index on first sight in this run.  Allocates
+  // when the name is new — only legal from spawn and dispatch, which run in
+  // scheduler context.
+  void name_lane(rt::VThread* t);
 
-  void push(ThreadSide& side, rt::VThread* t, EventKind kind, std::uint64_t a,
-            std::uint64_t b);
+  void push(rt::VThread* t, EventKind kind, std::uint64_t a, std::uint64_t b);
 
-  RecorderConfig cfg_;
+  // Distinct lane names kept; later names share the tid fallback lane.
+  static constexpr std::size_t kMaxLaneNames = 1024;
+
   std::chrono::steady_clock::time_point epoch_;
-  std::uint64_t seq_ = 0;
+  EventRing ring_;
+  std::uint64_t run_start_ = 0;  // seq of the current run's first event
+  std::uint64_t stamp_;          // the current run's rt::ObsState::stamp
 
-  std::unordered_map<std::uint32_t, std::unique_ptr<ThreadSide>> threads_;
-  ThreadSide* current_side_ = nullptr;  // side of the running thread
-  std::uint64_t orphan_events_ = 0;
-  std::uint64_t dropped_before_run_ = 0;  // drops in rings begin_run() cleared
-  std::uint64_t threads_observed_ = 0;    // registrations across all runs
+  // Lane names: 1 + an index into lane_names_ is a thread's lane.
+  std::vector<std::string> lane_names_;
+  std::unordered_map<std::string, std::uint32_t> lane_of_;
+
+  std::uint64_t threads_observed_ = 0;  // lanes named across all runs
   // Events recorded by absorbed peer shards, whose traces the merge drops
   // (metrics keep everything; only the event *ring* contents are lost).
   std::uint64_t foreign_shard_events_ = 0;

@@ -1,14 +1,16 @@
-// Per-vthread event ring buffer: fixed capacity, drop-oldest on overflow.
+// A shard's event ring buffer: fixed capacity, drop-oldest on overflow.
 //
-// The runtime is a green-thread system — one OS thread, context switches
-// only at yield points — so "lock-free" here is by construction: each ring
-// has exactly one writer (its thread, or the scheduler acting on its
-// behalf), and code between yield points is atomic.  What the ring must
-// guarantee instead is the forbidden-region contract: push() into a
-// pre-reserved slot never allocates, yields, or blocks, so recording is
-// legal inside commit/abort and monitor release paths (CLAUDE.md).
+// Each shard's recorder owns one ring, shared by all of the shard's threads
+// (events carry their tid).  A shard is a green-thread system — one OS
+// thread, context switches only at yield points — so "lock-free" here is by
+// construction: the ring has exactly one writer, and code between yield
+// points is atomic.  What the ring must guarantee instead is the
+// forbidden-region contract: push() into a pre-reserved slot never
+// allocates, yields, or blocks, so recording is legal inside commit/abort
+// and monitor release paths (CLAUDE.md).
 //
-// Overflow policy: drop-oldest.  The newest events are the ones a
+// Overflow policy: drop-oldest, across the shard's threads — a busy thread
+// can evict a quiet thread's events.  The newest events are the ones a
 // post-mortem wants (what led up to the interesting moment), so an
 // overflowing ring overwrites its oldest slot and counts the loss —
 // dropped() makes truncation visible instead of silent.
@@ -31,7 +33,7 @@ class EventRing {
       : slots_(std::bit_ceil(capacity < 2 ? std::size_t{2} : capacity)),
         mask_(slots_.size() - 1) {}
 
-  static constexpr std::size_t kDefaultCapacity = 4096;
+  static constexpr std::size_t kDefaultCapacity = 16384;
 
   // Records one event; overwrites the oldest record when full.  No
   // allocation, no branches beyond the mask arithmetic.

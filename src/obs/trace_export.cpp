@@ -1,5 +1,6 @@
 #include "obs/trace_export.hpp"
 
+#include <map>
 #include <ostream>
 #include <unordered_map>
 
@@ -57,16 +58,25 @@ struct OpenSlices {
 }  // namespace
 
 void write_chrome_trace(const std::vector<Event>& events,
-                        const std::vector<TraceThread>& threads,
+                        const std::vector<std::string>& lane_names,
                         std::ostream& os) {
   EventWriter w(os);
   w.metadata(1, 0, "process_name", "threads");
   w.metadata(2, 0, "process_name", "scheduler");
-  for (const TraceThread& t : threads) {
-    const std::string label =
-        t.name + " (prio " + std::to_string(t.priority) + ")";
-    w.metadata(1, t.tid, "thread_name", label);
-    w.metadata(2, t.tid, "thread_name", label);
+  // One lane per tid, labelled from its latest dispatch {lane, priority}.
+  std::map<std::uint32_t, const Event*> lanes;
+  for (const Event& e : events) {
+    const Event*& d = lanes[e.tid];
+    if (e.kind == EventKind::kDispatch) d = &e;
+  }
+  for (const auto& [tid, d] : lanes) {
+    std::string label = "thread " + std::to_string(tid);
+    if (d != nullptr) {
+      if (d->a - 1 < lane_names.size()) label = lane_names[d->a - 1];
+      label += " (prio " + std::to_string(d->b) + ")";
+    }
+    w.metadata(1, tid, "thread_name", label);
+    w.metadata(2, tid, "thread_name", label);
   }
 
   std::unordered_map<std::uint32_t, OpenSlices> open;      // pid 1 B/E state

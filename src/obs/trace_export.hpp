@@ -4,8 +4,9 @@
 // Perfetto's trace viewer (https://ui.perfetto.dev) both open directly.
 // Layout:
 //
-//  * pid 1 "threads"   — one track per vthread.  Duration slices (B/E) for
-//    synchronized sections (section-enter → section-commit/abort) and
+//  * pid 1 "threads"   — one track per tid seen in the events, named from
+//    its latest kDispatch (lane name and priority).  Duration slices (B/E)
+//    for synchronized sections (section-enter → section-commit/abort) and
 //    monitor waits (monitor-contend → monitor-acquire); instants for
 //    acquires, releases, barges, revocation traffic, pins, undo replays and
 //    deadlock breaks.
@@ -29,19 +30,14 @@
 
 namespace rvk::obs {
 
-// Thread-track metadata for the exporter.
-struct TraceThread {
-  std::uint32_t tid = 0;
-  std::string name;
-  int priority = 0;
-};
-
 // Writes `events` (recorder snapshot order: ascending seq) as Chrome
-// trace-event JSON.  Unpaired begin events are closed at the last seen
+// trace-event JSON.  A kDispatch event's `a` is 1 + an index into
+// `lane_names`; a tid with no such dispatch in `events` gets the lane
+// "thread <tid>".  Unpaired begin events are closed at the last seen
 // timestamp; close events whose begin was dropped by the ring degrade to
 // instants — a truncated ring still yields a well-formed trace.
 void write_chrome_trace(const std::vector<Event>& events,
-                        const std::vector<TraceThread>& threads,
+                        const std::vector<std::string>& lane_names,
                         std::ostream& os);
 
 // Renders a decoded rvkx1 exploration trace (see explore/trace.hpp) on a

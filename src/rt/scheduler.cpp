@@ -120,6 +120,7 @@ void VThread::start(ThreadId id, std::string name, int priority,
   cancel_requested = false;
   abortable_wait = false;
   reserved_in = nullptr;
+  obs = ObsState{};
 }
 
 void VThread::entry() {

@@ -77,6 +77,20 @@ class EngineState {
   virtual ~EngineState() = default;
 };
 
+// The obs recorder's per-thread state (DESIGN.md §10).  rt never looks
+// inside; start() resets it, as the recorder does when `stamp` is stale.
+struct ObsWindow {
+  bool open = false;
+  std::uint64_t wall_ns = 0, vclock = 0;  // when the window opened
+};
+struct ObsState {
+  std::uint64_t stamp = 0;  // recorder run the fields below belong to
+  std::uint32_t lane = 0;   // lane-name index; 0 until the recorder interns
+  ObsWindow wait;           // contend → acquire
+  ObsWindow inversion;      // inverted contend → acquire
+  ObsWindow rollback;       // revocation request → section retry
+};
+
 // A control block.  The scheduler recycles it (DESIGN.md §15): when a thread
 // finishes, its block goes back to the scheduler's bounded free list and the
 // next spawn re-initialises it in place under a fresh, never-reused id.  A
@@ -167,6 +181,9 @@ class VThread {
   // entry.  It stays with the block across recycling; the engine resets it
   // when the block's next thread registers (core::Engine::sync_of).
   std::unique_ptr<EngineState> engine_state;
+
+  // Observability state, written only by the installed recorder.
+  ObsState obs;
 
   // Depth of nested forbidden regions (engine commit/abort and monitor
   // release paths, which rely on green-thread atomicity — see CLAUDE.md).

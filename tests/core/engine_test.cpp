@@ -8,6 +8,7 @@
 
 #include "core/engine.hpp"
 #include "heap/heap.hpp"
+#include "obs/recorder.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::core {
@@ -532,18 +533,28 @@ TEST(EngineTest, LogAppendsCountUndoneAndCommittedEntries) {
   EXPECT_EQ(o->get<int>(4), 1);
 }
 
-TEST(EngineTest, HundredThousandRequestThreadsKeepPerThreadStateBounded) {
-  // The open-loop shape (DESIGN.md §15): a driver spawns 100k short request
-  // threads, 8 at a time, each running one section of 8 read-modify-writes.
-  // Control blocks, and the engine state each one carries, are recycled:
-  // the scheduler never holds more than the free list's worth of finished
-  // blocks, and heap in use stops growing after the first waves (at the
-  // ~2 KB per finished thread the engine and scheduler used to keep, it
-  // would grow by ~200 MB).
+// The open-loop shape (DESIGN.md §15): a driver spawns 100k short request
+// threads, 8 at a time, each running one section of 8 read-modify-writes.
+// Control blocks, and the engine state each one carries, are recycled: the
+// scheduler never holds more than the free list's worth of finished blocks,
+// and heap in use stops growing after the first waves (at the ~2 KB per
+// finished thread the engine and scheduler used to keep, it would grow by
+// ~200 MB).  `observe` installs a recorder: its one ring is sized at
+// install, and a request's recorder state rides in its control block.
+// Heap in use counts glibc's mmapped chunks too, where any allocation of
+// 128 KiB or more (such as an event ring) lands.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+void run_request_threads(bool observe) {
   constexpr int kRequests = 100000;
   constexpr int kWidth = 8;
   constexpr int kWarmup = 1000;
-  Fixture fx;
+  EngineConfig cfg;
+  cfg.observe = observe;
+  Fixture fx(cfg);
   heap::HeapObject* o = fx.heap.alloc("o", 8);
   RevocableMonitor* m = fx.engine.make_monitor("m");
   std::size_t spare_blocks = 0;
@@ -564,9 +575,9 @@ TEST(EngineTest, HundredThousandRequestThreadsKeepPerThreadStateBounded) {
       for (rt::ThreadId id : wave) fx.sched.join(id);
       spare_blocks = std::max(
           spare_blocks, fx.sched.control_blocks() - fx.sched.live_count());
-      if (r == kWarmup) heap_warm = mallinfo2().uordblks;
+      if (r == kWarmup) heap_warm = heap_in_use();
     }
-    heap_end = mallinfo2().uordblks;
+    heap_end = heap_in_use();
   });
   fx.sched.run();
   EXPECT_EQ(o->get<int>(0), kRequests);
@@ -575,11 +586,25 @@ TEST(EngineTest, HundredThousandRequestThreadsKeepPerThreadStateBounded) {
   EXPECT_EQ(fx.engine.stats().log_appends, 8u * kRequests);
   EXPECT_LE(spare_blocks, rt::Scheduler::kMaxFreeBlocks);
   EXPECT_LE(fx.sched.control_blocks(), rt::Scheduler::kMaxFreeBlocks);
+  if (observe) {
+    // Every request was recorded: the ring wrapped many times over.
+    const obs::Recorder* rec = obs::Recorder::active();
+    ASSERT_NE(rec, nullptr);
+    EXPECT_GT(rec->dropped_events(), std::uint64_t{kRequests});
+  }
   // mallinfo2 reads glibc's arenas; under a sanitizer's allocator it reads
   // nothing useful, so the bound only applies where it grew from nonzero.
   if (heap_warm != 0) {
     EXPECT_LT(heap_end, heap_warm + (std::size_t{1} << 20));
   }
+}
+
+TEST(EngineTest, HundredThousandRequestThreadsKeepPerThreadStateBounded) {
+  run_request_threads(/*observe=*/false);
+}
+
+TEST(EngineTest, HundredThousandObservedRequestThreadsKeepStateBounded) {
+  run_request_threads(/*observe=*/true);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // The classical priority-inversion protocols the paper compares against
 // (§1, §5): priority inheritance and priority ceiling emulation.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <vector>
 
@@ -203,6 +204,105 @@ TEST(PriorityCeilingTest, CeilingPreventsMediumPreemption) {
   });
   s.run();
   EXPECT_FALSE(hog_ran_during_section);
+}
+
+// The open-loop request shape over one protocol monitor: a driver spawns
+// 100k short request threads, 8 at a time, and each takes `m` across one
+// yield point, so most of a wave blocks and wakes on it; every other
+// request gives up after one tick.  The domain keeps an entry only while a
+// thread holds or waits on the monitor, so heap in use stops growing after
+// the first waves (an entry per request ever seen would grow it by several
+// MB).  Heap in use counts glibc's arenas and its mmapped chunks.
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+void run_protocol_requests(MonitorBase& m) {
+  constexpr int kRequests = 100000;
+  constexpr int kWidth = 8;
+  constexpr int kWarmup = 1000;
+  rt::SchedulerConfig cfg;
+  cfg.quantum = 1;
+  rt::Scheduler s(cfg);
+  int sections = 0, gave_up = 0;
+  std::size_t heap_warm = 0, heap_end = 0;
+  s.spawn("driver", rt::kMaxPriority, [&] {
+    std::vector<rt::ThreadId> wave;
+    for (int r = 0; r < kRequests; r += kWidth) {
+      wave.clear();
+      for (int i = 0; i < kWidth; ++i) {
+        wave.push_back(s.spawn("req", 2 + i % 4, [&, i] {
+          if (i % 2 == 0 && !m.try_enter(1)) {
+            ++gave_up;
+            return;
+          }
+          if (i % 2 != 0) m.acquire();
+          s.yield_point();
+          ++sections;
+          m.release();
+        })->id());
+      }
+      for (rt::ThreadId id : wave) s.join(id);
+      if (r == kWarmup) heap_warm = heap_in_use();
+    }
+    heap_end = heap_in_use();
+  });
+  s.run();
+  EXPECT_EQ(sections + gave_up, kRequests);
+  EXPECT_GT(gave_up, 0);
+  EXPECT_GT(m.stats().contended, 0u);
+  // mallinfo2 reads glibc's arenas; under a sanitizer's allocator it reads
+  // nothing useful, so the bound only applies where it grew from nonzero.
+  if (heap_warm != 0) {
+    EXPECT_LT(heap_end, heap_warm + (std::size_t{1} << 20));
+  }
+}
+
+TEST(PriorityInheritanceTest, HundredThousandRequestsKeepDomainBounded) {
+  InheritanceDomain dom;
+  PriorityInheritanceMonitor m("m", dom);
+  run_protocol_requests(m);
+  EXPECT_GT(m.boosts(), 0u);
+}
+
+TEST(PriorityCeilingTest, HundredThousandRequestsKeepDomainBounded) {
+  CeilingDomain dom;
+  PriorityCeilingMonitor m("m", 9, dom);
+  run_protocol_requests(m);
+}
+
+TEST(PriorityInheritanceTest, AbandonedWaitLeavesNoStaleBlocker) {
+  // A waiter that times out is no longer blocked: a later boost through a
+  // monitor it holds stops at it instead of following the abandoned wait on
+  // to B's owner.
+  rt::Scheduler s(strict_cfg());
+  InheritanceDomain dom;
+  PriorityInheritanceMonitor a("A", dom);
+  PriorityInheritanceMonitor b("B", dom);
+  int owner_prio = 0;
+  s.spawn("b-owner", 3, [&] {
+    b.acquire();
+    for (int i = 0; i < 400; ++i) s.yield_point();
+    owner_prio = s.current_thread()->priority();
+    b.release();
+  });
+  s.spawn("quitter", 4, [&] {
+    s.sleep_for(5);
+    a.acquire();
+    EXPECT_FALSE(b.try_enter(20));  // blocks on B, then gives up
+    for (int i = 0; i < 100; ++i) s.yield_point();
+    a.release();
+  });
+  s.spawn("hi", 9, [&] {
+    s.sleep_for(50);
+    a.acquire();  // boosts the quitter, and no further: it waits on nothing
+    a.release();
+  });
+  s.run();
+  // The quitter's own boost stands until B's release recomputes it (PI
+  // lowers priorities only at release); hi's 9 never reached B's owner.
+  EXPECT_EQ(owner_prio, 4);
 }
 
 }  // namespace

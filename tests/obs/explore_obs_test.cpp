@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "core/engine.hpp"
 #include "explore/explorer.hpp"
@@ -83,15 +84,22 @@ TEST(ExploreObsTest, LastScheduleTraceInterleavesBothThreads) {
   const auto events = sr.rec->snapshot();
   ASSERT_FALSE(events.empty());
   std::set<std::uint32_t> tids;
+  std::set<std::string> lanes;
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i > 0) {
       EXPECT_GT(events[i].seq, events[i - 1].seq);
       EXPECT_GE(events[i].vclock, events[i - 1].vclock);
     }
     tids.insert(events[i].tid);
+    if (events[i].kind == EventKind::kDispatch) {
+      EXPECT_LE(events[i].a, 2u);
+      lanes.insert(std::string(sr.rec->lane_name(events[i].a)));
+    }
   }
   EXPECT_GE(tids.size(), 2u);
-  EXPECT_EQ(sr.rec->thread_name(*tids.begin()).substr(0, 1), "w");
+  // Every explored schedule re-spawns w1 and w2, but the name table holds
+  // each name once: lanes 1 and 2 across all schedules.
+  EXPECT_EQ(lanes, (std::set<std::string>{"w1", "w2"}));
 }
 
 }  // namespace

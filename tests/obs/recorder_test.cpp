@@ -211,7 +211,10 @@ TEST(RecorderTest, SnapshotIsChronologicalAndNamesThreads) {
     saw_retry |= events[i].kind == EventKind::kSectionRetry;
     saw_revoke |= events[i].kind == EventKind::kRevokeRequest;
     saw_contend |= events[i].kind == EventKind::kMonitorContend;
-    names.insert(std::string(sr.rec->thread_name(events[i].tid)));
+    // Lanes come from tid: each dispatch names its thread's lane.
+    if (events[i].kind == EventKind::kDispatch) {
+      names.insert(std::string(sr.rec->lane_name(events[i].a)));
+    }
   }
   EXPECT_TRUE(saw_retry);
   EXPECT_TRUE(saw_revoke);
@@ -222,11 +225,13 @@ TEST(RecorderTest, SnapshotIsChronologicalAndNamesThreads) {
 
 TEST(RecorderTest, BeginRunClearsTraceKeepsMetricsAndDropCounts) {
   RecorderConfig cfg;
-  cfg.ring_capacity = 2;  // force overflow
+  cfg.ring_capacity = 2;  // force overflow of the shard's one ring
   ScopedRecorder sr(cfg);
   run_contended_scenario(/*yields=*/200);
   const std::uint64_t drops = sr.rec->dropped_events();
   EXPECT_GT(drops, 0u);  // 200 quantum-1 yields cannot fit two slots
+  // Both threads share the two slots: no per-thread ring holds more.
+  EXPECT_EQ(sr.rec->snapshot().size(), 2u);
   const Registry::Entry* wait =
       sr.rec->registry().find("monitor.contention_wait_ticks");
   ASSERT_NE(wait, nullptr);
@@ -246,12 +251,62 @@ TEST(RecorderTest, BeginRunClearsTraceKeepsMetricsAndDropCounts) {
                 ->hist->count(),
             samples);
 
-  // A second run records into fresh rings under recycled thread ids.
+  // A second run records into the same ring under recycled thread ids.
   run_contended_scenario(/*yields=*/5);
-  EXPECT_FALSE(sr.rec->snapshot().empty());
+  EXPECT_EQ(sr.rec->snapshot().size(), 2u);
+  EXPECT_GT(sr.rec->dropped_events(), drops);
   EXPECT_GE(sr.rec->registry().find("monitor.contention_wait_ticks")
                 ->hist->count(),
             samples + 1);
+}
+
+TEST(RecorderTest, BusyThreadEvictsQuietThreadsEventsFromTheShardRing) {
+  // Drop-oldest applies to the shard's one ring, not per thread: a quiet
+  // thread that ran once early loses its events to a busy one.
+  RecorderConfig cfg;
+  cfg.ring_capacity = 64;
+  ScopedRecorder sr(cfg);
+  rt::SchedulerConfig scfg;
+  scfg.quantum = 1;
+  rt::Scheduler sched(scfg);
+  const rt::ThreadId quiet = sched.spawn("quiet", 5, [] {})->id();
+  const rt::ThreadId busy = sched.spawn("busy", 5, [&] {
+    for (int i = 0; i < 500; ++i) sched.yield_point();
+  })->id();
+  sched.run();
+  const auto events = sr.rec->snapshot();
+  ASSERT_EQ(events.size(), 64u);
+  EXPECT_GT(sr.rec->dropped_events(), 900u);  // ~2 events per yield
+  std::set<rt::ThreadId> tids;
+  for (const Event& e : events) tids.insert(e.tid);
+  EXPECT_NE(quiet, busy);
+  EXPECT_EQ(tids, std::set<rt::ThreadId>{busy});
+  // The surviving lane still carries its name.
+  bool named = false;
+  for (const Event& e : events) {
+    if (e.kind == EventKind::kDispatch) {
+      named |= sr.rec->lane_name(e.a) == "busy";
+    }
+  }
+  EXPECT_TRUE(named);
+}
+
+TEST(RecorderTest, ThreadSpawnedBeforeInstallIsNamedAtFirstDispatch) {
+  rt::Scheduler sched;
+  sched.spawn("early", 3, [&] { sched.yield_point(); });
+  ScopedRecorder sr;
+  sched.spawn("late", 4, [&] { sched.yield_point(); });
+  sched.run();
+  std::set<std::string> names;
+  for (const Event& e : sr.rec->snapshot()) {
+    if (e.kind == EventKind::kDispatch) {
+      names.insert(std::string(sr.rec->lane_name(e.a)));
+    }
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"early", "late"}));
+  // A lane index the table never issued names nothing.
+  EXPECT_EQ(sr.rec->lane_name(0), "");
+  EXPECT_EQ(sr.rec->lane_name(99), "");
 }
 
 // An abortable entry that gives up (§14), then a blocking entry by the same

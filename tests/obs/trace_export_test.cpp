@@ -92,9 +92,42 @@ TEST(TraceExportTest, UnpairedSlicesCloseDefensively) {
   events.push_back(e);
 
   std::ostringstream os;
-  write_chrome_trace(events, {{1, "t1", 5}}, os);
+  write_chrome_trace(events, {}, os);
   EXPECT_TRUE(testjson::valid_json(os.str())) << os.str();
   EXPECT_NE(os.str().find("truncated"), std::string::npos);
+}
+
+TEST(TraceExportTest, LanesComeFromTidAndTheLatestDispatch) {
+  // Lane 1 names tid 1; its second dispatch (boosted to priority 9) labels
+  // the lane.  Tid 2 appears only as a revocation target — its dispatches
+  // were evicted — and still gets a lane, named by its tid.  Tid 3's
+  // dispatch names a lane the table never issued.
+  std::vector<Event> events;
+  auto add = [&](std::uint32_t tid, EventKind kind, std::uint64_t a,
+                 std::uint64_t b) {
+    Event e;
+    e.tid = tid;
+    e.kind = kind;
+    e.a = a;
+    e.b = b;
+    e.seq = events.size();
+    e.wall_ns = 1000 * (events.size() + 1);
+    events.push_back(e);
+  };
+  add(1, EventKind::kDispatch, 1, 5);
+  add(2, EventKind::kRevokeRequest, 7, 0);
+  add(1, EventKind::kSwitchYield, 0, 0);
+  add(1, EventKind::kDispatch, 1, 9);
+  add(3, EventKind::kDispatch, 0xFFFFFFFF, 4);
+
+  std::ostringstream os;
+  write_chrome_trace(events, {"worker"}, os);
+  const std::string json = os.str();
+  EXPECT_TRUE(testjson::valid_json(json)) << json;
+  EXPECT_NE(json.find("\"worker (prio 9)\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"worker (prio 5)\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"thread 2\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"thread 3 (prio 4)\""), std::string::npos) << json;
 }
 
 TEST(TraceExportTest, ExploreDecisionTraceRoundTripsAndExports) {
