@@ -10,11 +10,12 @@
 // small" claim rests on them being a few nanoseconds.
 //
 // The *Analyzed variants rerun the same loops with the revocation-safety
-// analyzer installed (EngineConfig::analyze).  Their deltas price the
-// checker: lockset + bypass lint per traced access, one extra field test
-// per yield point.  The plain variants are the analyzer-off regression
-// baseline — they must not move when the analyzer code is linked in,
-// because every hook is a null-checked function pointer that stays null.
+// analyzer on (EngineConfig::analyze).  Their deltas price the checker:
+// the engine forwarding each traced access, lockset + bypass lint per
+// access, one extra field test per yield point.  The plain variants are the
+// analyzer-off regression baseline — they must not move when the analyzer
+// code is linked in, because with no engine subscriber the access gate is
+// one relaxed load of a zero count.
 //
 // The *Obs variants rerun the write slow path and the yield point with the
 // observability recorder installed (src/obs/).  Neither path carries an obs
@@ -204,7 +205,8 @@ core::EngineConfig analyzed_config() {
 
 void BM_WriteOutsideSectionAnalyzed(benchmark::State& state) {
   // Analyzer cost on the write fast path: the barrier itself is unchanged,
-  // the trace hook feeds one single-owner (kExclusive) lockset update.
+  // the engine forwards each access to one single-owner (kExclusive)
+  // lockset update.
   rt::Scheduler sched;
   core::Engine eng(sched, analyzed_config());
   heap::Heap h;

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <iostream>
-#include <memory>
-#include <mutex>
 #include <sstream>
 
-#include "common/check.hpp"
 #include "core/revocable_monitor.hpp"
 #include "log/undo_log.hpp"
 #include "obs/event.hpp"
@@ -16,27 +12,6 @@
 namespace rvk::analysis {
 
 namespace {
-
-std::unique_ptr<Analyzer> g_analyzer;
-// Shared install (DESIGN.md §16): under sharding every shard's engine
-// installs/uninstalls, but one analyzer observes the whole process — first
-// in creates it, last out tears it down.  g_install_mu orders that pairing
-// across shard threads; g_dispatch_mu serializes the handler bodies, whose
-// tables (lockset, frames_of_) are process-global while events arrive from
-// every shard under kOsThreads.  The analyzer is a diagnostic layer, never
-// enabled in measured runs, so a mutex per event is acceptable.
-int g_install_count = 0;
-std::mutex g_install_mu;
-std::mutex g_dispatch_mu;
-
-void dispatch_access(const heap::TraceAccess& a) {
-  std::lock_guard<std::mutex> lk(g_dispatch_mu);
-  g_analyzer->on_access(a);
-}
-void dispatch_switch(rt::VThread* t, const char* where) {
-  std::lock_guard<std::mutex> lk(g_dispatch_mu);
-  g_analyzer->on_forbidden_switch(t, where);
-}
 
 const char* monitor_name(const core::RevocableMonitor* m) {
   return m != nullptr ? m->name().c_str() : "?";
@@ -68,33 +43,9 @@ bool env_enabled() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-Analyzer* Analyzer::install() {
-  std::lock_guard<std::mutex> lk(g_install_mu);
-  if (g_install_count++ == 0) {
-    RVK_CHECK_MSG(g_analyzer == nullptr,
-                  "revocation-safety analyzer already installed");
-    g_analyzer.reset(new Analyzer());
-    heap::set_analysis_hook(&dispatch_access);
-    rt::set_switch_probe(&dispatch_switch);
-    rt::set_region_marking(true);
-  }
-  return g_analyzer.get();
-}
+Analyzer::Analyzer() { rt::set_region_marking(true); }
 
-void Analyzer::uninstall() {
-  std::lock_guard<std::mutex> lk(g_install_mu);
-  if (g_analyzer == nullptr) return;
-  if (--g_install_count > 0) return;  // peers still observing
-  heap::set_analysis_hook(nullptr);
-  rt::set_switch_probe(nullptr);
-  rt::set_region_marking(false);
-  // Surface breaches even from binaries that never ask for the report
-  // (fig/bench runs under RVK_ANALYZE=1).
-  if (!g_analyzer->report_.violations.empty()) g_analyzer->print(std::cerr);
-  g_analyzer.reset();
-}
-
-Analyzer* Analyzer::active() { return g_analyzer.get(); }
+Analyzer::~Analyzer() { rt::set_region_marking(false); }
 
 void Analyzer::print(std::ostream& os) const { report_.print(os); }
 
@@ -234,7 +185,6 @@ void Analyzer::on_engine_event(const core::EngineEvent& e) {
       e.kind != K::kSectionCommit && e.kind != K::kSectionAbort) {
     return;
   }
-  std::lock_guard<std::mutex> lk(g_dispatch_mu);
   ++report_.frame_events;
   // Cache a pointer to the thread's *live* frame stack: held-monitor sets
   // for the lockset always reflect the current stack, not the event's

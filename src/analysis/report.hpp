@@ -1,8 +1,8 @@
 // Violation records produced by the revocation-safety analyzer.
 //
-// The analyzer (hooks.hpp) watches the running system through the barrier
-// trace dispatch, the scheduler's switch probe and the engine's event
-// stream, and files one Violation per observed breach of the
+// The analyzer (hooks.hpp) watches its engine's shard through the engine:
+// traced accesses, forbidden-region switch points and the event stream.
+// It files one Violation per observed breach of the
 // invariants the paper's scheme rests on (§1.1, §2.2).  Violations are
 // deterministic: the green-thread substrate executes one total order per
 // seed, so a flagged run flags the same accesses every time.
@@ -44,8 +44,8 @@ struct Violation {
 
 const char* kind_name(Violation::Kind k);
 
-// Counters plus the violation list; printed via core/report's
-// print_analysis_report or AnalysisReport::print.
+// Counters plus the violation list; printed via AnalysisReport::print (the
+// engine prints it at teardown when it holds violations).
 struct AnalysisReport {
   std::vector<Violation> violations;
 

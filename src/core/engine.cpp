@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "analysis/hooks.hpp"
 #include "heap/heap.hpp"
@@ -59,11 +60,11 @@ Engine::Engine(rt::Scheduler& sched, EngineConfig cfg)
   sched_.attach_engine(this);
 
   // Revocation-safety analyzer: per-config or process-wide via RVK_ANALYZE.
-  // The engine owns the install/uninstall pairing (a shared install under
-  // sharding) and subscribes the shared instance to its own event stream.
+  // Each engine owns its own and subscribes it, so it sees this shard's
+  // transitions and accesses and nothing else.
   if (cfg_.analyze || analysis::env_enabled()) {
-    analyzer_ = analysis::Analyzer::install();
-    subscribe(analyzer_);
+    analyzer_ = std::make_unique<analysis::Analyzer>();
+    subscribe(analyzer_.get());
   }
 
   // Observability recorder: per-config or process-wide via RVK_OBS.  Unlike
@@ -87,9 +88,14 @@ Engine::~Engine() {
   if (multi_shard_) monitor::MonitorTable::global().leave_multi_shard();
   if (observing_) obs::Recorder::uninstall();
   if (analyzer_ != nullptr) {
-    unsubscribe(analyzer_);
-    analysis::Analyzer::uninstall();
+    unsubscribe(analyzer_.get());
+    // Surface breaches even from binaries that never ask for the report
+    // (fig/bench runs under RVK_ANALYZE=1).
+    if (!analyzer_->report().violations.empty()) analyzer_->print(std::cerr);
   }
+  // An observer left subscribed no longer holds the access gate open.
+  rt::detail::g_access_observers.fetch_sub(
+      static_cast<int>(observers_.size()), std::memory_order_relaxed);
   // Unregister the live threads: a later engine must re-register each one
   // (sync_of), so none keeps this engine's frames, write-filter tags or
   // write-marking flag.  Finished threads' blocks re-register anyway when
@@ -751,6 +757,14 @@ void Engine::on_alloc(heap::Heap* heap, heap::HeapObject* obj) {
 
 // ---------------------------------------------------------------------------
 // Observability
+
+void Engine::on_access(const heap::TraceAccess& a) {
+  for (EngineObserver* o : observers_) o->on_access(a);
+}
+
+void Engine::on_forbidden_switch(rt::VThread* t, const char* where) {
+  if (analyzer_ != nullptr) analyzer_->on_forbidden_switch(t, where);
+}
 
 void Engine::publish(obs::EventKind kind, rt::VThread* t, std::uint64_t frame,
                      const RevocableMonitor* m, std::uint64_t aux) {

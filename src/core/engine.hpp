@@ -25,8 +25,11 @@
 // One Engine per scheduler: the constructor attaches the engine to its
 // Scheduler as that scheduler's rt::EngineLink (rt/engine_link.hpp), the one
 // path by which rt/ and heap/ call up into it — revocation delivery, stall
-// and background work, lazy frames, tracked reads, allocations — and the
-// destructor detaches it.  Constructed with a rt::Domain current (DomainSet
+// and background work, lazy frames, tracked reads, allocations, traced
+// accesses and forbidden-region switch points — and the destructor detaches
+// it.  Tools observe through it too: subscribers see this engine's accesses
+// as well as its transitions, and the analyzer, when on, is this engine's
+// own.  Constructed with a rt::Domain current (DomainSet
 // setup runs there), the engine binds to that shard; shards may differ in
 // configuration, jmm_guard included.  In the classic unsharded runtime (no
 // domain entered) it is also its OS thread's one engine, which host-code
@@ -111,14 +114,15 @@ struct EngineConfig {
   // high-priority thread first).
   std::uint64_t retry_backoff_ticks = 0;
 
-  // Install the revocation-safety analyzer (analysis/) for this engine's
+  // Give this engine a revocation-safety analyzer (analysis/) for its
   // lifetime: lockset race detection, barrier-bypass and forbidden-region
-  // lints, pin-closure audits.  ORed with the RVK_ANALYZE environment
-  // variable, so any binary can be analyzed without a rebuild.
+  // lints, pin-closure audits, over this engine's shard.  ORed with the
+  // RVK_ANALYZE environment variable, so any binary can be analyzed without
+  // a rebuild.
   bool analyze = false;
 
   // Install the observability recorder (obs/) for this engine's lifetime:
-  // per-thread event rings, the metrics registry, inversion-latency
+  // the shard's event ring, the metrics registry, inversion-latency
   // profiling.  ORed with the RVK_OBS / RVK_OBS_TRACE / RVK_OBS_METRICS
   // environment knobs.  If a recorder is already installed (a harness or
   // test owns one across engine lifetimes), the engine records through it
@@ -293,6 +297,11 @@ class Engine final : public rt::EngineLink {
   // Monitors currently registered with this engine (for reports/sweeps).
   const std::vector<RevocableMonitor*>& monitors() const { return monitors_; }
 
+  // This engine's revocation-safety analyzer (EngineConfig::analyze or
+  // RVK_ANALYZE), or nullptr.  Its report covers this engine's shard; the
+  // engine prints it to stderr at teardown when it holds violations.
+  analysis::Analyzer* analyzer() const { return analyzer_.get(); }
+
   // ---- Internal protocol (used by RevocableMonitor and hooks) ----
 
   // Contended-acquire processing for thread `t` wanting `m`: inversion
@@ -328,14 +337,21 @@ class Engine final : public rt::EngineLink {
   // section.
   static const ThreadSync* find_sync(const rt::VThread* t);
 
-  // Adds / removes an observer of this engine's event stream (EngineEvent).
-  // Call outside forbidden regions — from host code or between sections —
-  // never from an observer callback.  Any subscriber keeps the biased lazy
-  // path off (DESIGN.md §11), so every frame is seen as it happens.
-  void subscribe(EngineObserver* o) { observers_.push_back(o); }
+  // Adds / removes an observer of this engine's event stream (EngineEvent)
+  // and of its traced accesses.  Call outside forbidden regions — from host
+  // code or between sections — never from an observer callback.  Any
+  // subscriber keeps the biased lazy path off (DESIGN.md §11), so every
+  // frame is seen as it happens, and opens the heap's access gate
+  // (rt::detail::g_access_observers) while it stays subscribed.
+  void subscribe(EngineObserver* o) {
+    observers_.push_back(o);
+    rt::detail::g_access_observers.fetch_add(1, std::memory_order_relaxed);
+  }
   void unsubscribe(EngineObserver* o) {
-    observers_.erase(std::remove(observers_.begin(), observers_.end(), o),
-                     observers_.end());
+    const auto gone = std::remove(observers_.begin(), observers_.end(), o);
+    rt::detail::g_access_observers.fetch_sub(
+        static_cast<int>(observers_.end() - gone), std::memory_order_relaxed);
+    observers_.erase(gone, observers_.end());
   }
 
  private:
@@ -452,6 +468,10 @@ class Engine final : public rt::EngineLink {
                                      PinReason reason);
   // Records a section's allocation in its frame, for rollback to reclaim.
   void on_alloc(heap::Heap* heap, heap::HeapObject* obj) override;
+  // Hands a traced access to every subscriber.
+  void on_access(const heap::TraceAccess& a) override;
+  // Reports a switch point inside a forbidden region to the analyzer.
+  void on_forbidden_switch(rt::VThread* t, const char* where) override;
 
   // sync_of's slow path: creates or resets the block's ThreadSync.
   RVK_MAY_ALLOC ThreadSync& register_thread(rt::VThread* t);
@@ -486,7 +506,7 @@ class Engine final : public rt::EngineLink {
   std::vector<RevocableMonitor*> monitors_;       // registered, for sweeps
   std::vector<std::unique_ptr<RevocableMonitor>> owned_monitors_;
   std::uint64_t next_frame_id_ = 1;
-  analysis::Analyzer* analyzer_ = nullptr;  // installed by this engine
+  std::unique_ptr<analysis::Analyzer> analyzer_;  // this engine's, or null
   bool observing_ = false;  // this engine installed the obs recorder
   bool multi_shard_ = false;  // entered the MonitorTable's multi-shard mode
   // The MonitorTable's stats when this engine was built or last published.

@@ -22,6 +22,7 @@
 namespace rvk::heap {
 class Heap;
 class HeapObject;
+struct TraceAccess;
 }  // namespace rvk::heap
 
 namespace rvk::core {
@@ -171,6 +172,9 @@ struct EngineEvent {
 class EngineObserver {
  public:
   virtual void on_engine_event(const EngineEvent& e) = 0;
+  // A managed access made on this engine's shard (heap::trace_access), or
+  // by host code on the OS thread whose engine this is.
+  virtual void on_access(const heap::TraceAccess& /*a*/) {}
 
  protected:
   ~EngineObserver() = default;

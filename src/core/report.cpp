@@ -30,7 +30,7 @@ void print_engine_report(Engine& engine, std::ostream& os) {
      << st.words_undone << " words undone by rollbacks\n";
   os << "allocations: " << st.spec_allocs_reclaimed
      << " speculative objects reclaimed by rollbacks\n";
-  if (const analysis::Analyzer* a = analysis::Analyzer::active()) {
+  if (const analysis::Analyzer* a = engine.analyzer()) {
     os << "analyzer:    " << a->report().violations.size()
        << " violations (RVK_ANALYZE; see analysis report)\n";
   }
@@ -55,15 +55,6 @@ void print_monitor_report(const Engine& engine, std::ostream& os) {
       os << "  -";
     }
     os << "\n";
-  }
-}
-
-void print_analysis_report(std::ostream& os) {
-  if (const analysis::Analyzer* a = analysis::Analyzer::active()) {
-    a->print(os);
-  } else {
-    os << "=== revocation-safety analyzer ===\n"
-          "inactive (enable with RVK_ANALYZE=1 or EngineConfig::analyze)\n";
   }
 }
 

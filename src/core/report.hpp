@@ -18,9 +18,4 @@ void print_engine_report(Engine& engine, std::ostream& os);
 // priority, queue lengths, acquisition/contention/handoff counters.
 void print_monitor_report(const Engine& engine, std::ostream& os);
 
-// Writes the revocation-safety analyzer's report (counters + violations),
-// or a one-line "inactive" notice when no analyzer is installed (enable
-// with RVK_ANALYZE=1 or EngineConfig::analyze).
-void print_analysis_report(std::ostream& os);
-
 }  // namespace rvk::core

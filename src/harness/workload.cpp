@@ -32,7 +32,7 @@ WorkloadResult run_workload(VmKind vm, const WorkloadParams& p) {
   scfg.quantum = p.scheduler_quantum;
   rt::Scheduler sched(scfg);
   // Fresh scheduler ⇒ thread ids and the virtual clock restart; tell an
-  // active recorder so its per-thread rings do too (metrics keep
+  // active recorder so its trace starts a new run too (metrics keep
   // accumulating — DESIGN.md §10).
   obs::on_run_begin();
 

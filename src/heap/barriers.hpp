@@ -63,11 +63,12 @@ struct ObjectMeta {
   ObjectMeta& operator=(const ObjectMeta&) = delete;
 };
 
-// Access descriptor passed to the barrier trace dispatch.  Two consumers
-// subscribe independently: jmm/'s execution recorder (tests) and the
-// revocation-safety analyzer (analysis/, RVK_ANALYZE=1).  The dispatch is
-// always compiled; with no consumer installed it costs one predicted
-// pointer-null test per access.
+// Access descriptor the accessors trace.  While any engine in the process
+// has a subscriber (rt::detail::g_access_observers), trace_access hands it
+// to the acting engine (rt::acting_engine_link), which passes it to its own
+// observers: jmm/'s execution recorder (tests) and the revocation-safety
+// analyzer (analysis/, RVK_ANALYZE=1).  With no subscriber anywhere it costs
+// one predicted relaxed load per access.
 //
 // `addr` is the slot, the location identity the undo log records: analysis/
 // checks barrier coverage by it, and jmm/ maps undo entries back to the
@@ -92,29 +93,18 @@ struct TraceAccess {
   Word old_value;  // previous value (writes only)
 };
 
-namespace detail {
-// Execution-trace hook (jmm/ recorder); nullptr outside tests.
-extern void (*g_trace_access)(const TraceAccess&);
-// Revocation-safety analyzer hook (analysis/); nullptr unless RVK_ANALYZE.
-extern void (*g_analysis_access)(const TraceAccess&);
-}  // namespace detail
-
-// Installs the execution-trace hook (nullptr to uninstall).
-void set_trace_hook(void (*hook)(const TraceAccess&));
-
-// Installs the analyzer's access hook (nullptr to uninstall).
-void set_analysis_hook(void (*hook)(const TraceAccess&));
-
+RVK_TRUSTED(
+    "the virtual on_access reaches the engine's subscribers, which rvkcheck "
+    "cannot tell from same-named functions; subscribers are diagnostic tools "
+    "(analyzer, JMM trace) that may allocate and never run in measured runs")
 inline void trace_access(TraceAccess::Kind kind, const Word* addr,
                          const void* base, std::uint32_t offset, Word value,
                          Word old_value) {
-  if (detail::g_trace_access != nullptr) [[unlikely]] {
-    detail::g_trace_access(
-        TraceAccess{kind, addr, base, offset, value, old_value});
-  }
-  if (detail::g_analysis_access != nullptr) [[unlikely]] {
-    detail::g_analysis_access(
-        TraceAccess{kind, addr, base, offset, value, old_value});
+  if (rt::detail::g_access_observers.load(std::memory_order_relaxed) != 0)
+      [[unlikely]] {
+    if (rt::EngineLink* link = rt::acting_engine_link()) {
+      link->on_access(TraceAccess{kind, addr, base, offset, value, old_value});
+    }
   }
 }
 

@@ -1,34 +1,17 @@
 #include "jmm/trace.hpp"
 
-#include "common/check.hpp"
 #include "core/engine.hpp"
 #include "rt/scheduler.hpp"
 
 namespace rvk::jmm {
 
-namespace {
-// The Trace the heap hook feeds (the hook is a plain function pointer).
-Trace* g_active = nullptr;
-}  // namespace
-
 Trace::Trace(core::Engine& engine) : engine_(engine) {
-  RVK_CHECK_MSG(g_active == nullptr, "another jmm::Trace is already active");
-  g_active = this;
-  heap::set_trace_hook(&Trace::access_hook);
   engine_.subscribe(this);
 }
 
-Trace::~Trace() {
-  engine_.unsubscribe(this);
-  heap::set_trace_hook(nullptr);
-  g_active = nullptr;
-}
+Trace::~Trace() { engine_.unsubscribe(this); }
 
-void Trace::access_hook(const heap::TraceAccess& a) {
-  g_active->record_access(a);
-}
-
-void Trace::record_access(const heap::TraceAccess& a) {
+void Trace::on_access(const heap::TraceAccess& a) {
   Event e;
   switch (a.kind) {
     // Unlogged stores model stores the compiler proved thread-local (§1.1);

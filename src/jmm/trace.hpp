@@ -6,13 +6,14 @@
 // engine enforces this with non-revocability pinning (§2.2); *this* module
 // exists to check, over whole executions, that the enforcement worked.
 //
-// A Trace captures a linear event stream — every shared read/write (via the
-// heap trace hook), every monitor acquire/release, every undo performed by a
-// rollback, and section commit/abort boundaries.  The structural events come
-// from the engine's one event stream (Engine::publish): the trace is an
-// EngineObserver.  Because the substrate is single-core green threads, the
-// stream is the exact total order of the execution, which makes the checker
-// (checker.hpp) precise rather than approximate.
+// A Trace captures a linear event stream — every shared read/write, every
+// monitor acquire/release, every undo performed by a rollback, and section
+// commit/abort boundaries.  All of it comes through one engine: the trace is
+// an EngineObserver, fed the engine's transitions (Engine::publish) and the
+// accesses made on its shard (heap::trace_access).  Because a shard runs
+// its green threads one at a time, the stream is the exact total order of
+// the shard's execution, which makes the checker (checker.hpp) precise
+// rather than approximate.
 //
 // Tests construct one around a scheduler run and verify the collected trace.
 #pragma once
@@ -69,12 +70,12 @@ struct Event {
   std::uint64_t frame = 0;     // frame id for write/abort/pin events
 };
 
-// Records one engine's execution for its lifetime.  Construction subscribes
-// to the engine's event stream and installs the heap trace hook;
-// destruction undoes both.  The heap hook is process-wide, so at most one
-// Trace exists at a time.  Construct it after the engine and destroy it
-// first, like any EngineObserver; the collected events stay readable until
-// then.
+// Records one engine's execution for its lifetime: construction subscribes
+// to the engine, destruction unsubscribes.  It sees the accesses of that
+// engine's green threads and, for the OS thread's engine, of host code; any
+// number of Traces may record at once, each on its own engine.  Construct
+// it after the engine and destroy it first, like any EngineObserver; the
+// collected events stay readable until then.
 class Trace final : public core::EngineObserver {
  public:
   explicit Trace(core::Engine& engine);
@@ -86,10 +87,9 @@ class Trace final : public core::EngineObserver {
   const std::vector<Event>& events() const { return events_; }
 
   void on_engine_event(const core::EngineEvent& e) override;
+  void on_access(const heap::TraceAccess& a) override;
 
  private:
-  static void access_hook(const heap::TraceAccess& a);
-  void record_access(const heap::TraceAccess& a);
   void push(EventKind kind, std::uint32_t tid, const void* monitor,
             std::uint64_t frame);
 

@@ -6,16 +6,21 @@
 // own engine and shards may differ in engine configuration (jmm_guard
 // included).  The lower layers find the link from what they already hold:
 // the scheduler (revocation delivery, stall and background work, lazy
-// frames at yield points and blocking calls), the running thread's
-// scheduler (the write barrier's lazy frame, the allocation hook), or, for
-// a marked read, acting_engine_link() below.  Nothing here is process-wide.
+// frames at yield points and blocking calls, forbidden-region switch
+// points), the running thread's scheduler (the write barrier's lazy frame,
+// the allocation hook), or, for a marked read or a traced access,
+// acting_engine_link() below.  The link itself is per scheduler; the one
+// process-wide word is the access gate below, a count of subscriptions.
 #pragma once
+
+#include <atomic>
 
 #include "rt/vthread.hpp"
 #include "support/annotations.hpp"
 
 namespace rvk::heap {
 struct ObjectMeta;
+struct TraceAccess;
 class Heap;
 class HeapObject;
 }  // namespace rvk::heap
@@ -59,6 +64,15 @@ class EngineLink {
   // The current thread allocated `obj` inside a synchronized section.
   virtual void on_alloc(heap::Heap* heap, heap::HeapObject* obj) = 0;
 
+  // A managed access, traced while some engine has a subscriber (the
+  // access gate below); the engine hands it to its observers.
+  virtual void on_access(const heap::TraceAccess& a) = 0;
+
+  // `t` reached a yield point or blocking call (`where`) inside a marked
+  // forbidden region; the engine reports it to its analyzer.  Must not
+  // block or yield.
+  virtual void on_forbidden_switch(VThread* t, const char* where) = 0;
+
  protected:
   ~EngineLink() = default;
 
@@ -71,5 +85,14 @@ class EngineLink {
 // shard (the classic runtime's one engine per OS thread).  nullptr when
 // there is none.  Out-of-line: it reads scheduler-identity TLS.
 EngineLink* acting_engine_link();
+
+namespace detail {
+// The heap's access gate: how many observers are subscribed to any engine
+// in the process (core::Engine::subscribe/unsubscribe keep it).  While it is
+// zero, heap::trace_access costs one predicted relaxed load.  A plain
+// global, not TLS, like obs::detail::g_obs_active: the inline load stays
+// valid across fiber switches.
+extern std::atomic<int> g_access_observers;
+}  // namespace detail
 
 }  // namespace rvk::rt

@@ -45,8 +45,8 @@ namespace rvk::rt {
 namespace detail {
 thread_local Scheduler* g_current_scheduler = nullptr;
 thread_local VThread* g_section_vthread = nullptr;
-bool g_region_marking = false;
-void (*g_switch_probe)(VThread*, const char*) = nullptr;
+std::atomic<int> g_region_marking{0};
+std::atomic<int> g_access_observers{0};
 }  // namespace detail
 
 namespace {
@@ -55,11 +55,11 @@ namespace {
 thread_local EngineLink* t_host_link = nullptr;
 }  // namespace
 
-void set_region_marking(bool on) { detail::g_region_marking = on; }
-bool region_marking() { return detail::g_region_marking; }
-
-void set_switch_probe(void (*probe)(VThread*, const char*)) {
-  detail::g_switch_probe = probe;
+void set_region_marking(bool on) {
+  detail::g_region_marking.fetch_add(on ? 1 : -1, std::memory_order_relaxed);
+}
+bool region_marking() {
+  return detail::g_region_marking.load(std::memory_order_relaxed) != 0;
 }
 
 VThread* section_vthread() { return detail::g_section_vthread; }
@@ -74,10 +74,8 @@ EngineLink* acting_engine_link() {
   return t_host_link;
 }
 
-void Scheduler::forbidden_switch_point(VThread* t) {
-  if (detail::g_switch_probe != nullptr) {
-    detail::g_switch_probe(t, "yield point");
-  }
+void Scheduler::forbidden_switch_point(VThread* t, const char* where) {
+  if (link_ != nullptr) link_->on_forbidden_switch(t, where);
 }
 
 Scheduler* current_scheduler() { return detail::g_current_scheduler; }
@@ -369,9 +367,7 @@ void Scheduler::sleep_for(std::uint64_t ticks) {
   VThread* t = current_;
   if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
   if (t->forbidden_region_depth != 0) [[unlikely]] {
-    if (detail::g_switch_probe != nullptr) {
-      detail::g_switch_probe(t, "sleep_for");
-    }
+    forbidden_switch_point(t, "sleep_for");
   }
   if (ticks == 0) {
     yield_now();
@@ -393,9 +389,7 @@ void Scheduler::block_current_on(WaitQueue& q) {
   VThread* t = current_;
   if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
   if (t->forbidden_region_depth != 0) [[unlikely]] {
-    if (detail::g_switch_probe != nullptr) {
-      detail::g_switch_probe(t, "blocking call");
-    }
+    forbidden_switch_point(t, "blocking call");
   }
   t->interrupted = false;
   t->timed_out = false;

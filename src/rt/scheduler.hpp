@@ -29,6 +29,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -138,7 +139,9 @@ class Scheduler {
     // A lazily-deferred frame must become a real, revocable core::Frame
     // before any switch can let another thread observe this one (§11).
     if (t->lazy_frame) [[unlikely]] link_->materialize_lazy_frame(t);
-    if (t->forbidden_region_depth != 0) [[unlikely]] forbidden_switch_point(t);
+    if (t->forbidden_region_depth != 0) [[unlikely]] {
+      forbidden_switch_point(t, "yield point");
+    }
     if (--t->quantum_left_ <= 0) switch_out(SwitchReason::kYield);
     // Exploration probe: runs in green-thread context (so it may throw an
     // invariant-violation exception through the normal thread-body unwinding
@@ -270,14 +273,14 @@ class Scheduler {
  private:
   friend class VThread;
 
-  // Out-of-line slow path of the forbidden-region check: forwards to the
-  // analyzer's switch probe (no-op if none is installed).
-  static void forbidden_switch_point(VThread* t);
+  // Out-of-line slow path of the forbidden-region check: reports `where`
+  // to the engine link, whose analyzer records it (no-op without one).
+  void forbidden_switch_point(VThread* t, const char* where);
 
   VThread* pick_next();
   // Links a runnable thread into the ready queue where `where` says.
   RVK_NO_YIELD void enqueue(VThread* t, Placement where);
-  // MAY_ALLOC: the obs recorder lazily registers a thread's ring at
+  // MAY_ALLOC: the obs recorder interns a thread's name at its first
   // dispatch (legal: scheduler context is never a forbidden region).
   RVK_MAY_YIELD RVK_MAY_ALLOC void dispatch(VThread* t);
   // kFinish tail of dispatch: moves `t`'s block from the live table to the
@@ -367,12 +370,13 @@ extern thread_local Scheduler* g_current_scheduler;
 // rt::enter_section/exit_section at sync-depth 0↔1 transitions and by
 // dispatch()/run() around every fiber switch.
 extern thread_local VThread* g_section_vthread;
-// Revocation-safety analyzer plumbing (analysis/).  When marking is off the
-// guards below do nothing and forbidden_region_depth stays zero, so the
-// yield-point check never takes its branch — the zero-overhead-when-off
-// contract of RVK_ANALYZE.
-extern bool g_region_marking;
-extern void (*g_switch_probe)(VThread* t, const char* where);
+// Live revocation-safety analyzers (analysis/), each engine's own.  While
+// it is zero the guards below do nothing and forbidden_region_depth stays
+// zero, so the yield-point check never takes its branch — the
+// zero-overhead-when-off contract of RVK_ANALYZE.  Process-wide because
+// threads no engine registered still release plain monitors inside marked
+// regions.
+extern std::atomic<int> g_region_marking;
 }  // namespace detail
 
 // In-section cache accessors (write-barrier fast path).  Out-of-line for the
@@ -383,23 +387,21 @@ VThread* section_vthread();
 void enter_section(VThread* t);
 void exit_section();
 
-// Enables/disables forbidden-region marking (analyzer install/uninstall).
+// Counts an analyzer in (true) or out (false) of forbidden-region marking;
+// region_marking() is true while any analyzer lives.
 void set_region_marking(bool on);
 bool region_marking();
-
-// Installs the analyzer's switch probe: called when a yield point or a
-// blocking call is reached inside a forbidden region (nullptr to uninstall).
-// The probe must not block or yield.
-void set_switch_probe(void (*probe)(VThread*, const char*));
 
 // RAII marker for code that must not contain a yield point or blocking call:
 // the engine's commit/abort sequences and monitor release paths, whose
 // atomicity the rollback protocol relies on (§3.1.2; CLAUDE.md invariant).
-// Active only while the analyzer has region marking enabled.
+// Active only while some analyzer has region marking enabled.
 class ForbiddenRegionGuard {
  public:
   explicit ForbiddenRegionGuard(VThread* t)
-      : t_(detail::g_region_marking ? t : nullptr) {
+      : t_(detail::g_region_marking.load(std::memory_order_relaxed) != 0
+               ? t
+               : nullptr) {
     if (t_ != nullptr) ++t_->forbidden_region_depth;
   }
   ~ForbiddenRegionGuard() {

@@ -187,10 +187,11 @@ class VThread {
 
   // Depth of nested forbidden regions (engine commit/abort and monitor
   // release paths, which rely on green-thread atomicity — see CLAUDE.md).
-  // Maintained only while the revocation-safety analyzer marks regions
-  // (rt::set_region_marking); a yield point or blocking call executed while
-  // nonzero fires the analyzer's switch probe.  Always zero otherwise, so
-  // the yield-point fast path pays a single never-taken field test.
+  // Maintained only while some revocation-safety analyzer lives
+  // (rt::region_marking); a yield point or blocking call executed while
+  // nonzero is reported through the scheduler's engine link to that
+  // engine's analyzer.  Always zero otherwise, so the yield-point fast path
+  // pays a single never-taken field test.
   int forbidden_region_depth = 0;
 
   // Set when Scheduler::interrupt() yanked this thread out of a wait queue

@@ -1,5 +1,5 @@
 // Revocation-safety analyzer: forbidden-region lint, pin-closure audits,
-// and install/uninstall lifecycle.
+// and the per-engine lifecycle.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -23,7 +23,7 @@ struct Fixture {
     return cfg;
   }
 
-  const AnalysisReport& report() { return Analyzer::active()->report(); }
+  const AnalysisReport& report() { return engine.analyzer()->report(); }
 
   rt::Scheduler sched;
   core::Engine engine;
@@ -31,13 +31,12 @@ struct Fixture {
 };
 
 TEST(AnalyzerLifecycleTest, EngineInstallsAndUninstalls) {
-  EXPECT_EQ(Analyzer::active(), nullptr);
+  EXPECT_FALSE(rt::region_marking());
   {
     Fixture fx;
-    EXPECT_NE(Analyzer::active(), nullptr);
+    EXPECT_NE(fx.engine.analyzer(), nullptr);
     EXPECT_TRUE(rt::region_marking());
   }
-  EXPECT_EQ(Analyzer::active(), nullptr);
   EXPECT_FALSE(rt::region_marking());
 }
 
@@ -107,11 +106,11 @@ TEST(PinClosureTest, BrokenUpwardClosureIsFlagged) {
   inner.id = 2;  // inner, pinned: closure broken
   inner.nonrevocable = true;
   inner.pin_reason = core::PinReason::kManual;
-  Analyzer::active()->on_engine_event(
+  fx.engine.analyzer()->on_engine_event(
       {obs::EventKind::kPin, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().count(Violation::Kind::kPinClosure), 1u);
   // The same persisting breach is not re-reported on later events.
-  Analyzer::active()->on_engine_event(
+  fx.engine.analyzer()->on_engine_event(
       {obs::EventKind::kPin, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().count(Violation::Kind::kPinClosure), 1u);
 }
@@ -126,7 +125,7 @@ TEST(PinClosureTest, DeliveryIntoPinnedFramesIsFlagged) {
   inner.id = 2;
   inner.nonrevocable = true;
   inner.pin_reason = core::PinReason::kWait;
-  Analyzer::active()->on_engine_event(
+  fx.engine.analyzer()->on_engine_event(
       {obs::EventKind::kRevokeDeliver, nullptr, 1, nullptr, 0, &frames});
   // Both audits fire: the stack breaks upward closure AND the delivery
   // would abort the pinned frame.
@@ -141,10 +140,10 @@ TEST(PinClosureTest, WellFormedPinAndDeliveryAreClean) {
   outer.nonrevocable = true;
   outer.pin_reason = core::PinReason::kDependency;
   frames.push().id = 2;
-  Analyzer::active()->on_engine_event(
+  fx.engine.analyzer()->on_engine_event(
       {obs::EventKind::kPin, nullptr, 1, nullptr, 0, &frames});
   // Delivery targeting only the revocable inner frame is sound.
-  Analyzer::active()->on_engine_event(
+  fx.engine.analyzer()->on_engine_event(
       {obs::EventKind::kRevokeDeliver, nullptr, 2, nullptr, 0, &frames});
   EXPECT_EQ(fx.report().violations.size(), 0u);
 }

@@ -26,7 +26,7 @@ struct Fixture {
     return cfg;
   }
 
-  const AnalysisReport& report() { return Analyzer::active()->report(); }
+  const AnalysisReport& report() { return engine.analyzer()->report(); }
 
   rt::Scheduler sched;
   core::Engine engine;
@@ -53,7 +53,7 @@ TEST(LocksetTest, UnprotectedSharedWritesAreFlagged) {
     });
   }
   fx.sched.run();
-  ASSERT_NE(Analyzer::active(), nullptr);
+  ASSERT_NE(fx.engine.analyzer(), nullptr);
   EXPECT_EQ(count(fx.report(), Violation::Kind::kLocksetRace), 1u)
       << "one report per location";
   EXPECT_EQ(count(fx.report(), Violation::Kind::kBarrierBypass), 0u);

@@ -2,10 +2,11 @@
 // analyzer: a schedule that hammers every queue path — monitor entry-queue
 // blocking and wakeups, revocation interrupts yanking threads out of
 // intrusive lists, timed waits expiring off the deadline heap, and sleep
-// churn — must behave bit-identically with RVK_ANALYZE on and off, fire the
-// barrier trace hooks the same number of times, and record zero violations
-// (no switch probe may fire inside commit/abort/release even while the
-// queues are being relinked underneath them).
+// churn — must behave bit-identically with RVK_ANALYZE on and off, trace
+// the same number of writes whether or not the analyzer rides along, and
+// record zero violations (no switch point may be reported inside
+// commit/abort/release even while the queues are being relinked underneath
+// them).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,11 +22,14 @@
 namespace rvk::analysis {
 namespace {
 
-std::uint64_t g_traced_writes = 0;
-
-void counting_trace_hook(const heap::TraceAccess& a) {
-  if (a.kind == heap::TraceAccess::Kind::kWrite) ++g_traced_writes;
-}
+// Counts the traced writes its engine hands it.
+struct WriteCounter final : core::EngineObserver {
+  void on_engine_event(const core::EngineEvent& /*e*/) override {}
+  void on_access(const heap::TraceAccess& a) override {
+    if (a.kind == heap::TraceAccess::Kind::kWrite) ++writes;
+  }
+  std::uint64_t writes = 0;
+};
 
 struct ChurnOutcome {
   int counter = 0;                    // final shared-counter value
@@ -34,24 +38,25 @@ struct ChurnOutcome {
   std::uint64_t frames_aborted = 0;
   std::uint64_t sections = 0;
   std::uint64_t timeouts = 0;         // timed waits that expired
-  std::uint64_t traced_writes = 0;    // barrier trace-hook firings
+  std::uint64_t traced_writes = 0;    // writes a subscriber was handed
   std::uint64_t violations = 0;       // analyzer report size (0 when off)
   std::uint64_t bias_grants = 0;      // biased acquires on the monitor
   std::uint64_t bias_revocations = 0; // bias drops on foreign acquire
 };
 
 // One deterministic revocation-heavy schedule with heavy queue churn.  The
-// virtual clock makes the interleaving a pure function of the code, so two
-// runs may differ only through the analyzer's presence.
-ChurnOutcome run_churn(bool analyze) {
+// virtual clock makes the interleaving a pure function of the code, so runs
+// may differ only through what observes them.  `count_writes` subscribes a
+// WriteCounter; without it (and without the analyzer) the engine has no
+// subscriber and takes the unobserved lazy path.
+ChurnOutcome run_churn(bool analyze, bool count_writes) {
   ChurnOutcome out;
-  g_traced_writes = 0;
-  heap::set_trace_hook(&counting_trace_hook);
-
   rt::Scheduler sched;
   core::EngineConfig cfg;
   cfg.analyze = analyze;
   core::Engine engine(sched, cfg);
+  WriteCounter counter;
+  if (count_writes) engine.subscribe(&counter);
   heap::Heap heap;
   core::RevocableMonitor* m = engine.make_monitor("contended");
   monitor::BlockingMonitor cond("cond");
@@ -99,36 +104,39 @@ ChurnOutcome run_churn(bool analyze) {
   out.rollbacks = engine.stats().rollbacks_completed;
   out.frames_aborted = engine.stats().frames_aborted;
   out.sections = engine.stats().sections_entered;
-  out.traced_writes = g_traced_writes;
+  out.traced_writes = counter.writes;
   out.bias_grants = m->stats().bias_grants;
   out.bias_revocations = m->stats().bias_revocations;
-  if (analyze) {
-    out.violations = Analyzer::active()->report().violations.size();
-  }
-  heap::set_trace_hook(nullptr);
+  if (analyze) out.violations = engine.analyzer()->report().violations.size();
+  if (count_writes) engine.unsubscribe(&counter);
   return out;
 }
 
 TEST(QueueChurnTest, AnalyzerObservesChurnWithoutPerturbingIt) {
-  const ChurnOutcome off = run_churn(false);
-  const ChurnOutcome on = run_churn(true);
+  const ChurnOutcome off = run_churn(/*analyze=*/false, /*count_writes=*/false);
+  const ChurnOutcome counted = run_churn(false, true);
+  const ChurnOutcome on = run_churn(true, true);
 
   // The scenario must actually churn: revocations delivered, timed waits
   // expired, stores traced.
   EXPECT_GT(off.rollbacks, 0u);
   EXPECT_EQ(off.timeouts, 6u);
   EXPECT_EQ(off.counter, 10);  // every section retries to completion
-  EXPECT_GT(off.traced_writes, 0u);
+  EXPECT_EQ(off.traced_writes, 0u);  // no subscriber: the gate stays shut
+  EXPECT_GT(counted.traced_writes, 0u);
 
-  // Identical behaviour with the analyzer installed: same virtual-clock
-  // trajectory, same engine traffic, same trace-hook firing count.
-  EXPECT_EQ(on.counter, off.counter);
-  EXPECT_EQ(on.ticks, off.ticks);
-  EXPECT_EQ(on.rollbacks, off.rollbacks);
-  EXPECT_EQ(on.frames_aborted, off.frames_aborted);
-  EXPECT_EQ(on.sections, off.sections);
-  EXPECT_EQ(on.timeouts, off.timeouts);
-  EXPECT_EQ(on.traced_writes, off.traced_writes);
+  // Identical behaviour however the run is observed: same virtual-clock
+  // trajectory, same engine traffic, and the analyzer beside the counter
+  // changes nothing about which writes are traced.
+  for (const ChurnOutcome* r : {&counted, &on}) {
+    EXPECT_EQ(r->counter, off.counter);
+    EXPECT_EQ(r->ticks, off.ticks);
+    EXPECT_EQ(r->rollbacks, off.rollbacks);
+    EXPECT_EQ(r->frames_aborted, off.frames_aborted);
+    EXPECT_EQ(r->sections, off.sections);
+    EXPECT_EQ(r->timeouts, off.timeouts);
+  }
+  EXPECT_EQ(on.traced_writes, counted.traced_writes);
 
   // Bias bookkeeping is exercised (the two threads keep trading the
   // monitor) and counts identically whether grants come from the engine's

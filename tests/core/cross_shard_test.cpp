@@ -19,9 +19,11 @@
 #include <string>
 #include <vector>
 
+#include "analysis/hooks.hpp"
 #include "core/engine.hpp"
 #include "core/revocable_monitor.hpp"
 #include "heap/heap.hpp"
+#include "jmm/trace.hpp"
 #include "monitor/monitor_table.hpp"
 #include "rt/domain.hpp"
 #include "rt/scheduler.hpp"
@@ -503,6 +505,65 @@ TEST(CrossShardSetupTest, OsThreadShardsMayDifferInJmmGuard) {
   EXPECT_EQ(marked_by[1], 0u);
   EXPECT_EQ(foreign_reads[1], 0u);
   EXPECT_EQ(pinned[1], 0u);
+  EXPECT_FALSE(set.deadlocked());
+}
+
+// ---------------------------------------------------------------------------
+// Tools observe through their engine, so two shards carry two of each.
+
+TEST(CrossShardToolsTest, EachShardsTraceAndAnalyzerSeeOnlyThatShard) {
+  // Each shard's engine has its own jmm::Trace and its own analyzer.  On
+  // each shard two threads write one shard-local object with no monitor (a
+  // seeded lockset race).  Each trace holds only its own shard's writes, and
+  // each analyzer reports only its own shard's race.
+  rt::DomainSet set(two_shards());
+  std::unique_ptr<core::Engine> eng[2];
+  std::unique_ptr<jmm::Trace> trace[2];
+  std::unique_ptr<heap::Heap> heaps[2];
+  const heap::HeapObject* obj[2] = {nullptr, nullptr};
+  std::vector<rt::ThreadId> racers[2];
+  std::vector<jmm::Event> events[2];
+  std::vector<analysis::Violation> violations[2];
+  set.run(
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        core::EngineConfig ecfg;
+        ecfg.analyze = true;
+        eng[me] = std::make_unique<core::Engine>(d.sched(), ecfg);
+        trace[me] = std::make_unique<jmm::Trace>(*eng[me]);
+        heaps[me] = std::make_unique<heap::Heap>();
+        heap::HeapObject* o = heaps[me]->alloc("shared", 1);
+        obj[me] = o;
+        rt::Scheduler& s = d.sched();
+        for (int i = 0; i < 2; ++i) {
+          racers[me].push_back(s.spawn("racer", rt::kNormPriority, [&s, o] {
+            for (int n = 0; n < 3; ++n) {
+              o->set<int>(0, n);
+              s.yield_now();
+            }
+          })->id());
+        }
+      },
+      [&](rt::Domain& d) {
+        const std::uint16_t me = d.id();
+        events[me] = trace[me]->events();
+        violations[me] = eng[me]->analyzer()->report().violations;
+        trace[me].reset();  // observers go before their engine
+        eng[me].reset();
+      });
+  for (int me = 0; me < 2; ++me) {
+    SCOPED_TRACE(me);
+    EXPECT_EQ(events[me].size(), 6u);  // two racers, three writes each
+    for (const jmm::Event& e : events[me]) {
+      EXPECT_EQ(e.kind, jmm::EventKind::kWrite);
+      EXPECT_EQ(e.loc.base, obj[me]);
+      EXPECT_NE(std::find(racers[me].begin(), racers[me].end(), e.tid),
+                racers[me].end());
+    }
+    ASSERT_EQ(violations[me].size(), 1u);
+    EXPECT_EQ(violations[me][0].kind, analysis::Violation::Kind::kLocksetRace);
+    EXPECT_EQ(violations[me][0].base, obj[me]);
+  }
   EXPECT_FALSE(set.deadlocked());
 }
 

@@ -93,5 +93,39 @@ TEST(EventStreamTest, SubscriberSeesExactlyTheRecordedEngineEvents) {
   }
 }
 
+TEST(EventStreamTest, SubscribersHoldTheAccessGateAndSeeTheirEnginesAccesses) {
+  // Each subscription opens the heap's access gate; the engine hands its own
+  // threads' accesses to its subscribers, and a subscriber its engine outlives
+  // (never unsubscribed) stops holding the gate when the engine dies.
+  struct Accesses : EngineObserver {
+    void on_engine_event(const EngineEvent&) override {}
+    void on_access(const heap::TraceAccess& a) override {
+      writes += a.kind == heap::TraceAccess::Kind::kWrite ? 1 : 0;
+    }
+    int writes = 0;
+  };
+  Accesses first;
+  Accesses left;
+  ASSERT_EQ(rt::detail::g_access_observers.load(), 0);
+  {
+    rt::Scheduler sched;
+    Engine engine(sched);
+    heap::Heap heap;
+    heap::HeapObject* o = heap.alloc("o", 1);
+    const int analyzer = engine.analyzer() != nullptr ? 1 : 0;  // RVK_ANALYZE
+    engine.subscribe(&first);
+    engine.subscribe(&left);
+    EXPECT_EQ(rt::detail::g_access_observers.load(), analyzer + 2);
+    sched.spawn("w", rt::kNormPriority, [&] { o->set<int>(0, 1); });
+    sched.run();
+    engine.unsubscribe(&first);
+    EXPECT_EQ(rt::detail::g_access_observers.load(), analyzer + 1);
+    o->set<int>(0, 2);  // host code: the OS thread's engine
+    EXPECT_EQ(first.writes, 1);
+    EXPECT_EQ(left.writes, 2);
+  }
+  EXPECT_EQ(rt::detail::g_access_observers.load(), 0);
+}
+
 }  // namespace
 }  // namespace rvk::core

@@ -195,6 +195,33 @@ TEST(HeapTest, TrackedReadHookFiresOnMarkedObject) {
   EXPECT_EQ(link.tracked_reads, 1);
 }
 
+TEST(HeapTest, AccessesReachTheLinkOnlyWhileTheGateIsOpen) {
+  // The access gate counts subscriptions to every engine in the process
+  // (core::Engine::subscribe); while it reads zero, no access reaches any
+  // link.  Host code's accesses go to the OS thread's engine.
+  rt::Scheduler s;
+  test::FakeEngineLink link(s);
+  Heap h;
+  HeapObject* o = h.alloc("o", 1);
+  ASSERT_EQ(rt::detail::g_access_observers.load(), 0);
+  o->set<int>(0, 1);
+  (void)o->get<int>(0);
+  EXPECT_EQ(link.accesses, 0);
+
+  rt::detail::g_access_observers.fetch_add(1);  // some engine subscribed
+  o->set<int>(0, 2);
+  (void)o->get<int>(0);
+  o->set_word_unlogged(0, 3);
+  EXPECT_EQ(link.accesses, 3);
+  s.spawn("t", rt::kNormPriority, [&] { (void)o->get<int>(0); });
+  s.run();
+  EXPECT_EQ(link.accesses, 4);  // a green thread's go to its scheduler's
+  rt::detail::g_access_observers.fetch_sub(1);
+
+  o->set<int>(0, 4);
+  EXPECT_EQ(link.accesses, 4);
+}
+
 TEST(HeapTest, VolatileVarRoundTrip) {
   VolatileVar<int> v("flag", 3);
   EXPECT_EQ(v.load(), 3);

@@ -30,6 +30,9 @@ class FakeEngineLink final : public rt::EngineLink {
   int stalls = 0;
   int after_dispatches = 0;
   int tracked_reads = 0;
+  int accesses = 0;
+  int forbidden_switches = 0;
+  const char* last_forbidden_where = nullptr;
 
   void deliver(rt::VThread* t) override {
     ++delivered;
@@ -48,6 +51,11 @@ class FakeEngineLink final : public rt::EngineLink {
     meta.clear();  // an engine may clear stale marks
   }
   void on_alloc(heap::Heap*, heap::HeapObject*) override {}
+  void on_access(const heap::TraceAccess&) override { ++accesses; }
+  void on_forbidden_switch(rt::VThread*, const char* where) override {
+    ++forbidden_switches;
+    last_forbidden_where = where;
+  }
 
  private:
   rt::Scheduler& s_;

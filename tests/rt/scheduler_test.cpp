@@ -290,6 +290,35 @@ TEST(SchedulerTest, BackgroundHookFiresPeriodically) {
             s.dispatches());
 }
 
+TEST(SchedulerTest, ForbiddenSwitchPointsReachTheEngineLink) {
+  // While regions are marked, each switch point inside a guard is reported
+  // to the scheduler's link with where it happened; outside one, nothing.
+  Scheduler s;
+  test::FakeEngineLink link(s);
+  set_region_marking(true);  // what a live analyzer does
+  std::vector<std::string> where;
+  WaitQueue q;
+  s.spawn("t", kNormPriority, [&] {
+    s.yield_point();
+    ForbiddenRegionGuard region(s.current_thread());
+    s.yield_point();
+    where.emplace_back(link.last_forbidden_where);
+    s.sleep_for(1);
+    where.emplace_back(link.last_forbidden_where);
+    s.block_current_on(q);
+    where.emplace_back(link.last_forbidden_where);
+  });
+  s.spawn("waker", kNormPriority, [&] {
+    while (q.empty()) s.yield_now();
+    s.wake_best(q);
+  });
+  s.run();
+  set_region_marking(false);
+  EXPECT_EQ(link.forbidden_switches, 3);
+  EXPECT_EQ(where, (std::vector<std::string>{"yield point", "sleep_for",
+                                             "blocking call"}));
+}
+
 TEST(SchedulerTest, ThreadStatsAreCounted) {
   SchedulerConfig cfg;
   cfg.quantum = 10;
