@@ -199,6 +199,7 @@ void MonitorBase::abandon_acquire(rt::VThread* t, bool cancelled,
   }
   obs::on_event(obs::EventKind::kMonitorAbandon, t, obs_id(this),
                 cancelled ? 1 : 0, waited_ticks);
+  on_abandon(t);
 }
 
 void MonitorBase::cancel(rt::VThread* t) {
@@ -277,6 +278,7 @@ void MonitorBase::on_block(rt::VThread*) {}
 void MonitorBase::on_wake(rt::VThread*) {}
 void MonitorBase::on_acquired(rt::VThread*) {}
 void MonitorBase::on_released(rt::VThread*) {}
+void MonitorBase::on_abandon(rt::VThread*) {}
 void MonitorBase::on_wait_release(rt::VThread*) {}
 
 }  // namespace rvk::monitor

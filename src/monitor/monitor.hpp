@@ -237,6 +237,9 @@ class MonitorBase {
   virtual void on_wake(rt::VThread* t);       // returned from parking
   virtual void on_acquired(rt::VThread* t);   // took ownership (non-recursive)
   virtual void on_released(rt::VThread* t);   // dropped ownership fully
+  // Gave up an abortable entry (timeout or cancel); runs inside
+  // abandon_acquire's forbidden region, so it must not allocate.
+  virtual void on_abandon(rt::VThread* t);
   virtual void on_wait_release(rt::VThread* t);  // wait() releasing
 
   std::string name_;

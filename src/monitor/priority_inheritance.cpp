@@ -39,16 +39,29 @@ void InheritanceDomain::boost_chain(PriorityInheritanceMonitor* m, int prio) {
   }
 }
 
-void InheritanceDomain::recompute(rt::VThread* t) {
-  // Release path: must not insert (forbidden region — see held_state_of).
-  ThreadState& s = held_state_of(t);
+bool InheritanceDomain::recompute(rt::VThread* t, const ThreadState& s) {
   int prio = s.base_priority;
   for (PriorityInheritanceMonitor* m : s.held) {
     m->entry_queue().for_each([&prio](rt::VThread* w) {
       prio = std::max(prio, w->priority());
     });
   }
+  if (prio == t->priority()) return false;
   t->set_priority(prio);
+  return true;
+}
+
+void InheritanceDomain::unboost_chain(PriorityInheritanceMonitor* m) {
+  // Each holder's new priority can only be lower, so the walk ends: at a
+  // free monitor, at a holder with no state, or at an unchanged holder,
+  // whose own blocker saw no change either.
+  while (m != nullptr) {
+    rt::VThread* holder = m->owner();
+    if (holder == nullptr) return;
+    auto it = threads_.find(holder->id());
+    if (it == threads_.end() || !recompute(holder, it->second)) return;
+    m = it->second.blocked_on;
+  }
 }
 
 void InheritanceDomain::forget_if_idle(rt::VThread* t) {
@@ -83,8 +96,13 @@ void PriorityInheritanceMonitor::on_released(rt::VThread* t) {
   auto it = std::find(s.held.begin(), s.held.end(), this);
   RVK_CHECK_MSG(it != s.held.end(), "released monitor not in held set");
   s.held.erase(it);
-  domain_.recompute(t);
+  domain_.recompute(t, s);
   domain_.forget_if_idle(t);
+}
+
+void PriorityInheritanceMonitor::on_abandon(rt::VThread*) {
+  // The waiter is off the entry queue (on_wake cleared its blocked_on).
+  domain_.unboost_chain(this);
 }
 
 }  // namespace rvk::monitor

@@ -62,9 +62,15 @@ class InheritanceDomain {
   // least `prio` (the transitive inheritance step).
   void boost_chain(PriorityInheritanceMonitor* m, int prio);
 
-  // Recomputes `t`'s priority after it released a monitor: its base, raised
-  // by the best waiter on any monitor it still holds.
-  void recompute(rt::VThread* t);
+  // Recomputes `t`'s priority from its state `s`: its base, raised by the
+  // best waiter on any monitor it still holds.  Returns whether it changed.
+  // Find-only and allocation-free (release and abandon paths).
+  bool recompute(rt::VThread* t, const ThreadState& s);
+
+  // A waiter gave up its entry to `m`: the boost it gave `m`'s owner, and
+  // on along the owner's blocked_on chain, is withdrawn (each holder is
+  // recomputed until one is unchanged).  Runs on the abandon path.
+  void unboost_chain(PriorityInheritanceMonitor* m);
 
   // Drops `t`'s entry once it holds nothing and waits on nothing.  Only
   // frees, so it is legal on the release path.
@@ -88,6 +94,7 @@ class PriorityInheritanceMonitor final : public MonitorBase {
   void on_wake(rt::VThread* t) override;
   void on_acquired(rt::VThread* t) override;
   void on_released(rt::VThread* t) override;
+  void on_abandon(rt::VThread* t) override;
 
  private:
   friend class InheritanceDomain;

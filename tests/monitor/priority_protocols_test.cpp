@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <malloc.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "monitor/priority_ceiling.hpp"
@@ -275,7 +276,8 @@ TEST(PriorityCeilingTest, HundredThousandRequestsKeepDomainBounded) {
 TEST(PriorityInheritanceTest, AbandonedWaitLeavesNoStaleBlocker) {
   // A waiter that times out is no longer blocked: a later boost through a
   // monitor it holds stops at it instead of following the abandoned wait on
-  // to B's owner.
+  // to B's owner, and the boost the waiter itself gave B's owner ends when
+  // it gives up.
   rt::Scheduler s(strict_cfg());
   InheritanceDomain dom;
   PriorityInheritanceMonitor a("A", dom);
@@ -300,9 +302,48 @@ TEST(PriorityInheritanceTest, AbandonedWaitLeavesNoStaleBlocker) {
     a.release();
   });
   s.run();
-  // The quitter's own boost stands until B's release recomputes it (PI
-  // lowers priorities only at release); hi's 9 never reached B's owner.
-  EXPECT_EQ(owner_prio, 4);
+  // The quitter's boost left with it, and hi's 9 never reached B's owner.
+  EXPECT_EQ(owner_prio, 3);
+}
+
+TEST(PriorityInheritanceTest, AbandonedWaitUnboostsTheWholeChain) {
+  // Two levels: mid holds B and waits on C, which low holds, so the
+  // quitter's boost through B reaches low via mid.  When the quitter gives
+  // up, both fall back while their sections go on: mid to its base, low to
+  // mid's priority (mid still waits on C).
+  rt::Scheduler s(strict_cfg());
+  InheritanceDomain dom;
+  PriorityInheritanceMonitor b("B", dom);
+  PriorityInheritanceMonitor c("C", dom);
+  rt::VThread* mid = nullptr;
+  int low_peak = 0;
+  int low_after = 0;
+  int mid_after = 0;
+  s.spawn("low", 2, [&] {
+    c.acquire();
+    for (int i = 0; i < 400; ++i) {
+      s.yield_point();
+      low_peak = std::max(low_peak, s.current_thread()->priority());
+    }
+    low_after = s.current_thread()->priority();
+    mid_after = mid->priority();
+    c.release();
+  });
+  mid = s.spawn("mid", 3, [&] {
+    s.sleep_for(5);
+    b.acquire();
+    c.acquire();  // blocks on low
+    c.release();
+    b.release();
+  });
+  s.spawn("quitter", 8, [&] {
+    s.sleep_for(10);
+    EXPECT_FALSE(b.try_enter(20));  // blocks on B, then gives up
+  });
+  s.run();
+  EXPECT_EQ(low_peak, 8);  // the boost did reach the end of the chain
+  EXPECT_EQ(mid_after, 3);
+  EXPECT_EQ(low_after, 3);
 }
 
 }  // namespace
