@@ -87,15 +87,16 @@ Engine::~Engine() {
   monitor::MonitorTable::global().release_slots_owned_by(this);
   if (multi_shard_) monitor::MonitorTable::global().leave_multi_shard();
   if (observing_) obs::Recorder::uninstall();
-  if (analyzer_ != nullptr) {
-    unsubscribe(analyzer_.get());
-    // Surface breaches even from binaries that never ask for the report
-    // (fig/bench runs under RVK_ANALYZE=1).
-    if (!analyzer_->report().violations.empty()) analyzer_->print(std::cerr);
+  // Surface breaches even from binaries that never ask for the report
+  // (fig/bench runs under RVK_ANALYZE=1).
+  if (analyzer_ != nullptr && !analyzer_->report().violations.empty()) {
+    analyzer_->print(std::cerr);
   }
-  // An observer left subscribed no longer holds the access gate open.
+  // The subscriptions still open (the analyzer's, any a tool left) stop
+  // holding the heap's access gate.
   rt::detail::g_access_observers.fetch_sub(
       static_cast<int>(observers_.size()), std::memory_order_relaxed);
+  observers_.clear();
   // Unregister the live threads: a later engine must re-register each one
   // (sync_of), so none keeps this engine's frames, write-filter tags or
   // write-marking flag.  Finished threads' blocks re-register anyway when

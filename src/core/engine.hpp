@@ -29,11 +29,11 @@
 // accesses and forbidden-region switch points — and the destructor detaches
 // it.  Tools observe through it too: subscribers see this engine's accesses
 // as well as its transitions, and the analyzer, when on, is this engine's
-// own.  Constructed with a rt::Domain current (DomainSet
-// setup runs there), the engine binds to that shard; shards may differ in
-// configuration, jmm_guard included.  In the classic unsharded runtime (no
-// domain entered) it is also its OS thread's one engine, which host-code
-// reads outside any green thread reach.  Either way, construct the engine
+// own.  Constructed with a rt::Domain current (DomainSet setup runs there),
+// the engine binds to that shard; shards may differ in configuration,
+// jmm_guard included.  In the classic unsharded runtime (no domain entered)
+// it is also its OS thread's one engine, which host-code reads and traced
+// accesses outside any green thread reach.  Either way, construct the engine
 // after its Scheduler and destroy it before.
 #pragma once
 

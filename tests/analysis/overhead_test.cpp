@@ -2,10 +2,11 @@
 // EngineConfig::analyze=false), the engine has no analyzer, the access gate
 // stays shut and regions stay unmarked, so the per-access cost is exactly
 // the seed's barrier fast path plus one predicted relaxed load of a zero
-// count per trace point (and one field test per yield point).  Wall-clock thresholds are flaky on shared runners
-// (CLAUDE.md), so the check is structural and counter-based; the timing
-// companion is bench/micro_barriers, whose analyzer-off numbers must stay
-// within run-to-run noise of the seed.
+// count per trace point (and one field test per yield point).  Wall-clock
+// thresholds are flaky on shared runners (CLAUDE.md), so the check is
+// structural and counter-based; the timing companion is
+// bench/micro_barriers, whose analyzer-off numbers must stay within
+// run-to-run noise of the seed.
 #include <gtest/gtest.h>
 
 #include <cstdlib>

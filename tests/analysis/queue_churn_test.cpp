@@ -113,7 +113,8 @@ ChurnOutcome run_churn(bool analyze, bool count_writes) {
 }
 
 TEST(QueueChurnTest, AnalyzerObservesChurnWithoutPerturbingIt) {
-  const ChurnOutcome off = run_churn(/*analyze=*/false, /*count_writes=*/false);
+  const ChurnOutcome off =
+      run_churn(/*analyze=*/false, /*count_writes=*/false);
   const ChurnOutcome counted = run_churn(false, true);
   const ChurnOutcome on = run_churn(true, true);
 
