@@ -215,7 +215,7 @@ TEST(HeapTest, AccessesReachTheLinkOnlyWhileTheGateIsOpen) {
   EXPECT_EQ(link.accesses, 3);
   s.spawn("t", rt::kNormPriority, [&] { (void)o->get<int>(0); });
   s.run();
-  EXPECT_EQ(link.accesses, 4);  // a green thread's go to its scheduler's
+  EXPECT_EQ(link.accesses, 4);  // a green thread's, via its scheduler
   rt::detail::g_access_observers.fetch_sub(1);
 
   o->set<int>(0, 4);
